@@ -39,7 +39,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 import mpmath
 from mpmath import mpf
 
-from .dist_core import IntegerPmf, convolve, entropy
+from .dist_core import IntegerPmf, binomial_pmf, convolve, entropy
 from .errors import QuadratureError
 from .moments_bounds import CumulantSet, cumulants_from_raw_moments
 from .precision import (
@@ -461,8 +461,6 @@ def tulino_verdu_compare(
     that the discrete inequality implies for large enough n.  The meets_*
     flags allow the two quadrature errors as slack.
     """
-    from .dist_core import binomial_pmf  # local import to avoid cycles at startup
-
     ns = sorted(set(n_values))
     if not ns:
         return []

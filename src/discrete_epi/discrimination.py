@@ -32,7 +32,7 @@ from typing import List, Tuple
 import mpmath
 from mpmath import mpf
 
-from .dist_core import IntegerPmf, bernoulli_entropy, binomial_pmf
+from .dist_core import IntegerPmf, _check_same_precision, bernoulli_entropy, binomial_pmf
 from .errors import SeriesTruncationError
 from .precision import DEFAULT_PRECISION, RealLike, as_mpf, working_precision
 
@@ -62,12 +62,7 @@ class SeriesEvaluation:
 
 def _aligned(P: IntegerPmf, Q: IntegerPmf) -> Tuple[int, List[Tuple[mpf, mpf]]]:
     """Zero-padded weight pairs over the union of the two supports."""
-    if P.precision != Q.precision:
-        from .errors import PrecisionMismatchError
-
-        raise PrecisionMismatchError(
-            f"pmfs built at different precisions: {P.precision} vs {Q.precision}"
-        )
+    _check_same_precision(P, Q)
     lo = min(P.offset, Q.offset)
     hi = max(P.last, Q.last)
     pairs = [(P.weight_at(k), Q.weight_at(k)) for k in range(lo, hi + 1)]

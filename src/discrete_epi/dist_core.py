@@ -14,6 +14,42 @@ Binomial pmfs are built by repeated Bernoulli mixing,
 which needs no factorials or ratios and is stable at any size.  Sums of
 many iid copies use convolution by repeated squaring, so ``n`` copies
 cost O(log n) convolutions.
+
+Error model of ``binomial_entropy_chain``.  The chain mixes in fixed
+point: weights are integers scaled by 2**B, with B = prec + g, where
+prec is the working precision in bits and g the guard bits below, and
+one step is ``(Q*w[k] + P*w[k-1]) >> B`` with P = round(p 2**B) and
+Q = 2**B - P.  Row n's entropy is
+
+    H_n = -sum_k w_k (ln C(n,k) + k ln p + (n-k) ln q),
+
+read off an integer table of log-factorials and the two logs ln p and
+ln q, all evaluated at B + 16 bits and rounded to 2**-B: O(n_max)
+logarithms per chain.  The error is absolute, in units of 2**-B:
+
+* weights: the operator ``w -> (q w_k + p w_{k-1})`` is an l1
+  contraction; replacing p by P/2**B costs at most 1 unit in l1 per
+  step and the floor at most n + 1, so after n steps the weights are
+  within n (n + 5) / 2 of the exact binomial weights b_k in l1, and
+  their sum is at most 1.  Each weight multiplies ln b_k, and
+  |ln b_k| <= n L with L = max(|ln p|, |ln q|).
+* logs: each table entry, ln p and ln q is good to 2**-16 relative
+  before it is rounded to the nearest unit.  A term combines 3n of
+  them, of total size below n (2 ln n + L), so it is off by at most
+  1.5 n + n (2 ln n + L) 2**-16 <= 2n (L + 1) units (ln n < 2**14 for
+  any chain that fits in memory).
+
+Together |H_n - H[B(n, p)]| < 2**-B (n + 1)**3 (L + 1).  The guard is
+g = bit_length((n_max + 1)**3 (Lb + 2)), where Lb = 1 - e and e is the
+smaller ``frexp`` exponent of p and q, so min(p, q) >= 2**(e - 1),
+L < Lb + 1, and the fixed-point error stays below 2**-prec.  Rounding a row to an mpf adds at most
+2**-prec H_n.
+
+``binomial_pmf`` keeps mixing in mpf.  Its weights are handed to
+consumers of weight ratios (``kl_divergence``, ``cap_via_series``, the
+tails of ``IntegerPmf``), which need relative accuracy down to the
+smallest weight, and fixed point only gives an absolute one.  It is
+also the independent route the tests check the chain against.
 """
 
 from __future__ import annotations
@@ -246,8 +282,9 @@ def binomial_entropy_chain(
 ) -> list:
     """Entropies H[Binomial(n, p)] for n = 0 .. n_max in one pass.
 
-    One Bernoulli mixing step per n keeps the total cost quadratic in
-    n_max, which is what the threshold scans need.
+    One fixed-point Bernoulli mixing step per n keeps the total cost
+    quadratic in n_max in integer operations, with n_max + 1
+    logarithms in all; the error model is in the module docstring.
     """
     if not isinstance(n_max, int) or n_max < 0:
         raise ValueError(f"n_max must be a nonnegative integer, got {n_max!r}")
@@ -255,14 +292,30 @@ def binomial_entropy_chain(
     with working_precision(precision):
         if not (0 <= pv <= 1):
             raise ValueError(f"p must lie in [0, 1], got {pv}")
-        q = 1 - pv
+        if pv == 0 or pv == 1:
+            return [mpf(0)] * (n_max + 1)
+        # min(p, q) >= 2**(e - 1), so max(|ln p|, |ln q|) < log_bits + 1.
+        log_bits = 1 - min(mpmath.frexp(pv)[1], mpmath.frexp(1 - pv)[1])
+        B = mpmath.mp.prec + ((n_max + 1) ** 3 * (log_bits + 2)).bit_length()
+        with mpmath.workprec(B + 16):
+
+            def fixed(x):
+                return int(mpmath.nint(mpmath.ldexp(x, B)))
+
+            P = fixed(pv)
+            lp, lq = fixed(mpmath.ln(pv)), fixed(mpmath.ln(1 - pv))
+            log_fact = [0, 0]
+            for j in range(2, n_max + 1):
+                log_fact.append(log_fact[-1] + fixed(mpmath.ln(j)))
+        Q = (1 << B) - P
+        w = [1 << B]
         out = [mpf(0)]
-        w = [mpf(1)]
-        for _ in range(n_max):
-            nxt = [q * w[0]]
-            for k in range(1, len(w)):
-                nxt.append(q * w[k] + pv * w[k - 1])
-            nxt.append(pv * w[-1])
-            w = nxt
-            out.append(-mpmath.fsum(x * mpmath.ln(x) for x in w if x > 0))
+        for n in range(1, n_max + 1):
+            w = [(Q * a + P * b) >> B for a, b in zip(w + [0], [0] + w)]
+            lf_n = log_fact[n]
+            acc = sum(
+                wk * (lf_n - log_fact[k] - log_fact[n - k] + k * lp + (n - k) * lq)
+                for k, wk in enumerate(w)
+            )
+            out.append(-mpmath.ldexp(mpf(acc), -2 * B))
     return out

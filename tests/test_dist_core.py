@@ -6,6 +6,8 @@ from math import comb
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mpf
 
 from discrete_epi.dist_core import (
@@ -26,6 +28,15 @@ from discrete_epi.errors import MassConservationError, PrecisionMismatchError
 from discrete_epi.precision import eps_for, working_precision
 
 from conftest import assert_close, exact_binomial_weights
+
+CHAIN_PS = [Fraction(1, 20), Fraction(3, 20), Fraction(1, 3), Fraction(1, 2), Fraction(17, 20), Fraction(19, 20)]
+
+
+def exact_binomial_entropy(n: int, p: Fraction) -> mpf:
+    """H[Binomial(n, p)] from exact rational weights, logs at 100 digits."""
+    with mpmath.workdps(100):
+        weights = [mpf(w.numerator) / w.denominator for w in exact_binomial_weights(n, p)]
+        return -mpmath.fsum(w * mpmath.ln(w) for w in weights if w > 0)
 
 
 def random_pmf(rng: random.Random, size: int, precision: int = 50) -> IntegerPmf:
@@ -188,6 +199,20 @@ class TestIidSum:
         assert iid_sum_pmf(base, 3).offset == 12
 
 
+@pytest.fixture
+def ln_calls(monkeypatch):
+    """Arguments of every mpmath.ln call made while the test runs."""
+    calls = []
+    ln = mpmath.ln
+
+    def counting_ln(x):
+        calls.append(x)
+        return ln(x)
+
+    monkeypatch.setattr(mpmath, "ln", counting_ln)
+    return calls
+
+
 class TestEntropyChain:
     def test_matches_pointwise_entropies(self, dps50):
         chain = binomial_entropy_chain("0.42", 9)
@@ -199,3 +224,41 @@ class TestEntropyChain:
     def test_monotone_in_n(self, dps50):
         chain = binomial_entropy_chain("0.3", 40)
         assert all(b > a for a, b in zip(chain[1:], chain[2:]))
+
+    @pytest.mark.parametrize("p", CHAIN_PS)
+    def test_matches_exact_rational_entropies(self, dps50, p):
+        chain = binomial_entropy_chain(p, 200)
+        assert len(chain) == 201
+        for n in (1, 2, 7, 50, 121, 200):
+            assert_close(chain[n], exact_binomial_entropy(n, p), tol="1e-45")
+
+    @pytest.mark.parametrize("p", CHAIN_PS[:3])
+    def test_symmetric_under_p_to_one_minus_p(self, dps50, p):
+        for a, b in zip(binomial_entropy_chain(p, 120), binomial_entropy_chain(1 - p, 120)):
+            assert_close(a, b, tol="1e-45")
+
+    def test_edges(self, dps50, ln_calls):
+        for p in (0, 1):
+            assert binomial_entropy_chain(p, 5) == [0] * 6
+            assert binomial_entropy_chain(p, 0) == [0]
+        assert ln_calls == []
+        assert binomial_entropy_chain("0.3", 0) == [0]
+
+    def test_logarithm_count_is_linear(self, dps50, ln_calls):
+        n_max = 150
+        binomial_entropy_chain(Fraction(2, 7), n_max)
+        assert len(ln_calls) <= n_max + 3
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    p=st.fractions(min_value=0, max_value=1, max_denominator=1000),
+    n_max=st.integers(min_value=0, max_value=60),
+    data=st.data(),
+)
+def test_chain_agrees_with_mixed_pmf_entropy(p, n_max, data):
+    chain = binomial_entropy_chain(p, n_max)
+    n = data.draw(st.integers(min_value=0, max_value=n_max))
+    for m in {n, n_max}:
+        with working_precision(50):
+            assert abs(chain[m] - entropy(binomial_pmf(m, p))) <= eps_for(50)
