@@ -39,7 +39,13 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 import mpmath
 from mpmath import mpf
 
-from .dist_core import IntegerPmf, binomial_pmf, convolve, entropy
+from .dist_core import (  # MAX_SUM_SUPPORT is re-exported
+    MAX_SUM_SUPPORT,
+    IntegerPmf,
+    _iid_ladder,
+    binomial_pmf,
+    entropy,
+)
 from .errors import QuadratureError
 from .moments_bounds import CumulantSet, cumulants_from_raw_moments
 from .precision import (
@@ -67,7 +73,6 @@ QUADRATURE_ORDER = 12
 MAX_BISECTION_DEPTH = 48
 DENSITY_WINDOW_SIGMAS = 40
 REGION_PAD_SIGMAS = 8
-MAX_SUM_SUPPORT = 1 << 22
 
 _CUMULANT_ORDERS = 8
 
@@ -85,31 +90,9 @@ def iid_power_pmfs(
     a geometric family like {512, 1024, 2048, 4096} costs one chain.
     """
     targets = sorted(set(n_values))
-    if not targets:
-        return {}
-    if targets[0] < 1:
+    if targets and targets[0] < 1:
         raise ValueError(f"fold counts must be >= 1, got {targets[0]}")
-    top = targets[-1]
-    if (base.size - 1) * top + 1 > MAX_SUM_SUPPORT:
-        raise ValueError(
-            f"n={top} puts the sum support past the {MAX_SUM_SUPPORT}-point budget"
-        )
-    ladder = [base]
-    while (1 << len(ladder)) <= top:
-        ladder.append(convolve(ladder[-1], ladder[-1]))
-    out: Dict[int, IntegerPmf] = {}
-    for n in targets:
-        acc: Optional[IntegerPmf] = None
-        remaining = n
-        rung = 0
-        while remaining:
-            if remaining & 1:
-                acc = ladder[rung] if acc is None else convolve(acc, ladder[rung])
-            remaining >>= 1
-            rung += 1
-        assert acc is not None
-        out[n] = acc
-    return out
+    return _iid_ladder(base, targets)
 
 
 def _gaussian_reference(n: int, sigma2: mpf) -> mpf:

@@ -12,8 +12,40 @@ Binomial pmfs are built by repeated Bernoulli mixing,
     P[n+1](k) = (1-p) P[n](k) + p P[n](k-1),
 
 which needs no factorials or ratios and is stable at any size.  Sums of
-many iid copies use convolution by repeated squaring, so ``n`` copies
-cost O(log n) convolutions.
+n iid copies come from one repeated-squaring ladder (``_iid_ladder``,
+shared with ``asymptotics.iid_power_pmfs`` and ``iid_epi_gap``): at
+most 2 log2(n) + 1 convolutions, whose cost is dominated by the last
+squaring, at half the final support.  A sum whose support would pass
+``MAX_SUM_SUPPORT`` points is refused before any convolution.
+
+Error model of ``convolve``.  Every mpf weight is exactly man * 2**exp,
+so the product needs no rounding until the end:
+
+* runs: each weight vector is cut into contiguous runs whose nonzero
+  exponents span at most 2 prec bits, prec being the working precision
+  in bits.  A run holds the exact integers man << (exp - run exponent),
+  of at most 3 prec bits each.  The span bound is what keeps the packed
+  width proportional to the run length: without it one weight of 1e-300
+  stretches every slot to a thousand bits per fold.  At 2 prec a slot
+  is at most three times as wide as the mantissas alone need.
+* products: each pair of runs is packed into two big ints with slots of
+  bits(x) + bits(y) + bit_length(min length) bits, which no slot of the
+  product can overflow, and multiplied once (Kronecker substitution;
+  D. Harvey, arXiv:0712.4046), so every slot is the exact sum of its
+  products.
+* dropping: all terms are nonnegative, so an output's largest
+  contribution is at most its value.  Contributions below 2**-(prec + g)
+  of the largest are dropped, with g = 16 + bit_length(number of run
+  pairs), the number of run pairs bounding the number of contributions
+  to one output; together they are below 2**-(prec + 16) of the
+  output.
+* rounding: the kept contributions are summed exactly and rounded once
+  to nearest, which is half an ulp, at most 2**-prec relative.
+
+So every output weight is within 2**-prec (1 + 2**-16) of the exact
+convolution of the input weights, relative to itself, however small it
+is.  The mpf double loop this replaces rounded every product and every
+partial sum, up to 2 min(len a, len b) roundings per weight.
 
 Error model of ``binomial_entropy_chain``.  The chain mixes in fixed
 point: weights are integers scaled by 2**B, with B = prec + g, where
@@ -55,7 +87,7 @@ also the independent route the tests check the chain against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import mpmath
 from mpmath import mpf
@@ -69,6 +101,8 @@ from .precision import (
     eps_for,
     working_precision,
 )
+
+MAX_SUM_SUPPORT = 1 << 22
 
 __all__ = [
     "IntegerPmf",
@@ -227,16 +261,97 @@ def binomial_pmf(n: int, p: RealLike, precision: int = DEFAULT_PRECISION) -> Int
     return IntegerPmf(offset=0, weights=tuple(w), precision=precision)
 
 
+def _runs(weights: Sequence[mpf], span: int) -> List[Tuple[int, List[int], int, int]]:
+    """Cut weights into contiguous runs of exact integers.
+
+    Each run is (start, ints, exp, bits): weight ``start + i`` equals
+    ``ints[i] * 2**exp`` exactly, and every int has at most ``bits``
+    bits.  A run closes before a nonzero weight whose exponent would
+    stretch the run's exponents over more than ``span`` bits; zero
+    weights join the open run, and runs of zeros alone are dropped.
+    """
+    runs = []
+    items: List[Tuple[int, int]] = []
+    start = lo = hi = 0
+    for i, w in enumerate(weights):
+        _, man, exp, _ = w._mpf_
+        if not man:
+            if items:
+                items.append((0, 0))
+            continue
+        if not items or max(hi, exp) - min(lo, exp) > span:
+            if items:
+                runs.append((start, items, lo))
+            start, items, lo, hi = i, [], exp, exp
+        items.append((int(man), exp))
+        lo, hi = min(lo, exp), max(hi, exp)
+    if items:
+        runs.append((start, items, lo))
+    out = []
+    for start, items, lo in runs:
+        while not items[-1][0]:
+            items.pop()
+        ints = [m << (e - lo) for m, e in items]
+        out.append((start, ints, lo, max(x.bit_length() for x in ints)))
+    return out
+
+
+def _pack(ints: Sequence[int], width: int) -> int:
+    """Kronecker substitution: one int holding ``ints`` in width-byte slots."""
+    return int.from_bytes(b"".join(x.to_bytes(width, "little") for x in ints), "little")
+
+
+def _exact_convolve(a: Sequence[mpf], b: Sequence[mpf], prec: int) -> List[mpf]:
+    """Weights of a * b, each rounded once to prec bits (module docstring)."""
+    span = 2 * prec
+    runs_a = _runs(a, span)
+    square = a is b
+    runs_b = runs_a if square else _runs(b, span)
+    # Contributions more than prec + g bits below an output's largest
+    # are dropped; no output has more than one per pair of runs.
+    drop = prec + (len(runs_a) * len(runs_b)).bit_length() + 16 + 1
+    terms: List[List[Tuple[int, int]]] = [[] for _ in range(len(a) + len(b) - 1)]
+    for i, (sa, xa, ea, ba) in enumerate(runs_a):
+        for j, (sb, xb, eb, bb) in enumerate(runs_b):
+            if square and j < i:
+                continue
+            if len(xa) == 1:
+                slots = [xa[0] * y for y in xb]
+            elif len(xb) == 1:
+                slots = [x * xb[0] for x in xa]
+            else:
+                width = (ba + bb + min(len(xa), len(xb)).bit_length() + 7) // 8
+                packed = _pack(xa, width)
+                product = packed * packed if xa is xb else packed * _pack(xb, width)
+                m = len(xa) + len(xb) - 1
+                buf = product.to_bytes(m * width, "little")
+                slots = [int.from_bytes(buf[k * width:(k + 1) * width], "little") for k in range(m)]
+            e, copies = ea + eb, (2 if square and i != j else 1)
+            for k, v in enumerate(slots, sa + sb):
+                if v:
+                    terms[k].extend([(v, e)] * copies)
+    zero = mpf(0)
+    out = []
+    for contributions in terms:
+        if len(contributions) > 1:
+            tops = [v.bit_length() + e for v, e in contributions]
+            cut = max(tops) - drop
+            kept = [c for c, top in zip(contributions, tops) if top > cut]
+            e0 = min(e for _, e in kept)
+            contributions = [(sum(v << (e - e0) for v, e in kept), e0)]
+        out.append(mpf(contributions[0]) if contributions else zero)
+    return out
+
+
 def convolve(a: IntegerPmf, b: IntegerPmf) -> IntegerPmf:
-    """Pmf of the sum of independent variables with pmfs a and b."""
+    """Pmf of the sum of independent variables with pmfs a and b.
+
+    Exact block products with each weight rounded once; the error model
+    is in the module docstring.
+    """
     precision = _check_same_precision(a, b)
     with working_precision(precision):
-        out = [mpf(0)] * (a.size + b.size - 1)
-        for i, wa in enumerate(a.weights):
-            if wa == 0:
-                continue
-            for j, wb in enumerate(b.weights):
-                out[i + j] += wa * wb
+        out = _exact_convolve(a.weights, b.weights, mpmath.mp.prec)
     return IntegerPmf(offset=a.offset + b.offset, weights=tuple(out), precision=precision)
 
 
@@ -258,6 +373,37 @@ def mean(pmf: IntegerPmf) -> mpf:
         return mpmath.fsum(k * w for k, w in pmf.items())
 
 
+def _check_sum_support(base: IntegerPmf, n: int) -> None:
+    if (base.size - 1) * n + 1 > MAX_SUM_SUPPORT:
+        raise ValueError(
+            f"n={n} puts the sum support past the {MAX_SUM_SUPPORT}-point budget"
+        )
+
+
+def _iid_ladder(base: IntegerPmf, n_values: Iterable[int]) -> Dict[int, IntegerPmf]:
+    """n-fold iid sums of base for every n, from one repeated-squaring ladder.
+
+    Rung r holds the 2**r-fold sum; the n-fold sum starts from the point
+    mass at zero and convolves in the rung of each set bit of n, lowest
+    first.  The support budget is checked before any convolution.
+    """
+    targets = sorted(set(n_values))
+    if not targets:
+        return {}
+    _check_sum_support(base, targets[-1])
+    ladder = [base]
+    while (1 << len(ladder)) <= targets[-1]:
+        ladder.append(convolve(ladder[-1], ladder[-1]))
+    out = {}
+    for n in targets:
+        acc = delta_pmf(0, base.precision)
+        for rung, power in enumerate(ladder):
+            if n >> rung & 1:
+                acc = convolve(acc, power)
+        out[n] = acc
+    return out
+
+
 def iid_sum_pmf(base: IntegerPmf, n: int) -> IntegerPmf:
     """Pmf of the sum of n iid copies of base, by repeated squaring.
 
@@ -265,16 +411,7 @@ def iid_sum_pmf(base: IntegerPmf, n: int) -> IntegerPmf:
     """
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-    result = delta_pmf(0, base.precision)
-    square = base
-    e = n
-    while e:
-        if e & 1:
-            result = convolve(result, square)
-        e >>= 1
-        if e:
-            square = convolve(square, square)
-    return result
+    return _iid_ladder(base, [n])[n]
 
 
 def binomial_entropy_chain(

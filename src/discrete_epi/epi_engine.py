@@ -32,11 +32,12 @@ from mpmath import mpf
 
 from .dist_core import (
     IntegerPmf,
+    _check_sum_support,
+    _iid_ladder,
     binomial_entropy_chain,
     binomial_pmf,
     convolve,
     entropy,
-    iid_sum_pmf,
     omega,
 )
 from .polycert import QUAD_LINEAR_COEFF, THRESHOLD_SLOPE
@@ -130,8 +131,9 @@ def iid_epi_gap(base: IntegerPmf, m: int, n: int) -> EpiReport:
     if not isinstance(m, int) or m < 1 or not isinstance(n, int) or n < 1:
         raise ValueError(f"m and n must be positive integers, got {m!r}, {n!r}")
     precision = base.precision
-    sum_m = iid_sum_pmf(base, m)
-    sum_n = iid_sum_pmf(base, n)
+    _check_sum_support(base, m + n)
+    sums = _iid_ladder(base, (m, n))
+    sum_m, sum_n = sums[m], sums[n]
     total = convolve(sum_m, sum_n)
     with working_precision(precision):
         gap = _epi_gap_from_entropies(entropy(total), entropy(sum_m), entropy(sum_n))

@@ -1,6 +1,7 @@
 """Distribution-layer tests: pmf containers, convolution, entropy chains."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
@@ -10,7 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
 
+from discrete_epi import dist_core
+from discrete_epi.asymptotics import iid_power_pmfs
 from discrete_epi.dist_core import (
+    MAX_SUM_SUPPORT,
     BernoulliParam,
     IntegerPmf,
     bernoulli_entropy,
@@ -25,7 +29,7 @@ from discrete_epi.dist_core import (
     shift,
 )
 from discrete_epi.errors import MassConservationError, PrecisionMismatchError
-from discrete_epi.precision import eps_for, working_precision
+from discrete_epi.precision import as_mpf, eps_for, working_precision
 
 from conftest import assert_close, exact_binomial_weights
 
@@ -37,6 +41,54 @@ def exact_binomial_entropy(n: int, p: Fraction) -> mpf:
     with mpmath.workdps(100):
         weights = [mpf(w.numerator) / w.denominator for w in exact_binomial_weights(n, p)]
         return -mpmath.fsum(w * mpmath.ln(w) for w in weights if w > 0)
+
+
+def exact_value(w: mpf) -> Fraction:
+    man, exp = w.man_exp
+    return Fraction(man) * Fraction(2) ** exp
+
+
+def exact_convolution(a: IntegerPmf, b: IntegerPmf) -> list:
+    """Weights of a * b from the exact values of the mpf inputs."""
+    out = []
+    for k in range(a.size + b.size - 1):
+        terms = [
+            (wa.man_exp, b.weights[k - i].man_exp)
+            for i, wa in enumerate(a.weights)
+            if 0 <= k - i < b.size
+        ]
+        terms = [(ma * mb, ea + eb) for (ma, ea), (mb, eb) in terms if ma and mb]
+        if not terms:
+            out.append(Fraction(0))
+            continue
+        e0 = min(e for _, e in terms)
+        out.append(sum(m << (e - e0) for m, e in terms) * Fraction(2) ** e0)
+    return out
+
+
+def assert_rounded_once(a: IntegerPmf, b: IntegerPmf) -> IntegerPmf:
+    """convolve(a, b) is within 2**-prec (1 + 2**-16) of the exact weights."""
+    out = convolve(a, b)
+    with working_precision(a.precision):
+        prec = mpmath.mp.prec
+    bound = (1 + Fraction(1, 2**16)) / 2**prec
+    for k, (got, want) in enumerate(zip(out.weights, exact_convolution(a, b))):
+        assert abs(exact_value(got) - want) <= bound * want, f"weight {k}"
+    return out
+
+
+def ladder_steps(base: IntegerPmf, n: int) -> IntegerPmf:
+    """n-fold sum by squaring (n a power of two), each step checked."""
+    pmf = base
+    while n > 1:
+        pmf = assert_rounded_once(pmf, pmf)
+        n //= 2
+    return pmf
+
+
+def ratio_pmf(raw, offset: int = 0, precision: int = 50) -> IntegerPmf:
+    total = sum(raw)
+    return IntegerPmf.from_weights([Fraction(r, total) for r in raw], offset, precision)
 
 
 def random_pmf(rng: random.Random, size: int, precision: int = 50) -> IntegerPmf:
@@ -133,18 +185,65 @@ class TestConvolve:
 
     def test_commutative(self, dps50):
         rng = random.Random(11)
-        a, b = random_pmf(rng, 5), random_pmf(rng, 3)
-        ab, ba = convolve(a, b), convolve(b, a)
-        assert ab.offset == ba.offset
-        for k in ab.support():
-            assert_close(ab.weight_at(k), ba.weight_at(k))
+        pairs = [(random_pmf(rng, 5), random_pmf(rng, 3))]
+        pairs.append((ratio_pmf([1000**k for k in range(6)]), random_pmf(rng, 4)))
+        pairs.append((ratio_pmf([3, 0, 0, 5, 0, 2]), ratio_pmf([10**40, 1, 10**80])))
+        skewed = iid_sum_pmf(ratio_pmf([1, 10**300]), 16)
+        pairs.append((skewed, iid_sum_pmf(random_pmf(rng, 3), 20)))
+        for a, b in pairs:
+            ab, ba = convolve(a, b), convolve(b, a)
+            assert ab.offset == ba.offset
+            assert ab.weights == ba.weights
+            copy = replace(a, weights=tuple(list(a.weights)))
+            assert convolve(a, a).weights == convolve(a, copy).weights
 
     def test_delta_is_identity(self, dps50):
-        pmf = binomial_pmf(4, "0.3")
-        out = convolve(pmf, delta_pmf(2))
-        assert out.offset == pmf.offset + 2
-        for k, w in pmf.items():
-            assert_close(out.weight_at(k + 2), w)
+        pmfs = [binomial_pmf(4, "0.3"), iid_sum_pmf(ratio_pmf([1, 10**300]), 8)]
+        for pmf in pmfs:
+            out = convolve(pmf, delta_pmf(2))
+            assert out.offset == pmf.offset + 2
+            assert out.weights == pmf.weights
+            assert convolve(delta_pmf(-1), pmf).weights == pmf.weights
+
+    def test_rounded_once_balanced_base(self, dps50):
+        rng = random.Random(7)
+        base = ratio_pmf([rng.randint(500, 1000) for _ in range(5)], -2)
+        total = ladder_steps(base, 64)
+        assert_rounded_once(total, base)
+
+    def test_rounded_once_skewed_base(self, dps50):
+        # successive weights 1000x apart: the 64-fold tails reach 1e-960
+        total = ladder_steps(ratio_pmf([1000**k for k in range(6)]), 64)
+        assert total.weights[0] < mpf("1e-955")
+
+    def test_rounded_once_tiny_two_point_base(self, dps50):
+        tiny = Fraction(1, 10**300)
+        total = ladder_steps(IntegerPmf.from_weights([1 - tiny, tiny]), 256)
+        assert total.weights[-1] < mpf("1e-76799")
+
+    def test_runs_respect_the_span_bound(self, dps50):
+        rng = random.Random(3)
+        vectors = [
+            iid_sum_pmf(binomial_pmf(1, "0.3"), 512).weights,
+            iid_sum_pmf(ratio_pmf([1000**k for k in range(6)]), 32).weights,
+            iid_sum_pmf(ratio_pmf([1, 10**300]), 16).weights,
+            random_pmf(rng, 9).weights,
+            ratio_pmf([0, 5, 0, 0, 1, 10**90, 0]).weights,
+        ]
+        for weights in vectors:
+            for span in (0, 40, 340):
+                runs = dist_core._runs(weights, span)
+                covered = set()
+                for start, ints, exp, bits in runs:
+                    nonzero = [x for x in ints if x]
+                    assert ints[0] and ints[-1]
+                    assert max(x.bit_length() for x in ints) == bits
+                    exps = [exp + (x & -x).bit_length() - 1 for x in nonzero]
+                    assert max(exps) - min(exps) <= span
+                    for i, x in enumerate(ints):
+                        assert exact_value(weights[start + i]) == x * Fraction(2) ** exp
+                        covered.add(start + i)
+                assert all(weights[i] == 0 for i in range(len(weights)) if i not in covered)
 
     def test_precision_mismatch_rejected(self):
         a = binomial_pmf(2, "0.5", 50)
@@ -198,6 +297,21 @@ class TestIidSum:
         base = shift(binomial_pmf(1, "0.5"), 4)
         assert iid_sum_pmf(base, 3).offset == 12
 
+    def test_one_ladder_for_single_and_shared_sums(self, dps50):
+        base = ratio_pmf([3, 1, 4, 1, 5], -1)
+        for n in range(1, 71):
+            single, shared = iid_sum_pmf(base, n), iid_power_pmfs(base, [n])[n]
+            assert single.offset == shared.offset
+            assert single.weights == shared.weights
+
+    def test_support_budget_fails_before_any_convolution(self, dps50, monkeypatch):
+        def refuse(a, b):
+            raise AssertionError("convolved before the budget check")
+
+        monkeypatch.setattr(dist_core, "convolve", refuse)
+        with pytest.raises(ValueError, match="budget"):
+            iid_sum_pmf(binomial_pmf(1, "0.5"), MAX_SUM_SUPPORT)
+
 
 @pytest.fixture
 def ln_calls(monkeypatch):
@@ -250,7 +364,7 @@ class TestEntropyChain:
         assert len(ln_calls) <= n_max + 3
 
 
-@settings(max_examples=40, deadline=None, database=None)
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
 @given(
     p=st.fractions(min_value=0, max_value=1, max_denominator=1000),
     n_max=st.integers(min_value=0, max_value=60),
@@ -262,3 +376,31 @@ def test_chain_agrees_with_mixed_pmf_entropy(p, n_max, data):
     for m in {n, n_max}:
         with working_precision(50):
             assert abs(chain[m] - entropy(binomial_pmf(m, p))) <= eps_for(50)
+
+
+def exact_moments(raw, offset: int):
+    total = sum(raw)
+    mean = Fraction(sum((offset + i) * r for i, r in enumerate(raw)), total)
+    var = Fraction(sum((offset + i - mean) ** 2 * r for i, r in enumerate(raw)), total)
+    return mean, var
+
+
+pmf_strategy = st.tuples(
+    st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=8).filter(any),
+    st.integers(min_value=-20, max_value=20),
+)
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(a=pmf_strategy, b=pmf_strategy)
+def test_convolution_adds_mass_mean_and_variance(a, b):
+    out = convolve(ratio_pmf(*a), ratio_pmf(*b))
+    (mean_a, var_a), (mean_b, var_b) = exact_moments(*a), exact_moments(*b)
+    with working_precision(50):
+        eps = eps_for(50)
+        mu = mean(out)
+        var = mpmath.fsum(w * (k - mu) ** 2 for k, w in out.items())
+        scale = 1 + abs(mean_a + mean_b) ** 2
+        assert abs(mpmath.fsum(out.weights) - 1) <= eps
+        assert abs(mu - as_mpf(mean_a + mean_b, 50)) <= eps * scale
+        assert abs(var - as_mpf(var_a + var_b, 50)) <= eps * scale

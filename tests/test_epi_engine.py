@@ -6,6 +6,7 @@ import mpmath
 import pytest
 from mpmath import mpf
 
+from discrete_epi import dist_core, epi_engine
 from discrete_epi.dist_core import IntegerPmf, binomial_pmf
 from discrete_epi.epi_engine import (
     empirical_threshold,
@@ -84,6 +85,15 @@ class TestIidGap:
         report = iid_epi_gap(base, 32, 32)
         assert report.gap >= 0
         assert report.holds
+
+    def test_oversized_sum_fails_before_any_convolution(self, dps50, monkeypatch):
+        def refuse(a, b):
+            raise AssertionError("convolved before the budget check")
+
+        monkeypatch.setattr(dist_core, "convolve", refuse)
+        monkeypatch.setattr(epi_engine, "convolve", refuse)
+        with pytest.raises(ValueError, match="budget"):
+            iid_epi_gap(binomial_pmf(1, "0.5"), 10**9, 1)
 
 
 class TestStepCondition:
