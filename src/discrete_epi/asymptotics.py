@@ -12,10 +12,53 @@ Two empirical instruments live here:
   expansion coefficients are treated as fitted residuals.
 
 * The differential entropy h(S) of a lattice distribution smoothed by a
-  Gaussian, evaluated by deterministic adaptive quadrature.  This feeds
-  the continuous entropy-power comparison: half-log increments of
-  h(S^(n)) hold unconditionally, and the discrete inequality upgrades
-  them to full-log increments once n clears the empirical threshold.
+  Gaussian, from a closed form when its proven error fits the tolerance
+  and by deterministic adaptive quadrature otherwise.  This feeds the
+  continuous entropy-power comparison: half-log increments of h(S^(n))
+  hold unconditionally, and the discrete inequality upgrades them to
+  full-log increments once n clears the empirical threshold.
+
+Closed-form route.  Let K ~ P be the lattice point and X = K + sigma Z.
+Then h(X) = h(X | K) + I(K; X), so, exactly,
+
+    h(S) = H(P) + (1/2) ln(2 pi e sigma**2) - delta,   delta = H(K | X) >= 0.
+
+``gaussian_smoothed_entropy`` returns H(P) + (1/2) ln(2 pi e sigma**2)
+without quadrature when the bound below on its error is at most the
+tolerance, and reports that bound as ``quadrature_error`` (the field
+name is kept for the JSON output; it is the reported error bound on
+either route).  The bound has four parts:
+
+* Bhattacharyya: distinct support points are at least 1 apart, and the
+  Bhattacharyya coefficient of two unit-spaced N(., sigma**2) peaks is
+  exp(-1/(8 sigma**2)), so the union bound puts the error of guessing
+  K from X at P_e <= beta = (1/2) (sum_k sqrt(w_k))**2 exp(-1/(8 sigma**2)).
+  The exponent 1/(8 sigma**2) is rounded down, so its rounding, which
+  grows with it, can only enlarge beta.
+* Fano: delta <= h_b(P_e) + P_e ln(M - 1) with M the number of nonzero
+  weights; h_b(x) <= x (1 - ln x), and x (1 - ln x + ln(M - 1)) grows
+  on (0, 1), so delta <= beta (1 - ln beta + ln(M - 1)).  The route
+  is only taken when beta <= 1/2; M = 1 gives delta = 0.  The bound is
+  evaluated in about a dozen roundings of at most one ulp and doubled.
+* mass: rounded weights need not sum to exactly 1.  For weights of mass
+  m the integrated density is m times a normalised mixture, so its
+  entropy is H(w) + m (1/2) ln(2 pi e sigma**2) - m delta', where
+  delta' is bounded as above with beta divided by m; the closed form
+  is off by a further |m - 1| |(1/2) ln(2 pi e sigma**2)|.
+* rounding: with u one ulp at the working precision, H(P) (each term
+  -w ln w within 2u, summed exactly and rounded once), the log term
+  (its argument within 6u) and their sum are within
+  4u (H(P) + |ln term| + 1); twice that is reported.
+
+The reported error is therefore never exactly 0.  At sigma = 1e-3 sqrt(n)
+with n <= 64 (criterion 9) delta is below 1e-800 and the bound is the
+rounding term alone; for binomial pmfs from sigma near 0.1 up the bound
+no longer fits a tolerance like 1e-9, and the quadrature runs.
+
+The truncation-floor check of the quadrature (a tolerance at or below
+twice the bound on the -f ln f mass outside the 8-sigma region is
+refused) runs before either route, so which inputs are refused with
+QuadratureError does not depend on which route would have answered.
 
 Quadrature design: the mixture density with standard deviation sigma
 much below the lattice spacing is a row of near-disjoint peaks, so the
@@ -301,7 +344,11 @@ def _adaptive_integral(
 
 @dataclass(frozen=True)
 class SmoothedEntropy:
-    """Differential entropy of a Gaussian-smoothed lattice distribution."""
+    """Differential entropy of a Gaussian-smoothed lattice distribution.
+
+    ``quadrature_error`` is the reported error bound on ``h_value``, from
+    whichever route computed it (closed form or quadrature).
+    """
 
     n: Optional[int]
     sigma: mpf
@@ -339,6 +386,29 @@ def _truncation_bound(weights: Sequence[mpf], sig: mpf) -> mpf:
     return 2 * total
 
 
+def _disjoint_peaks(weights: Sequence[mpf], sig: mpf) -> Optional[Tuple[mpf, mpf]]:
+    """Closed form H(P) + (1/2) ln(2 pi e sigma**2) and a bound on its error.
+
+    None when the Bhattacharyya bound beta exceeds 1/2.  The error model
+    is in the module docstring.
+    """
+    mass = mpmath.fsum(weights)
+    fano = mpf(0)
+    if len(weights) > 1:
+        sig2_up = mpmath.fmul(sig, sig, rounding="u")
+        exponent = mpmath.fdiv(1, mpmath.fmul(8, sig2_up, rounding="u"), rounding="d")
+        root_sum = mpmath.fsum(mpmath.sqrt(w) for w in weights)
+        beta = root_sum * root_sum / (2 * mass) * mpmath.exp(-exponent)
+        if beta > mpf(1) / 2:
+            return None
+        fano = beta * (1 - mpmath.ln(beta) + mpmath.ln(len(weights) - 1))
+    h_p = -mpmath.fsum(w * mpmath.ln(w) for w in weights)
+    log_term = mpmath.ln(2 * mpmath.pi * mpmath.e * sig * sig) / 2
+    rounding = 8 * mpmath.eps * (h_p + abs(log_term) + 1)
+    error = 2 * mass * fano + abs(mass - 1) * abs(log_term) + rounding
+    return h_p + log_term, error
+
+
 def gaussian_smoothed_entropy(
     pmf: IntegerPmf,
     sigma: RealLike,
@@ -348,12 +418,17 @@ def gaussian_smoothed_entropy(
 ) -> SmoothedEntropy:
     """Differential entropy (nats) of the pmf convolved with N(0, sigma**2).
 
-    The density f(x) = sum_k P(k) phi_sigma(x - k) is integrated as
-    -f ln f over [min - 8 sigma, max + 8 sigma] by the deterministic
-    adaptive scheme described in the module docstring.  ``n`` is an
-    optional label carried into the result (the fold count when the pmf
-    is an iid sum).  Raises QuadratureError when the tolerance is not
-    reachable within the bisection depth budget.
+    When the peaks are disjoint enough that the closed form
+    H(P) + (1/2) ln(2 pi e sigma**2) is provably within the tolerance,
+    that is returned with its error bound.  Otherwise the density
+    f(x) = sum_k P(k) phi_sigma(x - k) is integrated as -f ln f over
+    [min - 8 sigma, max + 8 sigma] by the deterministic adaptive scheme.
+    Both routes are described in the module docstring;
+    ``quadrature_error`` is the reported error bound of either.  ``n``
+    is an optional label carried into the result (the fold count when
+    the pmf is an iid sum).  Raises QuadratureError when the tolerance
+    is below the truncation floor or not reachable within the bisection
+    depth budget.
     """
     sig = as_mpf(sigma, precision)
     tolerance = as_mpf(tol, precision)
@@ -363,10 +438,6 @@ def gaussian_smoothed_entropy(
         if not tolerance > 0:
             raise ValueError("tolerance must be positive")
         positions, weights = _mixture_peaks(pmf)
-        window = DENSITY_WINDOW_SIGMAS * sig
-        norm = 1 / (sig * mpmath.sqrt(2 * mpmath.pi))
-        inv_two_s2 = 1 / (2 * sig * sig)
-        pos_f = [mpf(k) for k in positions]
         truncation = _truncation_bound(weights, sig)
         if tolerance <= 2 * truncation:
             raise QuadratureError(
@@ -374,6 +445,15 @@ def gaussian_smoothed_entropy(
                 f"{REGION_PAD_SIGMAS}-sigma truncation floor "
                 f"{mpmath.nstr(2 * truncation, 3)} of the integration region"
             )
+        closed = _disjoint_peaks(weights, sig)
+        if closed is not None and closed[1] <= tolerance:
+            return SmoothedEntropy(
+                n=n, sigma=sig, h_value=closed[0], quadrature_error=closed[1]
+            )
+        window = DENSITY_WINDOW_SIGMAS * sig
+        norm = 1 / (sig * mpmath.sqrt(2 * mpmath.pi))
+        inv_two_s2 = 1 / (2 * sig * sig)
+        pos_f = [mpf(k) for k in positions]
         panel_budget = tolerance - truncation
 
         def density(x: mpf) -> mpf:
@@ -442,7 +522,14 @@ def tulino_verdu_compare(
     reports h(S^(n)) - h(S^(n-1)) against (1/2) ln(n/(n-1)) — the
     unconditional smoothed bound — and ln(n/(n-1)), the doubled rate
     that the discrete inequality implies for large enough n.  The meets_*
-    flags allow the two quadrature errors as slack.
+    flags allow the two reported errors as slack.
+
+    When sigma sqrt(n) is small enough for the closed form (peaked
+    regime), increment - ln(n/(n-1)) equals
+    H_n - H_(n-1) - (1/2) ln(n/(n-1)), the discrete half-log step margin
+    at size n - 1, up to the two reported errors: meets_full is then the
+    step condition that ``epi_engine.sufficient_step_check(n - 1, p)``
+    decides, and criterion 9 tests the same inequality as criterion 2.
     """
     ns = sorted(set(n_values))
     if not ns:

@@ -534,6 +534,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _partial_text(partial: object, precision: int) -> str:
+    """How far a truncated series got, for the exit-3 message."""
+    if not isinstance(partial, discrimination.SeriesEvaluation):
+        return ""
+    return (
+        f"; partial evaluation: terms_used={partial.terms_used}, "
+        f"partial_sum={_fmt(partial.partial_sum, precision)}, "
+        f"tail_bound={_fmt(partial.tail_bound, precision)}"
+    )
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
@@ -544,7 +555,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         check_precision(args.precision)
         return args.handler(args)
     except SeriesTruncationError as exc:
-        print(f"computation budget exceeded: {exc}", file=sys.stderr)
+        print(
+            f"computation budget exceeded: {exc}{_partial_text(exc.partial, args.precision)}",
+            file=sys.stderr,
+        )
         return EXIT_BUDGET
     except QuadratureError as exc:
         print(f"computation budget exceeded: {exc}", file=sys.stderr)

@@ -1,9 +1,14 @@
 """Gaussian-limit corrections and smoothed-entropy quadrature tests."""
 
+from fractions import Fraction
+
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mpf
 
+from discrete_epi import asymptotics
 from discrete_epi.asymptotics import (
     MAX_SUM_SUPPORT,
     gaussian_smoothed_entropy,
@@ -13,9 +18,16 @@ from discrete_epi.asymptotics import (
     leading_constant_fit,
     tulino_verdu_compare,
 )
-from discrete_epi.dist_core import IntegerPmf, binomial_pmf, delta_pmf, entropy
+from discrete_epi.dist_core import (
+    IntegerPmf,
+    binomial_entropy_chain,
+    binomial_pmf,
+    delta_pmf,
+    entropy,
+)
+from discrete_epi.epi_engine import _step_margin, sufficient_step_check
 from discrete_epi.errors import QuadratureError
-from discrete_epi.precision import working_precision
+from discrete_epi.precision import eps_for, working_precision
 
 from conftest import assert_close
 
@@ -168,3 +180,131 @@ class TestSmoothedIncrements:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             tulino_verdu_compare("0.5", "1e-3", [1])
+
+
+def quadrature_calls(monkeypatch) -> list:
+    """Record every call of the adaptive quadrature from here on."""
+    calls = []
+    original = asymptotics._adaptive_integral
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(asymptotics, "_adaptive_integral", counting)
+    return calls
+
+
+ORACLE_PMFS = {
+    "binomial": lambda: binomial_pmf(6, "0.5", 30),
+    "skewed": lambda: IntegerPmf.from_weights(
+        ["0.55", "0.3", "0.1", "0.05"], offset=-1, precision=30
+    ),
+}
+ORACLE_TOL = mpf("1e-9")
+
+
+class TestClosedFormRoute:
+    @pytest.mark.parametrize("name", sorted(ORACLE_PMFS))
+    @pytest.mark.parametrize("sigma", ["1e-3", "0.02", "0.05", "0.1", "0.25"])
+    def test_agrees_with_quadrature(self, name, sigma, monkeypatch):
+        pmf = ORACLE_PMFS[name]()
+        with working_precision(30):
+            sig = mpf(sigma)
+            weights = [w for w in pmf.weights if w > 0]
+            closed, closed_err = asymptotics._disjoint_peaks(weights, sig)
+        returned = gaussian_smoothed_entropy(pmf, sigma, ORACLE_TOL, 30)
+        monkeypatch.setattr(asymptotics, "_disjoint_peaks", lambda *args: None)
+        quad = gaussian_smoothed_entropy(pmf, sigma, ORACLE_TOL, 30)
+        with working_precision(30):
+            assert 0 < closed_err
+            assert abs(closed - quad.h_value) <= closed_err + quad.quadrature_error
+            assert 0 < returned.quadrature_error <= ORACLE_TOL
+            assert quad.quadrature_error <= ORACLE_TOL
+            if closed_err <= ORACLE_TOL:
+                assert returned.h_value == closed
+                assert returned.quadrature_error == closed_err
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_PMFS))
+    @pytest.mark.parametrize(
+        "sigma, quadrature_runs",
+        [("1e-3", False), ("0.02", False), ("0.05", False), ("0.1", True), ("0.25", True)],
+    )
+    def test_route_follows_the_bound(self, name, sigma, quadrature_runs, monkeypatch):
+        calls = quadrature_calls(monkeypatch)
+        gaussian_smoothed_entropy(ORACLE_PMFS[name](), sigma, ORACLE_TOL, 30)
+        assert bool(calls) == quadrature_runs
+
+    def test_single_peak_needs_no_quadrature(self, dps50, monkeypatch):
+        calls = quadrature_calls(monkeypatch)
+        result = gaussian_smoothed_entropy(delta_pmf(3), "2", tol="1e-12")
+        assert not calls
+        assert 0 < result.quadrature_error < mpf("1e-45")
+        assert abs(result.h_value - gaussian_entropy("2")) <= result.quadrature_error
+
+    def test_truncation_floor_still_refuses(self, dps50, monkeypatch):
+        calls = quadrature_calls(monkeypatch)
+        with pytest.raises(QuadratureError):
+            gaussian_smoothed_entropy(delta_pmf(0), "1e-3", tol="1e-20")
+        with pytest.raises(QuadratureError):
+            gaussian_smoothed_entropy(binomial_pmf(4, "0.5"), "1e-3", tol="1e-20")
+        assert not calls
+
+    def test_bound_shrinks_with_sigma(self, dps50):
+        weights = list(binomial_pmf(8, "0.3").weights)
+        errors = [
+            asymptotics._disjoint_peaks(weights, mpf(s))[1] for s in ("0.2", "0.1", "0.05")
+        ]
+        assert errors[0] > errors[1] > errors[2] > 0
+        assert asymptotics._disjoint_peaks(weights, mpf("0.5")) is None
+
+
+class TestPeakedIncrementsAreStepMargins:
+    """Criterion 9 in the peaked regime is criterion 2's step condition.
+
+    With disjoint peaks h(S^(n)) = H_n + (1/2) ln(2 pi e n sigma**2), so
+    the increment minus ln(n/(n-1)) is H_n - H_(n-1) - (1/2) ln(n/(n-1)),
+    the discrete half-log step margin at size n - 1.
+    """
+
+    @pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(1, 3), Fraction(7, 10)])
+    def test_full_log_margin_is_step_margin(self, p):
+        sigma, tol, precision = mpf("1e-3"), "1e-9", 30
+        ns = range(3, 41)
+        rows = tulino_verdu_compare(p, sigma, ns, tol=tol, precision=precision)
+        chain = binomial_entropy_chain(p, ns[-1], precision)
+        errors = {
+            n: gaussian_smoothed_entropy(
+                binomial_pmf(n, p, precision), sigma * mpmath.sqrt(n), tol, precision
+            ).quadrature_error
+            for n in range(ns[0] - 1, ns[-1] + 1)
+        }
+        with working_precision(precision):
+            for row in rows:
+                n = row.n
+                margin = _step_margin(chain[n], chain[n - 1], n - 1)
+                slack = errors[n] + errors[n - 1] + eps_for(precision)
+                assert abs((row.increment - row.full_log) - margin) <= slack
+                step = sufficient_step_check(n - 1, p, precision)
+                assert row.meets_full == step.holds
+
+
+class TestMirrorAndRepeatProperties:
+    # 1e-3 and 0.03 take the closed form, 0.3 the quadrature.
+    @pytest.mark.parametrize("sigma", ["1e-3", "0.03", "0.3"])
+    @settings(max_examples=8, deadline=None, database=None, derandomize=True)
+    @given(
+        p=st.fractions(min_value=0, max_value=1, max_denominator=1000).filter(
+            lambda v: 0 < v < 1
+        ),
+        n=st.integers(min_value=1, max_value=4),
+    )
+    def test_smoothed_entropy_mirror_and_repeat(self, sigma, p, n):
+        first = gaussian_smoothed_entropy(binomial_pmf(n, p, 30), sigma, "1e-9", 30)
+        again = gaussian_smoothed_entropy(binomial_pmf(n, p, 30), sigma, "1e-9", 30)
+        mirror = gaussian_smoothed_entropy(binomial_pmf(n, 1 - p, 30), sigma, "1e-9", 30)
+        assert first.h_value._mpf_ == again.h_value._mpf_
+        assert first.quadrature_error._mpf_ == again.quadrature_error._mpf_
+        with working_precision(30):
+            slack = first.quadrature_error + mirror.quadrature_error
+            assert abs(first.h_value - mirror.h_value) <= slack

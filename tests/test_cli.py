@@ -4,6 +4,7 @@ import json
 import math
 
 import pytest
+from mpmath import mpf
 
 import discrete_epi.cli as cli
 from discrete_epi.errors import ConsistencyError
@@ -121,6 +122,13 @@ class TestDiscriminationCommand:
         assert code == 3
         assert out == ""
         assert "budget" in err
+        assert "terms_used=10000" in err
+        fields = dict(
+            item.split("=") for item in err.split("partial evaluation: ")[1].strip().split(", ")
+        )
+        assert sorted(fields) == ["partial_sum", "tail_bound", "terms_used"]
+        assert 0 < mpf(fields["partial_sum"]) < mpf("0.7")
+        assert mpf("1e-25") < mpf(fields["tail_bound"]) < mpf("1e-4")
 
 
 class TestCertifyCommand:

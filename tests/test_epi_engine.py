@@ -4,6 +4,8 @@ from math import comb
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mpf
 
 from discrete_epi import dist_core, epi_engine
@@ -185,3 +187,34 @@ class TestSemiAsymptotic:
         # At p = 0.01 the Gaussian reference catches up once m grows.
         holds = [semi_asymptotic_condition(m, "0.01").holds for m in (1, 400)]
         assert holds == [False, True]
+
+
+open_unit = st.fractions(min_value=0, max_value=1, max_denominator=1000).filter(
+    lambda v: 0 < v < 1
+)
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(
+    p=open_unit,
+    m=st.integers(min_value=1, max_value=20),
+    n=st.integers(min_value=1, max_value=20),
+)
+def test_gap_is_mirror_symmetric_and_repeatable(p, m, n):
+    report = epi_gap(m, n, p)
+    mirror = epi_gap(m, n, 1 - p)
+    assert report.gap._mpf_ == epi_gap(m, n, p).gap._mpf_
+    with working_precision(50):
+        # Each entropy power is at most (m + n + 1)**2, the uniform bound.
+        assert abs(report.gap - mirror.gap) <= eps_for(50) * (m + n + 1) ** 2
+    assert report.holds == mirror.holds
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(p=open_unit, cap=st.integers(min_value=1, max_value=120))
+def test_threshold_is_mirror_symmetric_and_repeatable(p, cap):
+    report = empirical_threshold(p, cap)
+    assert report == empirical_threshold(p, cap)
+    mirror = empirical_threshold(1 - p, cap)
+    assert report.empirical_n0 == mirror.empirical_n0
+    assert (report.formula_a, report.formula_b) == (mirror.formula_a, mirror.formula_b)
