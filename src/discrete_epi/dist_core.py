@@ -7,16 +7,13 @@ that combines two pmfs insists they were built at the same precision,
 and every constructor checks that total mass is one within
 ``eps_for(precision)``.
 
-Binomial pmfs are built by repeated Bernoulli mixing,
-
-    P[n+1](k) = (1-p) P[n](k) + p P[n](k-1),
-
-which needs no factorials or ratios and is stable at any size.  Sums of
-n iid copies come from one repeated-squaring ladder (``_iid_ladder``,
-shared with ``asymptotics.iid_power_pmfs`` and ``iid_epi_gap``): at
-most 2 log2(n) + 1 convolutions, whose cost is dominated by the last
-squaring, at half the final support.  A sum whose support would pass
-``MAX_SUM_SUPPORT`` points is refused before any convolution.
+Binomial pmfs are built exactly and rounded once (error model below).
+Sums of n iid copies come from one repeated-squaring ladder
+(``_iid_ladder``, shared with ``asymptotics.iid_power_pmfs`` and
+``iid_epi_gap``): at most 2 log2(n) + 1 convolutions, whose cost is
+dominated by the last squaring, at half the final support.  A sum whose
+support would pass ``MAX_SUM_SUPPORT`` points is refused before any
+convolution.
 
 Error model of ``convolve``.  Every mpf weight is exactly man * 2**exp,
 so the product needs no rounding until the end:
@@ -77,11 +74,21 @@ smaller ``frexp`` exponent of p and q, so min(p, q) >= 2**(e - 1),
 L < Lb + 1, and the fixed-point error stays below 2**-prec.  Rounding a row to an mpf adds at most
 2**-prec H_n.
 
-``binomial_pmf`` keeps mixing in mpf.  Its weights are handed to
-consumers of weight ratios (``kl_divergence``, ``cap_via_series``, the
-tails of ``IntegerPmf``), which need relative accuracy down to the
-smallest weight, and fixed point only gives an absolute one.  It is
-also the independent route the tests check the chain against.
+Error model of ``binomial_pmf``.  p rounded to the working precision
+is exactly a / 2**e; q is taken as the exact 1 - p = b / 2**e, with
+b = 2**e - a, not as a rounded difference.  Weight k is then exactly
+
+    C(n, k) a**k b**(n-k) / 2**(e n),
+
+and its numerator t_k is rolled in integers, t_k = t_{k-1} (n - k + 1)
+a / (k b), a division that is always exact.  Each weight is rounded
+once to nearest, so it is within half an ulp, at most 2**-prec
+relative, of the exact Binomial(n, p) weight, however small it is.
+Consumers of weight ratios (``kl_divergence``, ``cap_via_series``, the
+tails of ``IntegerPmf``) need exactly that relative accuracy, which
+the fixed-point chain does not give.  The chain is the only Bernoulli
+mixing left, so ``entropy(binomial_pmf(n, p))`` and the chain are
+independent routes to the same entropies.
 """
 
 from __future__ import annotations
@@ -243,21 +250,31 @@ def omega(p: RealLike, precision: int = DEFAULT_PRECISION) -> mpf:
 
 
 def binomial_pmf(n: int, p: RealLike, precision: int = DEFAULT_PRECISION) -> IntegerPmf:
-    """Binomial(n, p) pmf on support {0, ..., n} via Bernoulli mixing."""
+    """Binomial(n, p) pmf on support {0, ..., n}, each weight rounded once.
+
+    p is first rounded to the working precision; q is the exact 1 - p
+    of that value.  The error model is in the module docstring.
+    """
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"n must be a nonnegative integer, got {n!r}")
     pv = as_mpf(p, precision)
     with working_precision(precision):
         if not (0 <= pv <= 1):
             raise ValueError(f"p must lie in [0, 1], got {pv}")
-        q = 1 - pv
-        w = [mpf(1)]
-        for _ in range(n):
-            nxt = [q * w[0]]
-            for k in range(1, len(w)):
-                nxt.append(q * w[k] + pv * w[k - 1])
-            nxt.append(pv * w[-1])
-            w = nxt
+        if pv == 0 or pv == 1:
+            w = [mpf(0)] * (n + 1)
+            w[n if pv == 1 else 0] = mpf(1)
+            return IntegerPmf(offset=0, weights=tuple(w), precision=precision)
+        # p = a / 2**e exactly, q = b / 2**e; weight k is t_k / 2**(e n)
+        # with t_k = C(n, k) a**k b**(n-k), and each division is exact.
+        a, exp = pv.man_exp
+        e = -exp
+        b = (1 << e) - a
+        t = b**n
+        w = [mpf((t, -e * n))]
+        for k in range(1, n + 1):
+            t = t * (n - k + 1) * a // (k * b)
+            w.append(mpf((t, -e * n)))
     return IntegerPmf(offset=0, weights=tuple(w), precision=precision)
 
 

@@ -24,22 +24,35 @@ The harmonic form drops remainder terms, so it is only trustworthy
 where the direct cumulative bound confirms it; the helper
 ``harmonic_bound_violations`` reports the region empirically.
 
-Closed forms for mu_2 .. mu_7 are hard-coded below and cross-checked
-term by term against the direct sums in the test suite.  Moments of
-arbitrary order come from the block-partition expansion over cumulants
-(``faa_di_bruno_poly``), which expresses mu_k(j) as a polynomial in j.
+Moments of arbitrary order come from the block-partition expansion
+over cumulants (``faa_di_bruno_poly``), which expresses mu_k(j) as a
+polynomial in j.  ``gamma_l`` and ``c_coeff`` use it exactly: p,
+rounded to the working precision, is a binary fraction, so the
+Bernoulli cumulants and F_k(p) are exact rationals, and
+
+    Gamma_l(j) = sum_{w=1}^{2l} D_w j**-w
+
+with exact rational D_w (``_laurent_table``, cached per (p, l)).
+``gamma_l`` sums that Laurent polynomial in integers and rounds once to
+nearest, so it is within half an ulp of the exact Gamma_l(j) at that
+p; c(w) is D_w, rounded once.  The closed forms for mu_2 .. mu_7 in
+``central_moment_closed`` are an independent route: the tests check
+them against direct sums and exact rationals.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import mpmath
 from mpmath import mpf
+from mpmath.libmp import from_rational
 
-from .dist_core import IntegerPmf, binomial_entropy_chain, binomial_pmf, mean as pmf_mean
+from .dist_core import IntegerPmf, binomial_entropy_chain, mean as pmf_mean
 from .precision import DEFAULT_PRECISION, RealLike, as_mpf, eps_for, working_precision
 
 __all__ = [
@@ -292,36 +305,60 @@ def taylor_lower_bound(
         return acc
 
 
-def _binomial_central_moment(
-    j: int, p: RealLike, k: int, precision: int
-) -> mpf:
-    if k <= 7:
-        return central_moment_closed(j, p, k, precision)
-    return central_moment_brute(binomial_pmf(j, p, precision), k)
+@functools.lru_cache(maxsize=64)
+def _laurent_table(p: Fraction, l: int) -> Tuple[Tuple[int, ...], int]:
+    """Exact Laurent coefficients of Gamma_l at the exact p.
+
+    Returns (N, L) with Gamma_l(j) = sum_{w=1}^{2l} (N[w-1] / L) j**-w.
+    Every Taylor order k = 2 .. 2l+1 contributes, through each block
+    partition of k, weight * prod kappa_g**i_g * F_k(p) to D_w with
+    w = k - (number of blocks); the Bernoulli cumulants and F_k are
+    exact rationals.
+    """
+    q = 1 - p
+    kappa = [Fraction(0)]
+    for n in range(1, 2 * l + 2):
+        kappa.append(p - p * sum(math.comb(n - 1, g - 1) * kappa[g] for g in range(1, n)))
+    table = [Fraction(0)] * (2 * l + 1)
+    for k in range(2, 2 * l + 2):
+        fk = (q ** (1 - k) + (-1) ** k * p ** (1 - k)) / (k * (k - 1))
+        for parts in _partitions_min2(k):
+            term = _partition_weight(k, parts) * fk
+            for g, i in parts.items():
+                term *= kappa[g] ** i
+            table[k - sum(parts.values())] += term
+    den = math.lcm(*(d.denominator for d in table[1:]))
+    return tuple(d.numerator * (den // d.denominator) for d in table[1:]), den
+
+
+def _exact_p(p: RealLike, precision: int) -> Fraction:
+    """p at the working precision, as an exact fraction inside (0, 1)."""
+    pv = as_mpf(p, precision)
+    with working_precision(precision):
+        if not (0 < pv < 1):
+            # The message taylor_coeff gives for the same p.
+            raise ValueError(f"x must lie strictly in (0, 1), got {pv}")
+    man, exp = pv.man_exp
+    return Fraction(man, 1 << -exp)
 
 
 def gamma_l(j: int, p: RealLike, l: int, precision: int = DEFAULT_PRECISION) -> mpf:
     """Entropy-increment lower bound Gamma_l(j) at truncation depth l.
 
     sum_{k=2}^{2l+1} F_k(p) j**-k mu_k(j); the k = 1 term vanishes with
-    the first central moment.  Closed-form moments serve k <= 7, direct
-    summation beyond.
+    the first central moment.  Summed exactly in j from the Laurent
+    table of (p, l) and rounded once.
     """
     if not isinstance(j, int) or j < 1:
         raise ValueError(f"j must be a positive integer, got {j!r}")
     if not isinstance(l, int) or l < 1:
         raise ValueError(f"l must be a positive integer, got {l!r}")
-    pv = as_mpf(p, precision)
+    nums, den = _laurent_table(_exact_p(p, precision), l)
+    acc = 0
+    for n_w in nums:
+        acc = acc * j + n_w
     with working_precision(precision):
-        jv = mpf(j)
-        acc = mpf(0)
-        for k in range(2, 2 * l + 2):
-            acc += (
-                taylor_coeff(k, pv, precision)
-                * jv ** (-k)
-                * _binomial_central_moment(j, pv, k, precision)
-            )
-        return acc
+        return mpf(from_rational(acc, den * j ** len(nums), mpmath.mp.prec, "n"))
 
 
 def c_coeff(w: int, p: RealLike, precision: int = DEFAULT_PRECISION) -> mpf:
@@ -330,27 +367,14 @@ def c_coeff(w: int, p: RealLike, precision: int = DEFAULT_PRECISION) -> mpf:
     Collects, across Taylor orders k = 2 .. 2w, every block partition
     whose excess sum_a i_a (g_a - 1) equals w; each contributes its
     partition weight times the product of Bernoulli cumulants times
-    F_k(p).  c(1) = 1/2 for every p; c(2) = (1 - p(1-p))/(12 p(1-p)).
+    F_k(p).  That is D_w of the Laurent table at depth w, rounded once.
+    c(1) = 1/2 for every p; c(2) = (1 - p(1-p))/(12 p(1-p)).
     """
     if not isinstance(w, int) or w < 1:
         raise ValueError(f"w must be a positive integer, got {w!r}")
-    pv = as_mpf(p, precision)
-    cums = bernoulli_cumulants(pv, 2 * w, precision)
+    nums, den = _laurent_table(_exact_p(p, precision), w)
     with working_precision(precision):
-        acc = mpf(0)
-        for k in range(2, 2 * w + 1):
-            fk = taylor_coeff(k, pv, precision)
-            for parts in _partitions_min2(k):
-                if not parts:
-                    continue
-                excess = sum(i * (g - 1) for g, i in parts.items())
-                if excess != w:
-                    continue
-                term = mpf(_partition_weight(k, parts))
-                for g, i in parts.items():
-                    term *= cums.kappa(g) ** i
-                acc += term * fk
-        return acc
+        return mpf(from_rational(nums[w - 1], den, mpmath.mp.prec, "n"))
 
 
 def harmonic_number(n: int, w: int, precision: int = DEFAULT_PRECISION) -> mpf:

@@ -6,6 +6,8 @@ from math import comb
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mpf
 
 from discrete_epi.discrimination import (
@@ -167,3 +169,42 @@ class TestBinomialRatio:
                 num = abs(p * at(i - 1) - q * at(i))
                 den = p * at(i - 1) + q * at(i)
                 assert num / den == binomial_ratio(i, n)
+
+
+open_weight = st.fractions(min_value=0, max_value=1, max_denominator=1000).filter(lambda w: 0 < w < 1)
+binomial_strategy = st.tuples(
+    st.integers(min_value=0, max_value=40),
+    st.fractions(min_value=0, max_value=1, max_denominator=100),
+    st.integers(min_value=-3, max_value=3),
+)
+raw_pmf_strategy = st.tuples(
+    st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=8).filter(any),
+    st.integers(min_value=-5, max_value=5),
+)
+
+
+def assert_between_zero_and_binary_entropy(P: IntegerPmf, Q: IntegerPmf, w: Fraction) -> None:
+    # Both ends carry the rounding slack: for P = Q the exact value is 0,
+    # and the rounded mixture weights leave about -1e-51 at 50 digits.
+    c = cap_discrimination(P, Q, w)
+    with working_precision(50):
+        eps = eps_for(50)
+        assert -eps <= c <= bernoulli_entropy(w) + eps
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(a=binomial_strategy, b=binomial_strategy, w=open_weight)
+def test_cap_discrimination_bounded_on_binomial_pairs(a, b, w):
+    (n, p, k), (m, r, j) = a, b
+    P, Q = shift(binomial_pmf(n, p), k), shift(binomial_pmf(m, r), j)
+    assert_between_zero_and_binary_entropy(P, Q, w)
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(a=raw_pmf_strategy, b=raw_pmf_strategy, w=open_weight)
+def test_cap_discrimination_bounded_on_small_pmfs(a, b, w):
+    def pmf(raw, offset):
+        total = sum(raw)
+        return IntegerPmf.from_weights([Fraction(x, total) for x in raw], offset, 50)
+
+    assert_between_zero_and_binary_entropy(pmf(*a), pmf(*b), w)

@@ -175,6 +175,76 @@ class TestBinomialPmf:
             binomial_pmf(3, "1.5")
 
 
+def exact_binomial_numerators(n: int, a: int, b: int) -> list:
+    """comb(n, k) a**k b**(n-k) for k = 0 .. n, rolled down from a**n."""
+    out = [a**n]
+    for k in range(n, 0, -1):
+        out.append(out[-1] * k * b // ((n - k + 1) * a))
+    return out[::-1]
+
+
+def assert_binomial_rounded_once(pmf: IntegerPmf, n: int, p) -> None:
+    """Every weight of pmf = binomial_pmf(n, p) is within 2**-prec of the exact one.
+
+    With pv = a / 2**e the mpf value of p, the exact Binomial(n, pv)
+    weight is comb(n, k) a**k (2**e - a)**(n-k) / 2**(e n); the
+    comparison stays in integers so that n = 500 at p = 1e-300 is cheap.
+    """
+    pv = exact_value(as_mpf(p, pmf.precision))
+    a, d = pv.numerator, pv.denominator
+    e = d.bit_length() - 1
+    with working_precision(pmf.precision):
+        prec = mpmath.mp.prec
+    wants = exact_binomial_numerators(n, a, d - a) if 0 < pv < 1 else None
+    for k, w in pmf.items():
+        want = wants[k] if wants else comb(n, k) * a**k * (d - a) ** (n - k)
+        man, exp = w.man_exp
+        shift_bits = exp + e * n
+        if shift_bits >= 0:
+            diff, ref = abs((man << shift_bits) - want), want
+        else:
+            diff, ref = abs(man - (want << -shift_bits)), want << -shift_bits
+        assert diff << prec <= ref, f"n={n} p={p} weight {k}"
+
+
+class TestBinomialPmfRoundedOnce:
+    @pytest.mark.parametrize("p", [Fraction(3, 10), Fraction(1, 3), "0.01", "1e-300", Fraction(1, 2)])
+    def test_weights_within_half_ulp_of_exact(self, dps50, p):
+        pv = exact_value(as_mpf(p, 50))
+        for n in (0, 1, 2, 5, 33, 121, 500):
+            pmf = binomial_pmf(n, p)
+            assert_binomial_rounded_once(pmf, n, p)
+            if n <= 33:
+                # the integer oracle is the exact rational weight
+                a, d = pv.numerator, pv.denominator
+                nums = exact_binomial_numerators(n, a, d - a)
+                assert [Fraction(x, d**n) for x in nums] == exact_binomial_weights(n, pv)
+
+    def test_endpoints_are_point_masses(self, dps50):
+        for n in (0, 1, 5, 40):
+            assert binomial_pmf(n, 0).weights == (1,) + (0,) * n
+            assert binomial_pmf(n, "1").weights == (0,) * n + (1,)
+
+    @pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(1, 4), Fraction(3, 8)])
+    def test_reversal_is_the_complement_bitwise(self, dps50, p):
+        for n in (1, 2, 7, 33, 120):
+            forward = binomial_pmf(n, p).weights
+            backward = binomial_pmf(n, 1 - p).weights
+            assert [w._mpf_ for w in reversed(forward)] == [w._mpf_ for w in backward]
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(
+    p=st.fractions(min_value=0, max_value=1, max_denominator=10**6),
+    n=st.integers(min_value=0, max_value=80),
+    precision=st.sampled_from([20, 50, 80]),
+)
+def test_binomial_pmf_is_rounded_once(p, n, precision):
+    pmf = binomial_pmf(n, p, precision)
+    assert pmf.precision == precision
+    assert_binomial_rounded_once(pmf, n, p)
+
+
 class TestConvolve:
     def test_offsets_add(self, dps50):
         a = shift(binomial_pmf(2, "0.5"), 3)

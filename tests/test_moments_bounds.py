@@ -1,13 +1,17 @@
 """Moment, cumulant, and entropy-lower-bound tests with exact oracles."""
 
 from fractions import Fraction
+from functools import lru_cache
+from math import comb
 
 import mpmath
 import pytest
 from mpmath import mpf
+from mpmath.libmp import from_rational
 
 from discrete_epi.dist_core import binomial_pmf, entropy
 from discrete_epi.moments_bounds import (
+    _laurent_table,
     bernoulli_cumulants,
     c_coeff,
     central_moment_brute,
@@ -22,11 +26,76 @@ from discrete_epi.moments_bounds import (
     taylor_coeff,
     taylor_lower_bound,
 )
-from discrete_epi.precision import eps_for, working_precision
+from discrete_epi.precision import as_mpf, eps_for, working_precision
 
 from conftest import assert_close, exact_central_moment
 
 P_GRID = ("0.1", "0.25", "0.4", "0.5", "0.63", "0.8", "0.9")
+ORACLE_PS = ("0.2", Fraction(1, 3), Fraction(1, 2), "0.77")
+
+
+def exact_p(p, precision: int = 50) -> Fraction:
+    """The value p has at the given precision, as an exact binary fraction."""
+    man, exp = as_mpf(p, precision).man_exp
+    return Fraction(man) * Fraction(2) ** exp
+
+
+def exact_taylor_coeff(k: int, p: Fraction) -> Fraction:
+    return ((1 - p) ** (1 - k) + (-1) ** k * p ** (1 - k)) / (k * (k - 1))
+
+
+@lru_cache(maxsize=None)
+def oracle_moment(j: int, p: Fraction, k: int) -> Fraction:
+    """mu_k of Binomial(j, p): conftest's sum for j <= 31, else in integers.
+
+    With p = a / d, mu_k = sum_i comb(j, i) a**i (d-a)**(j-i) (i d - j a)**k
+    / d**(j+k); the integer form is checked against conftest's sum in
+    ``test_integer_moments_match_conftest``.
+    """
+    if j <= 31:
+        return exact_central_moment(j, p, k)
+    return integer_moment(j, p, k)
+
+
+def integer_moment(j: int, p: Fraction, k: int) -> Fraction:
+    a, d = p.numerator, p.denominator
+    total = sum(comb(j, i) * a**i * (d - a) ** (j - i) * (i * d - j * a) ** k for i in range(j + 1))
+    return Fraction(total, d ** (j + k))
+
+
+def oracle_gamma(j: int, p: Fraction, l: int) -> Fraction:
+    """sum_{k=2}^{2l+1} F_k(p) j**-k mu_k(j), exact."""
+    return sum(
+        exact_taylor_coeff(k, p) * oracle_moment(j, p, k) / Fraction(j) ** k
+        for k in range(2, 2 * l + 2)
+    )
+
+
+def rounded(x: Fraction, precision: int = 50) -> tuple:
+    """x correctly rounded to nearest at the given decimal precision."""
+    with working_precision(precision):
+        return from_rational(x.numerator, x.denominator, mpmath.mp.prec, "n")
+
+
+def laurent_coefficient(p: Fraction, w: int) -> Fraction:
+    """The j**-w coefficient of the oracle Gamma_w, by interpolation.
+
+    j**(2w) Gamma_w(j) is a polynomial of degree below 2w in j; its
+    values at j = 1 .. 2w fix it, and D_w is its j**w coefficient.
+    """
+    size = 2 * w
+    rows = [
+        [Fraction(j) ** e for e in range(size)] + [oracle_gamma(j, p, w) * j**size]
+        for j in range(1, size + 1)
+    ]
+    for col in range(size):
+        pivot = rows[col][col]
+        rows[col] = [x / pivot for x in rows[col]]
+        for r in range(size):
+            if r != col and rows[r][col]:
+                factor = rows[r][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    return rows[w][size]
 
 
 class TestCumulants:
@@ -204,3 +273,50 @@ class TestHarmonicBound:
             bound = harmonic_lower_bound(n, "0.5", 2)
             exact = entropy(binomial_pmf(n, "0.5"))
             assert bound <= exact + eps_for(50)
+
+
+class TestLaurentTable:
+    def test_integer_moments_match_conftest(self):
+        for p in ORACLE_PS:
+            pv = exact_p(p)
+            for k in range(2, 10):
+                assert integer_moment(31, pv, k) == exact_central_moment(31, pv, k)
+
+    @pytest.mark.parametrize("p", ORACLE_PS)
+    def test_gamma_is_the_correctly_rounded_exact_sum(self, dps50, p):
+        pv = exact_p(p)
+        for l in (1, 2, 3, 4):
+            for j in (1, 2, 7, 31, 200):
+                assert gamma_l(j, p, l)._mpf_ == rounded(oracle_gamma(j, pv, l)), (l, j)
+
+    @pytest.mark.parametrize("p", ORACLE_PS)
+    def test_c_coeff_is_the_rounded_laurent_coefficient(self, dps50, p):
+        pv = exact_p(p)
+        for w in (1, 2, 3, 4):
+            assert c_coeff(w, p)._mpf_ == rounded(laurent_coefficient(pv, w)), w
+
+    def test_other_precisions_round_at_their_own_width(self):
+        for precision in (20, 80):
+            pv = exact_p("0.3", precision)
+            got = gamma_l(9, "0.3", 3, precision)
+            assert got._mpf_ == rounded(oracle_gamma(9, pv, 3), precision)
+
+    def test_table_built_once_per_p_and_depth(self, dps50):
+        _laurent_table.cache_clear()
+        running = [gamma_l(j, "0.3", 2) for j in range(1, 61)]
+        assert _laurent_table.cache_info().misses == 1
+        with working_precision(50):
+            assert cumulative_gamma_bound(60, "0.3", 2) == mpmath.fsum(running)
+        for n in range(4, 40):
+            harmonic_lower_bound(n, "0.3", 2)
+        # c(1) needs the depth-1 table; c(2) reads the depth-2 one
+        assert _laurent_table.cache_info().misses == 2
+
+    def test_p_outside_the_open_interval_is_rejected(self, dps50):
+        for p in ("0", "1", "1.5", "-0.25"):
+            with pytest.raises(ValueError):
+                gamma_l(3, p, 2)
+            with pytest.raises(ValueError):
+                c_coeff(2, p)
+            with pytest.raises(ValueError):
+                c_coeff(1, p)
