@@ -21,6 +21,44 @@ terms is at most Delta_K * (ln 2 - sum_{nu <= K} 1/(2 nu (2 nu - 1))).
 The binomial specialisations at the bottom exploit that mixing a
 binomial with its unit shift reproduces the next binomial, which turns
 entropy increments into capacitory discriminations.
+
+``cap_discrimination`` skips the points where P_i = Q_i: there the
+mixture weight equals both, so both logarithms are exactly 0, and
+C(P, P; p) is exactly 0 rather than a rounding residue.
+
+Error model of ``cap_via_series``.  p rounded to the working precision
+is exactly a / 2**e and q is the exact b / 2**e, b = 2**e - a; every
+weight is exactly man * 2**exp.  So at each point X = p P_i and
+Y = q Q_i are exact binary fractions, and s = (X - Y)**2 / (X + Y) and
+rho**2 = (X - Y)**2 / (X + Y)**2 are exact rationals.  The series runs
+in integers scaled by 2**B, with B = bits(10**(2 P)) + prec + 32 for P
+digits and prec working bits, so a contribution at the drop floor
+10**(-2 P) still carries prec + 32 bits.  Errors are in units of 2**-B:
+
+* state: s and rho**2 are floored once.  Points with rho**2 = 1 (mass
+  on one side only) never decay; their s are summed once into a
+  constant.  A term is S <- floor(S R / 2**B) per point, then one
+  integer sum D.
+* Delta: each floor loses less than 1 unit and S < 2**(B + 1), so the
+  exact s rho**(2 (nu - 1)) exceeds the held S by less than 3 nu, and
+  Delta_nu lies in [D, D + slack] with slack = (number of constant
+  points) + 3 nu (number of decaying points).
+* dropping: a point whose S falls to F = floor(2**B 10**(-2 P)) leaves
+  the iteration; all it would still add is below its exact value, less
+  than F + 3 nu.
+* sums: sum 1/(2 nu (2 nu - 1)) adds floored terms, so it is low; ln 2
+  is taken 2 units high; the partial sum adds floor(D / (2 nu (2 nu -
+  1))), off by at most 1 + ceil(slack / (2 nu (2 nu - 1))) per term;
+  ln 2 - H(p) is evaluated at B + 32 bits, within 2 units.
+* rounding: ``partial_sum`` is rounded once to nearest, less than one
+  ulp; ``tail_bound`` is (D + slack)(ln 2 - sum) plus every error above
+  and that ulp, rounded once upward.
+
+So |partial_sum - C(P, Q; p)| <= tail_bound, with C the exact
+capacitory discrimination of the given weights at p rounded to the
+working precision.  The stopping test compares the integer bound with
+``tol`` exactly, so ``tail_bound <= tol`` whenever a value is
+returned.
 """
 
 from __future__ import annotations
@@ -116,9 +154,9 @@ def cap_discrimination(P: IntegerPmf, Q: IntegerPmf, p: RealLike) -> mpf:
     with working_precision(P.precision):
         terms = []
         for pw, qw in pairs:
+            if pw == qw:
+                continue  # m = pw = qw: both logarithms are exactly 0
             m = pv * pw + qv * qw
-            if m == 0:
-                continue
             if pw > 0:
                 terms.append(pv * pw * mpmath.ln(pw / m))
             if qw > 0:
@@ -146,6 +184,14 @@ def tri_discrimination(P: IntegerPmf, Q: IntegerPmf, p: RealLike, nu: int) -> mp
         return mpmath.fsum(terms)
 
 
+def _floor_fixed(x: mpf, bits: int) -> int:
+    """floor(x * 2**bits), exactly."""
+    sign, man, exp, _ = x._mpf_
+    man = -man if sign else man
+    shift = exp + bits
+    return man << shift if shift >= 0 else man >> -shift
+
+
 def cap_via_series(
     P: IntegerPmf,
     Q: IntegerPmf,
@@ -162,61 +208,89 @@ def cap_via_series(
     endpoint atoms of a shifted binomial pair.
 
     Per-point contributions that fall below 10**(-2 precision) are
-    dropped from the iteration; they are orders of magnitude below any
-    admissible tolerance and the drop rule is deterministic.
+    dropped from the iteration.  The sums run in fixed point, and
+    ``tail_bound`` bounds |partial_sum - C| with the dropped points and
+    every rounding included (module docstring).
     """
     precision = P.precision
     _, pairs = _aligned(P, Q)
-    pv, qv = _check_weight(p, precision)
+    pv, _ = _check_weight(p, precision)
     with working_precision(precision):
         tolv = as_mpf(tol, precision)
         if not tolv > 0:
             raise ValueError(f"tol must be positive, got {tolv}")
-        ln2 = mpmath.ln(2)
-        offset = ln2 - bernoulli_entropy(pv, precision)
-        floor = mpf(10) ** (-2 * precision)
+        prec = mpmath.mp.prec
+    B = (10 ** (2 * precision)).bit_length() + prec + 32
+    floor = (1 << B) // 10 ** (2 * precision)
+    # p = a / 2**e and q = b / 2**e exactly
+    a, e = pv.man_exp
+    e = -e
+    b = (1 << e) - a
 
-        # state: per-point (mass * rho**(2 nu), rho**2); Delta_nu is the
-        # sum of the first components at each nu
-        state = []
-        for pw, qw in pairs:
-            m = pv * pw + qv * qw
-            if m == 0:
-                continue
-            rho2 = ((pv * pw - qv * qw) / m) ** 2
-            s = m * rho2
-            if s > floor:
-                state.append((s, rho2))
+    # Per point, with X = p P_i 2**(e-E) and Y = q Q_i 2**(e-E) exact
+    # integers: s = (X - Y)**2 / (X + Y) 2**(E-e) and rho**2 = (X - Y)**2
+    # / (X + Y)**2, both floored to units of 2**-B.  One-sided atoms
+    # (rho**2 = 1) never decay, so they are summed once into `atoms`.
+    atoms = n_atoms = lost = 0
+    state = []
+    for pw, qw in pairs:
+        (u, eu), (v, ev) = pw.man_exp, qw.man_exp
+        if not (u or v):
+            continue
+        E = min(eu if u else ev, ev if v else eu)
+        X = a * u << (eu - E) if u else 0
+        Y = b * v << (ev - E) if v else 0
+        d2, m = (X - Y) ** 2, X + Y
+        if not d2:
+            continue
+        shift = B + E - e
+        s = (d2 << shift) // m if shift >= 0 else d2 // (m << -shift)
+        if s <= floor:
+            lost += floor + 1
+        elif not (X and Y):
+            atoms += s
+            n_atoms += 1
+        else:
+            state.append((s, (d2 << B) // (m * m)))
 
-        partial = mpf(0)
-        coeff_sum = mpf(0)
-        nu = 0
-        delta = mpmath.fsum(s for s, _ in state)
-        while True:
-            nu += 1
-            coeff_sum += mpf(1) / (2 * nu * (2 * nu - 1))
-            partial += delta / (2 * nu * (2 * nu - 1))
-            tail = delta * (ln2 - coeff_sum)
-            if tail <= tolv:
-                return SeriesEvaluation(
-                    partial_sum=partial - offset,
+    with mpmath.workprec(B + 32):
+        ln2 = _floor_fixed(+mpmath.ln2, B) + 2
+        pf = mpf((a, -e))
+        # ln 2 - H(p), within 2 units
+        offset = _floor_fixed(mpmath.ln2 + pf * mpmath.ln(pf) + (1 - pf) * mpmath.log1p(-pf), B)
+    tol_units = _floor_fixed(tolv, 2 * B)
+
+    one = 1 << B
+    partial = coeff_sum = partial_err = nu = 0
+    while True:
+        nu += 1
+        k = 2 * nu * (2 * nu - 1)
+        delta = atoms + sum(s for s, _ in state)
+        slack = n_atoms + 3 * nu * len(state)
+        coeff_sum += one // k
+        partial += delta // k
+        partial_err += 1 - (-slack // k)
+        x = partial - offset
+        err = partial_err + 2 + lost + (1 << max(abs(x).bit_length() - prec, 0))
+        tail = (delta + slack) * (ln2 - coeff_sum) + (err << B)
+        if tail <= tol_units or nu >= nu_max:
+            with working_precision(precision):
+                evaluation = SeriesEvaluation(
+                    partial_sum=mpf((x, -B)),
                     terms_used=nu,
-                    tail_bound=tail,
+                    tail_bound=mpf((tail, -2 * B), rounding="c"),
                     precision=precision,
                 )
-            if nu >= nu_max:
-                raise SeriesTruncationError(
-                    f"series tail bound {mpmath.nstr(tail, 8)} still above "
-                    f"tol after {nu} terms",
-                    partial=SeriesEvaluation(
-                        partial_sum=partial - offset,
-                        terms_used=nu,
-                        tail_bound=tail,
-                        precision=precision,
-                    ),
-                )
-            state = [(s * rho2, rho2) for s, rho2 in state if s * rho2 > floor]
-            delta = mpmath.fsum(s for s, _ in state)
+            if tail <= tol_units:
+                return evaluation
+            raise SeriesTruncationError(
+                f"series tail bound {mpmath.nstr(evaluation.tail_bound, 8)} still above "
+                f"tol after {nu} terms",
+                partial=evaluation,
+            )
+        kept = [(t, r) for s, r in state if (t := s * r >> B) > floor]
+        lost += (len(state) - len(kept)) * (floor + 3 * (nu + 1))
+        state = kept
 
 
 def binomial_step_c(n: int, p: RealLike, precision: int = DEFAULT_PRECISION) -> mpf:

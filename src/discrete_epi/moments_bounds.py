@@ -38,6 +38,26 @@ nearest, so it is within half an ulp of the exact Gamma_l(j) at that
 p; c(w) is D_w, rounded once.  The closed forms for mu_2 .. mu_7 in
 ``central_moment_closed`` are an independent route: the tests check
 them against direct sums and exact rationals.
+
+Error model of ``central_moment_brute``.  Every weight is exactly
+N_i / 2**E over one common power of two, so the power sums
+S_j = sum_i N_i (i - offset)**j are integers, and so is the default
+mean: mu - offset = A / 2**E with A = offset (S_0 - 2**E) + S_1.  A
+given mean is rounded to the working precision and then read exactly as
+man * 2**exp.  With mu - offset = A / 2**D,
+
+    mu_k = sum_j C(k, j) S_j (-A)**(k-j) 2**(D j) / 2**(E + D k)
+
+is the exact central moment of the given weights, rounded once to
+nearest: within half an ulp.
+
+Error model of ``harmonic_number``.  H_n^(w) is summed as
+sum_{i<=n} floor(2**b / i**w) with b = prec + 64 working bits, which is
+below 2**b H_n^(w) by less than n units, and rounded once to nearest.
+H_n^(w) >= 1, so for 1 <= n < 2**48 the result is within half an ulp plus
+2**-15 ulp of the exact value.  One running prefix sum is kept per
+(w, b) (``_harmonic_cursor``), so a scan over increasing n costs n
+integer steps in all; the value does not depend on earlier calls.
 """
 
 from __future__ import annotations
@@ -52,7 +72,7 @@ import mpmath
 from mpmath import mpf
 from mpmath.libmp import from_rational
 
-from .dist_core import IntegerPmf, binomial_entropy_chain, mean as pmf_mean
+from .dist_core import IntegerPmf, binomial_entropy_chain
 from .precision import DEFAULT_PRECISION, RealLike, as_mpf, eps_for, working_precision
 
 __all__ = [
@@ -125,12 +145,36 @@ def bernoulli_cumulants(
 def central_moment_brute(
     pmf: IntegerPmf, k: int, mean: Optional[RealLike] = None
 ) -> mpf:
-    """k-th central moment by direct summation over the support."""
+    """k-th central moment by direct summation over the support.
+
+    Summed exactly in integers and rounded once (module docstring); the
+    mean defaults to the exact sum of i w_i.
+    """
     if not isinstance(k, int) or k < 0:
         raise ValueError(f"k must be a nonnegative integer, got {k!r}")
+    # w_i = N_i / 2**E exactly; power sums S_j = sum_i N_i i**j count i
+    # from the first point of the support, which shifts mu by `offset`.
+    parts = [w._mpf_ for w in pmf.weights]  # (sign, man, exp, bits), w >= 0
+    E = -min([exp for _, man, exp, _ in parts if man], default=0)
+    column = [man << (exp + E) for _, man, exp, _ in parts]
+    sums = [sum(column)]
+    for _ in range(max(k, 1)):
+        column = [n * i for i, n in enumerate(column)]
+        sums.append(sum(column))
+    # mu - offset = A / 2**D exactly
+    if mean is None:
+        A, D = pmf.offset * (sums[0] - (1 << E)) + sums[1], E
+    else:
+        sign, man, exp, _ = as_mpf(mean, pmf.precision)._mpf_
+        man = -man if sign else man
+        D = max(-exp, 0)
+        A = (man << (exp + D)) - (pmf.offset << D)
+    # sum_j C(k, j) S_j (-mu)**(k-j), over the common 2**(E + D k)
+    total = sum(
+        math.comb(k, j) * sums[j] * (-A) ** (k - j) << (D * j) for j in range(k + 1)
+    )
     with working_precision(pmf.precision):
-        mu = as_mpf(mean, pmf.precision) if mean is not None else pmf_mean(pmf)
-        return mpmath.fsum(w * (i - mu) ** k for i, w in pmf.items() if w > 0)
+        return mpf((total, -(E + D * k)))
 
 
 def central_moment_closed(
@@ -377,14 +421,33 @@ def c_coeff(w: int, p: RealLike, precision: int = DEFAULT_PRECISION) -> mpf:
         return mpf(from_rational(nums[w - 1], den, mpmath.mp.prec, "n"))
 
 
+@functools.lru_cache(maxsize=64)
+def _harmonic_cursor(w: int, bits: int) -> List[Tuple[int, int]]:
+    """The last (n, sum_{i<=n} floor(2**bits / i**w)) reached, one per (w, bits)."""
+    return [(0, 0)]
+
+
 def harmonic_number(n: int, w: int, precision: int = DEFAULT_PRECISION) -> mpf:
-    """Generalised harmonic number H_n^(w) = sum_{i<=n} i**-w."""
+    """Generalised harmonic number H_n^(w) = sum_{i<=n} i**-w.
+
+    Summed in fixed point from a running prefix sum, so scans over
+    increasing n take linear time; rounded once (module docstring).
+    """
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"n must be a nonnegative integer, got {n!r}")
     if not isinstance(w, int) or w < 1:
         raise ValueError(f"w must be a positive integer, got {w!r}")
     with working_precision(precision):
-        return mpmath.fsum(mpf(i) ** (-w) for i in range(1, n + 1))
+        bits = mpmath.mp.prec + 64
+        cursor = _harmonic_cursor(w, bits)
+        start, acc = cursor[0]
+        if n < start:
+            start, acc = 0, 0
+        one = 1 << bits
+        for i in range(start + 1, n + 1):
+            acc += one // i**w
+        cursor[0] = (n, acc)
+        return mpf((acc, -bits))
 
 
 def harmonic_lower_bound(

@@ -24,6 +24,12 @@ def assert_close(actual, expected, tol="1e-40"):
     assert diff <= bound, f"|{actual} - {expected}| = {diff} > {bound}"
 
 
+def exact_value(x: mpmath.mpf) -> Fraction:
+    """The exact binary value of an mpf."""
+    sign, man, exp, _ = x._mpf_
+    return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
+
+
 def exact_binomial_weights(n: int, p: Fraction) -> List[Fraction]:
     """Binomial(n, p) weights in exact rational arithmetic."""
     q = 1 - p

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from mpmath import mpf
 
 from discrete_epi.discrimination import (
+    SERIES_TERM_CAP,
     binomial_ratio,
     binomial_step_c,
     cap_discrimination,
@@ -25,12 +26,13 @@ from discrete_epi.dist_core import (
     binomial_entropy_chain,
     binomial_pmf,
     delta_pmf,
+    iid_sum_pmf,
     shift,
 )
 from discrete_epi.errors import PrecisionMismatchError, SeriesTruncationError
-from discrete_epi.precision import eps_for, working_precision
+from discrete_epi.precision import as_mpf, eps_for, working_precision
 
-from conftest import assert_close, exact_binomial_weights
+from conftest import assert_close, exact_binomial_weights, exact_value
 
 
 def random_pair(rng: random.Random, size: int, floor: int = 200):
@@ -67,6 +69,18 @@ class TestCapDiscrimination:
     def test_zero_on_identical(self, dps50):
         pmf = binomial_pmf(4, "0.2")
         assert_close(cap_discrimination(pmf, pmf, "0.3"), 0)
+
+    def test_exactly_zero_on_identical(self, dps50):
+        rng = random.Random(5)
+        pmfs = [
+            binomial_pmf(4, "0.2"),
+            IntegerPmf.from_weights([Fraction(1, 3), Fraction(2, 3)], 0, 50),
+            shift(binomial_pmf(33, "0.7"), -3),
+            random_pair(rng, 9)[0],
+        ]
+        for pmf in pmfs:
+            for p in (Fraction(9, 103), "0.3", Fraction(1, 2), "0.77", "1e-300"):
+                assert cap_discrimination(pmf, pmf, p) == 0
 
     def test_bounded_by_binary_entropy(self, dps50):
         rng = random.Random(13)
@@ -184,12 +198,9 @@ raw_pmf_strategy = st.tuples(
 
 
 def assert_between_zero_and_binary_entropy(P: IntegerPmf, Q: IntegerPmf, w: Fraction) -> None:
-    # Both ends carry the rounding slack: for P = Q the exact value is 0,
-    # and the rounded mixture weights leave about -1e-51 at 50 digits.
     c = cap_discrimination(P, Q, w)
     with working_precision(50):
-        eps = eps_for(50)
-        assert -eps <= c <= bernoulli_entropy(w) + eps
+        assert 0 <= c <= bernoulli_entropy(w) + eps_for(50)
 
 
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
@@ -208,3 +219,168 @@ def test_cap_discrimination_bounded_on_small_pmfs(a, b, w):
         return IntegerPmf.from_weights([Fraction(x, total) for x in raw], offset, 50)
 
     assert_between_zero_and_binary_entropy(pmf(*a), pmf(*b), w)
+
+
+def mpf_series(P: IntegerPmf, Q: IntegerPmf, p, tol, nu_max: int = SERIES_TERM_CAP):
+    """The former mpf loop of ``cap_via_series``, kept as its oracle.
+
+    Returns (terms_used, partial_sum, tail, truncated); the tail is the
+    rounded remainder bound, without the fixed-point kernel's rounding
+    terms.
+    """
+    precision = P.precision
+    lo, hi = min(P.offset, Q.offset), max(P.last, Q.last)
+    with working_precision(precision):
+        pv = as_mpf(p, precision)
+        qv = 1 - pv
+        tolv = as_mpf(tol, precision)
+        ln2 = mpmath.ln(2)
+        offset = ln2 - bernoulli_entropy(pv, precision)
+        floor = mpf(10) ** (-2 * precision)
+        state = []
+        for k in range(lo, hi + 1):
+            pw, qw = P.weight_at(k), Q.weight_at(k)
+            m = pv * pw + qv * qw
+            if m == 0:
+                continue
+            rho2 = ((pv * pw - qv * qw) / m) ** 2
+            s = m * rho2
+            if s > floor:
+                state.append((s, rho2))
+        partial = mpf(0)
+        coeff_sum = mpf(0)
+        nu = 0
+        delta = mpmath.fsum(s for s, _ in state)
+        while True:
+            nu += 1
+            coeff_sum += mpf(1) / (2 * nu * (2 * nu - 1))
+            partial += delta / (2 * nu * (2 * nu - 1))
+            tail = delta * (ln2 - coeff_sum)
+            if tail <= tolv or nu >= nu_max:
+                return nu, partial - offset, tail, not tail <= tolv
+            state = [(s * rho2, rho2) for s, rho2 in state if s * rho2 > floor]
+            delta = mpmath.fsum(s for s, _ in state)
+
+
+def series_reference(P: IntegerPmf, Q: IntegerPmf, p, nu: int):
+    """(C, remainder after nu terms) from the exact rational state.
+
+    With m_i and rho_i exact, the whole series is sum_i m_i g(rho_i),
+    g(t) = ((1 + t) ln(1 + t) + (1 - t) ln(1 - t)) / 2, and C subtracts
+    ln 2 - H(p); logs and the first nu terms are taken at 120 digits.
+    No point is dropped.
+    """
+    pf = exact_value(as_mpf(p, P.precision))
+    lo, hi = min(P.offset, Q.offset), max(P.last, Q.last)
+    points = []
+    for k in range(lo, hi + 1):
+        x = pf * exact_value(P.weight_at(k))
+        y = (1 - pf) * exact_value(Q.weight_at(k))
+        if x + y:
+            points.append((x + y, abs(x - y) / (x + y)))
+    with mpmath.workdps(120):
+        def real(f):
+            return mpf(f.numerator) / f.denominator
+
+        def g(t):
+            return ((1 + t) * mpmath.ln(1 + t) + (1 - t) * mpmath.ln(1 - t)) / 2 if t < 1 else mpmath.ln(2)
+
+        whole = mpmath.fsum(real(m) * g(real(r)) for m, r in points)
+        head = mpmath.fsum(
+            real(m) * real(r) ** (2 * mu) / (2 * mu * (2 * mu - 1))
+            for m, r in points if r
+            for mu in range(1, nu + 1)
+        )
+        pv = real(pf)
+        offset = mpmath.ln(2) + pv * mpmath.ln(pv) + (1 - pv) * mpmath.ln(1 - pv)
+        return whole - offset, whole - head
+
+
+def skewed_shifted_sum(raw, n: int = 64):
+    """A 64-fold sum of a skewed base and its unit shift."""
+    total = iid_sum_pmf(IntegerPmf.from_weights([Fraction(r, sum(raw)) for r in raw], 0, 50), n)
+    return shift(total, 1), total
+
+
+def criterion4_pairs():
+    """Sixteen criterion-4 pairs, sizes 2..64, mixing weights 0.05..0.95."""
+    rng = random.Random(20260817)
+    sizes = (2, 4, 8, 12, 16, 24, 32, 40, 48, 56, 64, 64, 48, 32, 16, 8)
+    for i, size in enumerate(sizes):
+        P, Q = (
+            IntegerPmf.from_weights([Fraction(r, sum(raw)) for r in raw], 0, 50)
+            for raw in ([rng.randint(1, 1000) + 200 for _ in range(size)] for _ in range(2))
+        )
+        yield P, Q, Fraction(5 + 6 * i, 100)
+
+
+def assert_matches_oracle_and_bounds(P, Q, p, tol, nu_max=SERIES_TERM_CAP, check_reference=True):
+    """Same terms and partial sum as the mpf loop; rigorous tail bound."""
+    terms, partial, _, truncated = mpf_series(P, Q, p, tol, nu_max)
+    try:
+        result = cap_via_series(P, Q, p, tol, nu_max)
+        assert not truncated
+    except SeriesTruncationError as exc:
+        assert truncated
+        result = exc.partial
+    assert result.terms_used == terms
+    with working_precision(50):
+        assert abs(result.partial_sum - partial) <= eps_for(50)
+        if not truncated:
+            assert result.tail_bound <= as_mpf(tol, 50)
+    if check_reference:
+        direct, remainder = series_reference(P, Q, p, terms)
+        with mpmath.workdps(120):
+            assert result.tail_bound >= remainder
+            assert abs(result.partial_sum - direct) <= result.tail_bound
+    return result
+
+
+class TestFixedPointSeries:
+    def test_random_pairs_match_the_mpf_loop(self, dps50):
+        rng = random.Random(41)
+        for _ in range(20):
+            P, Q = random_pair(rng, rng.randint(2, 12), floor=rng.choice((0, 200)))
+            w = Fraction(rng.randint(2, 98), 100)
+            assert_matches_oracle_and_bounds(P, Q, w, rng.choice(("1e-4", "1e-14", "1e-30")))
+
+    def test_criterion4_pairs_match_the_mpf_loop(self, dps50):
+        for P, Q, w in criterion4_pairs():
+            assert_matches_oracle_and_bounds(P, Q, w, "1e-14")
+
+    def test_skewed_shifted_sums_match_the_mpf_loop(self, dps50):
+        # The endpoint atoms carry one-sided mass (rho**2 = 1), so these
+        # need more than a thousand terms at tol 1e-4; the 120-digit
+        # reference would take about 40 s there, so only the oracle runs.
+        for raw in ([3, 7000, 9 * 10**6], [9 * 10**12, 2 * 10**9, 5 * 10**6, 1000, 1]):
+            after, before = skewed_shifted_sum(raw)
+            result = assert_matches_oracle_and_bounds(
+                after, before, Fraction(1, 2), "1e-4", check_reference=False
+            )
+            assert result.terms_used > 1000
+
+    def test_truncated_series_matches_the_mpf_loop(self, dps50):
+        before = binomial_pmf(1, "0.5")
+        result = assert_matches_oracle_and_bounds(shift(before, 1), before, "0.5", "1e-12", nu_max=50)
+        assert result.terms_used == 50
+
+    def test_tail_bound_is_rounded_upward(self, dps50):
+        # P and Q disjoint: every point is a one-sided atom, Delta_nu = 1
+        # and the remainder is exactly ln 2 - sum_{mu <= nu} 1/(2 mu (2 mu
+        # - 1)).  With p chosen so that H(p) is near that remainder, the
+        # partial sum is near 0 and its own rounding is far below the
+        # tail's ulp, so only upward rounding keeps the bound above it.
+        with mpmath.workdps(60):
+            for nu in range(20, 44):
+                remainder = mpmath.ln(2) - mpmath.fsum(
+                    mpf(1) / (2 * mu * (2 * mu - 1)) for mu in range(1, nu + 1)
+                )
+                p = mpmath.findroot(lambda x: bernoulli_entropy(x, 60) - remainder, remainder / 8)
+                tol = remainder * (1 + mpf(1) / (8 * nu))
+                result = cap_via_series(delta_pmf(0), delta_pmf(1), mpmath.nstr(p, 30), mpmath.nstr(tol, 30))
+                assert result.terms_used == nu
+                direct, exact_remainder = series_reference(delta_pmf(0), delta_pmf(1), mpmath.nstr(p, 30), nu)
+                with mpmath.workdps(120):
+                    assert abs(result.partial_sum) < result.tail_bound / 64
+                    assert result.tail_bound >= exact_remainder
+                    assert abs(result.partial_sum - direct) <= result.tail_bound

@@ -31,7 +31,7 @@ from discrete_epi.dist_core import (
 from discrete_epi.errors import MassConservationError, PrecisionMismatchError
 from discrete_epi.precision import as_mpf, eps_for, working_precision
 
-from conftest import assert_close, exact_binomial_weights
+from conftest import assert_close, exact_binomial_weights, exact_value
 
 CHAIN_PS = [Fraction(1, 20), Fraction(3, 20), Fraction(1, 3), Fraction(1, 2), Fraction(17, 20), Fraction(19, 20)]
 
@@ -41,11 +41,6 @@ def exact_binomial_entropy(n: int, p: Fraction) -> mpf:
     with mpmath.workdps(100):
         weights = [mpf(w.numerator) / w.denominator for w in exact_binomial_weights(n, p)]
         return -mpmath.fsum(w * mpmath.ln(w) for w in weights if w > 0)
-
-
-def exact_value(w: mpf) -> Fraction:
-    man, exp = w.man_exp
-    return Fraction(man) * Fraction(2) ** exp
 
 
 def exact_convolution(a: IntegerPmf, b: IntegerPmf) -> list:

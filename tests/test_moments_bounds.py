@@ -9,8 +9,9 @@ import pytest
 from mpmath import mpf
 from mpmath.libmp import from_rational
 
-from discrete_epi.dist_core import binomial_pmf, entropy
+from discrete_epi.dist_core import IntegerPmf, binomial_pmf, entropy, iid_sum_pmf, shift
 from discrete_epi.moments_bounds import (
+    _harmonic_cursor,
     _laurent_table,
     bernoulli_cumulants,
     c_coeff,
@@ -28,7 +29,7 @@ from discrete_epi.moments_bounds import (
 )
 from discrete_epi.precision import as_mpf, eps_for, working_precision
 
-from conftest import assert_close, exact_central_moment
+from conftest import assert_close, exact_central_moment, exact_value
 
 P_GRID = ("0.1", "0.25", "0.4", "0.5", "0.63", "0.8", "0.9")
 ORACLE_PS = ("0.2", Fraction(1, 3), Fraction(1, 2), "0.77")
@@ -320,3 +321,72 @@ class TestLaurentTable:
                 c_coeff(2, p)
             with pytest.raises(ValueError):
                 c_coeff(1, p)
+
+
+def exact_moment_of(pmf: IntegerPmf, k: int, mean=None) -> Fraction:
+    """k-th central moment of the exact values of the pmf's weights.
+
+    With w_i = N_i / d and mean = a / b, it is
+    sum_i N_i (i b - a)**k / (d b**k), summed in integers.
+    """
+    weights = [exact_value(w) for w in pmf.weights]
+    d = max(w.denominator for w in weights)
+    nums = [w.numerator * (d // w.denominator) for w in weights]
+    if mean is None:
+        mean = Fraction(sum(i * n for i, n in zip(pmf.support(), nums)), d)
+    a, b = mean.numerator, mean.denominator
+    return Fraction(sum(n * (i * b - a) ** k for i, n in zip(pmf.support(), nums)), d * b**k)
+
+
+class TestBruteMomentsExact:
+    def test_rounded_once_on_binomials(self, dps50):
+        for p in ORACLE_PS:
+            pv = exact_p(p)
+            for n in (1, 5, 31):
+                pmf = binomial_pmf(n, p)
+                scale = max(1, float(n * pv * (1 - pv)))
+                for k in range(9):
+                    value = central_moment_brute(pmf, k)
+                    assert value._mpf_ == rounded(exact_moment_of(pmf, k)), (p, n, k)
+                    # the weights themselves are each within half an ulp
+                    exact = exact_central_moment(n, pv, k)
+                    assert_close(value, mpf(exact.numerator) / exact.denominator, 1e-45 * scale ** (k / 2))
+
+    def test_rounded_once_on_a_skewed_64_fold_sum(self, dps50):
+        # successive weights 1000x apart: the 64-fold tails reach 1e-960
+        raw = [1000**k for k in range(6)]
+        base = IntegerPmf.from_weights([Fraction(r, sum(raw)) for r in raw], 0, 50)
+        total = shift(iid_sum_pmf(base, 64), -250)
+        assert total.weights[0] < mpf("1e-900")
+        means = (None, Fraction(-1234567, 10**4), "-3.25", 7)
+        for mean in means:
+            exact_mean = None if mean is None else exact_value(as_mpf(mean, 50))
+            for k in range(9):
+                value = central_moment_brute(total, k, mean)
+                assert value._mpf_ == rounded(exact_moment_of(total, k, exact_mean)), (mean, k)
+
+    def test_default_mean_is_exact(self, dps50):
+        pmf = binomial_pmf(1, "0.5")
+        assert central_moment_brute(pmf, 1) == 0
+        assert central_moment_brute(pmf, 0) == 1
+        assert central_moment_brute(shift(pmf, -7), 3) == 0
+
+
+class TestHarmonicPrefix:
+    def test_rounded_once_in_any_call_order(self, dps50):
+        exact = {w: [Fraction(0)] for w in (1, 2, 3)}
+        for w, sums in exact.items():
+            for i in range(1, 501):
+                sums.append(sums[-1] + Fraction(1, i**w))
+        _harmonic_cursor.cache_clear()
+        for order in ([0, 1, 2, 7, 100, 500], [500, 100, 7, 2, 1, 0], [7, 500, 2, 499]):
+            for w, sums in exact.items():
+                for n in order:
+                    assert harmonic_number(n, w)._mpf_ == rounded(sums[n]), (order, w, n)
+
+    def test_scan_advances_one_running_sum(self, dps50):
+        _harmonic_cursor.cache_clear()
+        for n in range(1, 301):
+            harmonic_number(n, 2)
+        assert _harmonic_cursor.cache_info().misses == 1
+        assert _harmonic_cursor(2, mpmath.mp.prec + 64)[0][0] == 300
