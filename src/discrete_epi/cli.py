@@ -33,11 +33,7 @@ import mpmath
 from mpmath import mpf
 
 from . import asymptotics, discrimination, dist_core, epi_engine, moments_bounds
-from .errors import (
-    ConsistencyError,
-    QuadratureError,
-    SeriesTruncationError,
-)
+from .errors import BudgetExceededError, ConsistencyError
 from .polycert import CERT_SUBSTITUTIONS, certify
 from .precision import (
     DEFAULT_PRECISION,
@@ -554,14 +550,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         check_precision(args.precision)
         return args.handler(args)
-    except SeriesTruncationError as exc:
+    except BudgetExceededError as exc:
         print(
             f"computation budget exceeded: {exc}{_partial_text(exc.partial, args.precision)}",
             file=sys.stderr,
         )
-        return EXIT_BUDGET
-    except QuadratureError as exc:
-        print(f"computation budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except ConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)

@@ -72,7 +72,7 @@ from mpmath import mpf
 
 from .dist_core import IntegerPmf, _check_same_precision, bernoulli_entropy, binomial_pmf
 from .errors import SeriesTruncationError
-from .precision import DEFAULT_PRECISION, RealLike, as_mpf, working_precision
+from .precision import DEFAULT_PRECISION, RealLike, _exact_weight, as_mpf, working_precision
 
 __all__ = [
     "SeriesEvaluation",
@@ -222,10 +222,7 @@ def cap_via_series(
         prec = mpmath.mp.prec
     B = (10 ** (2 * precision)).bit_length() + prec + 32
     floor = (1 << B) // 10 ** (2 * precision)
-    # p = a / 2**e and q = b / 2**e exactly
-    a, e = pv.man_exp
-    e = -e
-    b = (1 << e) - a
+    a, b, e = _exact_weight(pv)  # p = a / 2**e and q = b / 2**e exactly
 
     # Per point, with X = p P_i 2**(e-E) and Y = q Q_i 2**(e-E) exact
     # integers: s = (X - Y)**2 / (X + Y) 2**(E-e) and rho**2 = (X - Y)**2

@@ -13,7 +13,11 @@ Sums of n iid copies come from one repeated-squaring ladder
 ``iid_epi_gap``): at most 2 log2(n) + 1 convolutions, whose cost is
 dominated by the last squaring, at half the final support.  A sum whose
 support would pass ``MAX_SUM_SUPPORT`` points is refused before any
-convolution.
+convolution (ValueError).  The entropy chain costs O(n_max**2) integer
+steps, so a chain of more than ``MAX_CHAIN_ROWS`` rows is refused
+before any work (BudgetExceededError): at 50 digits and p = 0.3 it took
+3.1 s for 4,001 rows and 42 s for the largest allowed, 16,384, on a
+2-core Xeon (Python 3.11.7, pure-Python mpmath 1.3.0).
 
 Error model of ``convolve``.  Every mpf weight is exactly man * 2**exp,
 so the product needs no rounding until the end:
@@ -99,10 +103,11 @@ from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 import mpmath
 from mpmath import mpf
 
-from .errors import MassConservationError, PrecisionMismatchError
+from .errors import BudgetExceededError, MassConservationError, PrecisionMismatchError
 from .precision import (
     DEFAULT_PRECISION,
     RealLike,
+    _exact_weight,
     as_mpf,
     check_precision,
     eps_for,
@@ -110,6 +115,7 @@ from .precision import (
 )
 
 MAX_SUM_SUPPORT = 1 << 22
+MAX_CHAIN_ROWS = 1 << 14
 
 __all__ = [
     "IntegerPmf",
@@ -267,9 +273,7 @@ def binomial_pmf(n: int, p: RealLike, precision: int = DEFAULT_PRECISION) -> Int
             return IntegerPmf(offset=0, weights=tuple(w), precision=precision)
         # p = a / 2**e exactly, q = b / 2**e; weight k is t_k / 2**(e n)
         # with t_k = C(n, k) a**k b**(n-k), and each division is exact.
-        a, exp = pv.man_exp
-        e = -exp
-        b = (1 << e) - a
+        a, b, e = _exact_weight(pv)
         t = b**n
         w = [mpf((t, -e * n))]
         for k in range(1, n + 1):
@@ -442,6 +446,10 @@ def binomial_entropy_chain(
     """
     if not isinstance(n_max, int) or n_max < 0:
         raise ValueError(f"n_max must be a nonnegative integer, got {n_max!r}")
+    if n_max + 1 > MAX_CHAIN_ROWS:
+        raise BudgetExceededError(
+            f"n_max={n_max} puts the entropy chain past the {MAX_CHAIN_ROWS}-row budget"
+        )
     pv = as_mpf(p, precision)
     with working_precision(precision):
         if not (0 <= pv <= 1):

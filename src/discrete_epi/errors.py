@@ -17,11 +17,11 @@ class MassConservationError(ValueError):
     """A weight vector does not sum to one within the mass tolerance."""
 
 
-class SeriesTruncationError(RuntimeError):
-    """A series evaluation hit its term cap before reaching the tolerance.
+class BudgetExceededError(RuntimeError):
+    """A computation would pass, or has hit, its work budget.
 
-    Carries the partial evaluation so callers can inspect how far the
-    sum got.
+    Carries the partial evaluation, when there is one, so callers can
+    inspect how far the computation got.
     """
 
     def __init__(self, message: str, partial=None):
@@ -29,7 +29,11 @@ class SeriesTruncationError(RuntimeError):
         self.partial = partial
 
 
-class QuadratureError(RuntimeError):
+class SeriesTruncationError(BudgetExceededError):
+    """A series evaluation hit its term cap before reaching the tolerance."""
+
+
+class QuadratureError(BudgetExceededError):
     """Adaptive quadrature could not reach the requested tolerance."""
 
 

@@ -24,20 +24,19 @@ The harmonic form drops remainder terms, so it is only trustworthy
 where the direct cumulative bound confirms it; the helper
 ``harmonic_bound_violations`` reports the region empirically.
 
-Moments of arbitrary order come from the block-partition expansion
-over cumulants (``faa_di_bruno_poly``), which expresses mu_k(j) as a
-polynomial in j.  ``gamma_l`` and ``c_coeff`` use it exactly: p,
-rounded to the working precision, is a binary fraction, so the
-Bernoulli cumulants and F_k(p) are exact rationals, and
-
-    Gamma_l(j) = sum_{w=1}^{2l} D_w j**-w
-
-with exact rational D_w (``_laurent_table``, cached per (p, l)).
-``gamma_l`` sums that Laurent polynomial in integers and rounds once to
-nearest, so it is within half an ulp of the exact Gamma_l(j) at that
-p; c(w) is D_w, rounded once.  The closed forms for mu_2 .. mu_7 in
-``central_moment_closed`` are an independent route: the tests check
-them against direct sums and exact rationals.
+The binomial moments are one exact table (``_moment_poly``).  With
+p = 1/2 + r the Bernoulli cumulants are polynomials in r, kappa_1 =
+1/2 + r and kappa_(g+1) = (1/4 - r**2) d kappa_g / dr, and the
+block-partition expansion over them (``faa_di_bruno_poly``) gives
+mu_k(n) = sum_i n**i P_ki(r) exactly.  ``polycert.symbolic_moments``
+takes its rows as they are.  p rounded to the working precision is an
+exact binary fraction, so ``central_moment_closed`` and
+``bernoulli_cumulants`` evaluate the rows exactly and round once to
+nearest, and ``gamma_l`` and ``c_coeff`` read the exact Laurent table
+Gamma_l(j) = sum_{w=1}^{2l} D_w j**-w, D_w = sum_k F_k(p) P_(k, k-w)
+(``_laurent_table``, per (p, l)), rounding once: every value is within
+half an ulp.  Routes independent of the table are
+``central_moment_brute`` and the exact oracles of the tests.
 
 Error model of ``central_moment_brute``.  Every weight is exactly
 N_i / 2**E over one common power of two, so the power sums
@@ -66,14 +65,21 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mpf
 from mpmath.libmp import from_rational
 
 from .dist_core import IntegerPmf, binomial_entropy_chain
-from .precision import DEFAULT_PRECISION, RealLike, as_mpf, eps_for, working_precision
+from .precision import (
+    DEFAULT_PRECISION,
+    RealLike,
+    _exact_weight,
+    as_mpf,
+    eps_for,
+    working_precision,
+)
 
 __all__ = [
     "CumulantSet",
@@ -132,14 +138,16 @@ def cumulants_from_raw_moments(
 def bernoulli_cumulants(
     p: RealLike, max_order: int, precision: int = DEFAULT_PRECISION
 ) -> CumulantSet:
-    """Cumulants of a single Bernoulli(p) draw; every raw moment equals p."""
+    """Cumulants of a single Bernoulli(p) draw, correctly rounded (module docstring)."""
     if not isinstance(max_order, int) or max_order < 1:
         raise ValueError(f"max_order must be a positive integer, got {max_order!r}")
-    pv = as_mpf(p, precision)
+    r = _exact_p(p, precision, strict=False) - Fraction(1, 2)
+    kappas = []
     with working_precision(precision):
-        if not (0 <= pv <= 1):
-            raise ValueError(f"p must lie in [0, 1], got {pv}")
-    return cumulants_from_raw_moments([pv] * max_order, precision)
+        for g in range(1, max_order + 1):
+            x = sum(c * r**j for j, c in enumerate(_kappa_poly(g)))
+            kappas.append(mpf(from_rational(x.numerator, x.denominator, mpmath.mp.prec, "n")))
+    return CumulantSet(kappas=tuple(kappas), precision=precision)
 
 
 def central_moment_brute(
@@ -180,80 +188,109 @@ def central_moment_brute(
 def central_moment_closed(
     n: int, p: RealLike, k: int, precision: int = DEFAULT_PRECISION
 ) -> mpf:
-    """Closed-form k-th central moment of Binomial(n, p) for k <= 7.
+    """k-th central moment of Binomial(n, p) for k <= 7, correctly rounded.
 
-    Written in r = p - 1/2 and u = 1 - 4 r**2 = 4 p (1-p); odd orders
-    carry a single factor of r.
+    Row k of the moment table, summed in integers (module docstring).
     """
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"n must be a nonnegative integer, got {n!r}")
     if not isinstance(k, int) or not 0 <= k <= 7:
         raise ValueError(f"closed forms cover k in 0..7, got {k!r}")
+    nums, den = _moment_coeffs(_exact_p(p, precision, strict=False), k)
+    acc = 0
+    for c in reversed(nums):
+        acc = acc * n + c
+    with working_precision(precision):
+        return mpf(from_rational(acc, den, mpmath.mp.prec, "n"))
+
+
+def _exact_p(p: RealLike, precision: int, strict: bool = True) -> Fraction:
+    """p at the working precision as an exact fraction, in (0, 1) if strict."""
     pv = as_mpf(p, precision)
     with working_precision(precision):
-        if not (0 <= pv <= 1):
+        if strict and not 0 < pv < 1:
+            # The message taylor_coeff gives for the same p.
+            raise ValueError(f"x must lie strictly in (0, 1), got {pv}")
+        if not 0 <= pv <= 1:
             raise ValueError(f"p must lie in [0, 1], got {pv}")
-        r = pv - mpf(1) / 2
-        r2 = r * r
-        r4 = r2 * r2
-        u = 1 - 4 * r2
-        if k == 0:
-            return mpf(1)
-        if k == 1:
-            return mpf(0)
-        if k == 2:
-            return n * u / 4
-        if k == 3:
-            return -n * r * u / 2
-        if k == 4:
-            return n * u * (-2 + 24 * r2 + 3 * n * u) / 16
-        if k == 5:
-            return -n * r * u * (-4 + 24 * r2 + 5 * n * u) / 4
-        if k == 6:
-            return (
-                n
-                * u
-                * (
-                    15 * n**2 * u**2
-                    + 16 * (1 - 30 * r2 + 120 * r4)
-                    - 10 * n * (3 - 64 * r2 + 208 * r4)
-                )
-                / 64
-            )
-        return (
-            -n
-            * r
-            * u
-            * (
-                105 * n**2 * u**2
-                - 14 * n * (17 - 200 * r2 + 528 * r4)
-                + 8 * (17 - 240 * r2 + 720 * r4)
-            )
-            / 32
-        )
+    a, _, e = _exact_weight(pv)
+    return Fraction(a, 1 << e)
 
 
-def _partitions_min2(k: int, max_part: Optional[int] = None) -> Iterator[Dict[int, int]]:
-    """Integer partitions of k into parts >= 2, as {part: multiplicity}."""
-    if max_part is None:
-        max_part = k
+def _shapes(k: int, top: int) -> Iterator[Tuple[Tuple[int, int], ...]]:
+    """Partitions of k into parts 2 .. top, as ((part, multiplicity), ...)."""
     if k == 0:
-        yield {}
-        return
-    for g in range(min(k, max_part), 1, -1):
+        yield ()
+    for g in range(min(k, top), 1, -1):
         for i in range(1, k // g + 1):
-            for rest in _partitions_min2(k - g * i, g - 1):
-                out = {g: i}
-                out.update(rest)
-                yield out
+            for rest in _shapes(k - g * i, g - 1):
+                yield ((g, i),) + rest
 
 
-def _partition_weight(k: int, parts: Dict[int, int]) -> int:
-    """Number of set partitions of k elements with the given block sizes."""
-    w = math.factorial(k)
-    for g, i in parts.items():
-        w //= math.factorial(i) * math.factorial(g) ** i
-    return w
+@functools.lru_cache(maxsize=None)
+def _block_partitions(k: int) -> Tuple[Tuple[int, Tuple[Tuple[int, int], ...], int], ...]:
+    """Set partitions of k items into blocks of size >= 2, as (weight, shape, b).
+
+    A shape ((g, i), ...) has i blocks of size g, b blocks in all, and
+    weight = k! / prod (i! (g!)**i) set partitions.
+    """
+    out = []
+    for parts in _shapes(k, k):
+        weight = math.factorial(k)
+        for g, i in parts:
+            weight //= math.factorial(i) * math.factorial(g) ** i
+        out.append((weight, parts, sum(i for _, i in parts)))
+    return tuple(out)
+
+
+def _rmul(a: Sequence[Fraction], b: Sequence[Fraction]) -> Tuple[Fraction, ...]:
+    """Product of two polynomials in r, as coefficients of r**0, r**1, ..."""
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _kappa_poly(g: int) -> Tuple[Fraction, ...]:
+    """Cumulant kappa_g of Bernoulli(1/2 + r), as coefficients in r.
+
+    kappa_(g+1) = p (1 - p) d kappa_g / dp, and p (1 - p) = 1/4 - r**2.
+    """
+    if g == 1:
+        return (Fraction(1, 2), Fraction(1))
+    slope = [j * c for j, c in enumerate(_kappa_poly(g - 1))][1:]
+    return _rmul((Fraction(1, 4), Fraction(0), Fraction(-1)), slope)
+
+
+@functools.lru_cache(maxsize=None)
+def _moment_poly(k: int) -> Tuple[Tuple[Fraction, ...], ...]:
+    """mu_k of Binomial(n, 1/2 + r) = sum_i n**i P_i(r), as (P_0, P_1, ...).
+
+    Each P_i is its coefficients in r; a block shape with b blocks
+    lands in P_b.
+    """
+    # built in ascending order, so the cache fills without deep recursion
+    kappa = [()] + [_kappa_poly(g) for g in range(1, k + 1)]
+    rows = [[Fraction(0)] * (k + 1) for _ in range(k // 2 + 1)]
+    for weight, parts, b in _block_partitions(k):
+        term: Tuple[Fraction, ...] = (Fraction(weight),)
+        for g, i in parts:
+            for _ in range(i):
+                term = _rmul(term, kappa[g])
+        for j, c in enumerate(term):
+            rows[b][j] += c
+    return tuple(tuple(row) for row in rows)
+
+
+@functools.lru_cache(maxsize=256)
+def _moment_coeffs(p: Fraction, k: int) -> Tuple[Tuple[int, ...], int]:
+    """(N, L) with mu_k of Binomial(n, p) = sum_i (N[i] / L) n**i, exact."""
+    r = p - Fraction(1, 2)
+    c = [sum(a * r**j for j, a in enumerate(row)) for row in _moment_poly(k)]
+    den = math.lcm(*(x.denominator for x in c))
+    return tuple(x.numerator * (den // x.denominator) for x in c), den
 
 
 @dataclass(frozen=True)
@@ -294,15 +331,10 @@ def faa_di_bruno_poly(k: int, cumulants: CumulantSet) -> MomentPolynomial:
     precision = cumulants.precision
     coeffs: Dict[int, mpf] = {}
     with working_precision(precision):
-        if k == 0:
-            coeffs[0] = mpf(1)
-        for parts in _partitions_min2(k):
-            if not parts:
-                continue
-            term = mpf(_partition_weight(k, parts))
-            for g, i in parts.items():
+        for weight, parts, b in _block_partitions(k):
+            term = mpf(weight)
+            for g, i in parts:
                 term *= cumulants.kappa(g) ** i
-            b = sum(parts.values())
             coeffs[b] = coeffs.get(b, mpf(0)) + term
     return MomentPolynomial(k=k, coeffs=coeffs, precision=precision)
 
@@ -353,37 +385,19 @@ def taylor_lower_bound(
 def _laurent_table(p: Fraction, l: int) -> Tuple[Tuple[int, ...], int]:
     """Exact Laurent coefficients of Gamma_l at the exact p.
 
-    Returns (N, L) with Gamma_l(j) = sum_{w=1}^{2l} (N[w-1] / L) j**-w.
-    Every Taylor order k = 2 .. 2l+1 contributes, through each block
-    partition of k, weight * prod kappa_g**i_g * F_k(p) to D_w with
-    w = k - (number of blocks); the Bernoulli cumulants and F_k are
-    exact rationals.
+    Returns (N, L) with Gamma_l(j) = sum_{w=1}^{2l} (N[w-1] / L) j**-w:
+    for every Taylor order k = 2 .. 2l+1, F_k(p) times the n**i
+    coefficient of mu_k lands in D_(k-i).
     """
     q = 1 - p
-    kappa = [Fraction(0)]
-    for n in range(1, 2 * l + 2):
-        kappa.append(p - p * sum(math.comb(n - 1, g - 1) * kappa[g] for g in range(1, n)))
     table = [Fraction(0)] * (2 * l + 1)
     for k in range(2, 2 * l + 2):
         fk = (q ** (1 - k) + (-1) ** k * p ** (1 - k)) / (k * (k - 1))
-        for parts in _partitions_min2(k):
-            term = _partition_weight(k, parts) * fk
-            for g, i in parts.items():
-                term *= kappa[g] ** i
-            table[k - sum(parts.values())] += term
+        nums, den = _moment_coeffs(p, k)
+        for i in range(1, len(nums)):  # mu_k(0) = 0
+            table[k - i] += fk * Fraction(nums[i], den)
     den = math.lcm(*(d.denominator for d in table[1:]))
     return tuple(d.numerator * (den // d.denominator) for d in table[1:]), den
-
-
-def _exact_p(p: RealLike, precision: int) -> Fraction:
-    """p at the working precision, as an exact fraction inside (0, 1)."""
-    pv = as_mpf(p, precision)
-    with working_precision(precision):
-        if not (0 < pv < 1):
-            # The message taylor_coeff gives for the same p.
-            raise ValueError(f"x must lie strictly in (0, 1), got {pv}")
-    man, exp = pv.man_exp
-    return Fraction(man, 1 << -exp)
 
 
 def gamma_l(j: int, p: RealLike, l: int, precision: int = DEFAULT_PRECISION) -> mpf:

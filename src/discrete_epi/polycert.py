@@ -47,6 +47,7 @@ from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from .errors import ConsistencyError
+from .moments_bounds import _moment_poly
 
 __all__ = [
     "BivarPoly",
@@ -436,47 +437,14 @@ def _nr(terms: Dict[Exponents, FractionLike]) -> BivarPoly:
 def symbolic_moments(k: int) -> RationalExpr:
     """Central moment mu_k of Binomial(n, p) as an exact expression in (n, t).
 
-    Encodes the closed forms in r = p - 1/2 and u = 1 - 4 r**2 (the same
-    ones ``central_moment_closed`` evaluates numerically), then
-    eliminates even powers of r through r**2 = t/(4(t+4)).  Odd k
-    carries parity 1.
+    Row k of the exact moment table (``moments_bounds``), a polynomial
+    in n and r = p - 1/2, with even powers of r eliminated through
+    r**2 = t/(4(t+4)).  Odd k carries parity 1.
     """
     if not isinstance(k, int) or not 1 <= k <= 7:
         raise ValueError(f"symbolic moments cover k in 1..7, got {k!r}")
-    n = _nr({(1, 0): 1})
-    r = _nr({(0, 1): 1})
-    one = _nr({(0, 0): 1})
-    r2 = r * r
-    r4 = r2 * r2
-    u = one - r2.scale(4)
-    nu = n * u
-    if k == 1:
-        return RationalExpr.zero()
-    if k == 2:
-        poly = nu.scale(Fraction(1, 4))
-    elif k == 3:
-        poly = (n * r * u).scale(Fraction(-1, 2))
-    elif k == 4:
-        poly = (nu * (one.scale(-2) + r2.scale(24) + nu.scale(3))).scale(Fraction(1, 16))
-    elif k == 5:
-        poly = (n * r * u * (one.scale(-4) + r2.scale(24) + nu.scale(5))).scale(
-            Fraction(-1, 4)
-        )
-    elif k == 6:
-        inner = (
-            (nu * nu).scale(15)
-            + (one - r2.scale(30) + r4.scale(120)).scale(16)
-            - (n * (one.scale(3) - r2.scale(64) + r4.scale(208))).scale(10)
-        )
-        poly = (nu * inner).scale(Fraction(1, 64))
-    else:
-        inner = (
-            (nu * nu).scale(105)
-            - (n * (one.scale(17) - r2.scale(200) + r4.scale(528))).scale(14)
-            + (one.scale(17) - r2.scale(240) + r4.scale(720)).scale(8)
-        )
-        poly = (n * r * u * inner).scale(Fraction(-1, 32))
-    return _from_nr(poly)
+    terms = {(i, j): c for i, row in enumerate(_moment_poly(k)) for j, c in enumerate(row)}
+    return _from_nr(BivarPoly(_NR, terms))
 
 
 @lru_cache(maxsize=None)

@@ -19,7 +19,7 @@ Fractions; a Python float is converted at its exact binary value.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
+from typing import Tuple, Union
 
 import mpmath
 from mpmath import mpf
@@ -63,3 +63,12 @@ def as_mpf(value: RealLike, precision: int) -> mpf:
         if isinstance(value, (int, str)):
             return mpf(value)
         return mpf(value) * 1  # round mpf/float inputs to working precision
+
+
+def _exact_weight(pv: mpf) -> Tuple[int, int, int]:
+    """A weight pv in [0, 1] and 1 - pv, exactly, as (a, b, e).
+
+    pv = a / 2**e and 1 - pv = b / 2**e with b = 2**e - a; no rounding.
+    """
+    a, exp = pv.man_exp
+    return a, (1 << -exp) - a, -exp

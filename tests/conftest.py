@@ -43,6 +43,18 @@ def exact_central_moment(n: int, p: Fraction, k: int) -> Fraction:
     return sum(w * (Fraction(i) - mean) ** k for i, w in enumerate(weights))
 
 
+def exact_bernoulli_cumulants(p: Fraction, max_order: int) -> List[Fraction]:
+    """kappa_1 .. kappa_K of Bernoulli(p), exact.
+
+    Every raw moment m_n equals p, and the standard recurrence gives
+    kappa_n = m_n - sum_{j=1}^{n-1} C(n-1, j-1) kappa_j m_{n-j}.
+    """
+    kappas: List[Fraction] = []
+    for n in range(1, max_order + 1):
+        kappas.append(p - sum(comb(n - 1, j - 1) * kappas[j - 1] * p for j in range(1, n)))
+    return kappas
+
+
 def skew_parameter(p: Fraction) -> Fraction:
     """The squared-skewness reparametrisation (2p-1)**2 / (p(1-p))."""
     return (2 * p - 1) ** 2 / (p * (1 - p))

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import pytest
 from mpmath import mpf
@@ -185,6 +186,30 @@ class TestSmoothCommand:
         )
         assert code == 3
         assert "budget" in err
+
+
+class TestWorkBudgets:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gap", "--m", "1000000", "--n", "1", "--p", "0.3"],
+            ["threshold", "--p", "0.5", "--cap", "200000"],
+        ],
+    )
+    def test_unbounded_chain_is_refused_at_once(self, capsys, argv):
+        started = time.monotonic()
+        code, out, err = run(capsys, argv)
+        assert time.monotonic() - started < 1
+        assert code == 3
+        assert out == ""
+        assert err.startswith("computation budget exceeded: ")
+        assert "row budget" in err
+
+    def test_oversized_sum_stays_bad_args(self, capsys):
+        code, out, err = run(capsys, ["knessl", "--p", "0.5", "--n", "100000000"])
+        assert code == 2
+        assert out == ""
+        assert "point budget" in err
 
 
 class TestTulinoCommand:

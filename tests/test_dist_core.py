@@ -14,6 +14,7 @@ from mpmath import mpf
 from discrete_epi import dist_core
 from discrete_epi.asymptotics import iid_power_pmfs
 from discrete_epi.dist_core import (
+    MAX_CHAIN_ROWS,
     MAX_SUM_SUPPORT,
     BernoulliParam,
     IntegerPmf,
@@ -28,7 +29,13 @@ from discrete_epi.dist_core import (
     omega,
     shift,
 )
-from discrete_epi.errors import MassConservationError, PrecisionMismatchError
+from discrete_epi.errors import (
+    BudgetExceededError,
+    MassConservationError,
+    PrecisionMismatchError,
+    QuadratureError,
+    SeriesTruncationError,
+)
 from discrete_epi.precision import as_mpf, eps_for, working_precision
 
 from conftest import assert_close, exact_binomial_weights, exact_value
@@ -427,6 +434,22 @@ class TestEntropyChain:
         n_max = 150
         binomial_entropy_chain(Fraction(2, 7), n_max)
         assert len(ln_calls) <= n_max + 3
+
+    def test_row_budget_fails_before_any_work(self, dps50, ln_calls, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("read p before the budget check")
+
+        monkeypatch.setattr(dist_core, "as_mpf", refuse)
+        for p in ("0.3", 0):
+            with pytest.raises(BudgetExceededError, match="row budget"):
+                binomial_entropy_chain(p, MAX_CHAIN_ROWS)
+        assert ln_calls == []
+
+    def test_budget_errors_share_one_base(self):
+        for cls in (SeriesTruncationError, QuadratureError):
+            assert issubclass(cls, BudgetExceededError)
+        assert issubclass(BudgetExceededError, RuntimeError)
+        assert not issubclass(BudgetExceededError, ValueError)
 
 
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)

@@ -29,10 +29,16 @@ from discrete_epi.moments_bounds import (
 )
 from discrete_epi.precision import as_mpf, eps_for, working_precision
 
-from conftest import assert_close, exact_central_moment, exact_value
+from conftest import (
+    assert_close,
+    exact_bernoulli_cumulants,
+    exact_central_moment,
+    exact_value,
+)
 
 P_GRID = ("0.1", "0.25", "0.4", "0.5", "0.63", "0.8", "0.9")
 ORACLE_PS = ("0.2", Fraction(1, 3), Fraction(1, 2), "0.77")
+ROUNDING_PS = (Fraction(3, 10), Fraction(1, 3), Fraction(1, 2), "0.77", "1e-300", 0, 1)
 
 
 def exact_p(p, precision: int = 50) -> Fraction:
@@ -124,6 +130,14 @@ class TestCumulants:
         for g in range(1, 5):
             assert_close(doubled.kappa(g), 2 * single.kappa(g))
 
+    @pytest.mark.parametrize("precision", [20, 50, 80])
+    @pytest.mark.parametrize("p", ROUNDING_PS)
+    def test_bernoulli_cumulants_are_correctly_rounded(self, p, precision):
+        exact = exact_bernoulli_cumulants(exact_p(p, precision), 12)
+        got = bernoulli_cumulants(p, 12, precision)
+        for g in range(1, 13):
+            assert got.kappa(g)._mpf_ == rounded(exact[g - 1], precision), g
+
     def test_order_bounds_enforced(self, dps50):
         cums = bernoulli_cumulants("0.4", 3)
         with pytest.raises(ValueError):
@@ -151,6 +165,18 @@ class TestCentralMoments:
                         central_moment_brute(pmf, k),
                         "1e-38",
                     )
+
+    @pytest.mark.parametrize("precision", [20, 50, 80])
+    @pytest.mark.parametrize("p", ROUNDING_PS)
+    def test_closed_is_correctly_rounded(self, p, precision):
+        # conftest's sum for n <= 12; beyond, its integer form, which is
+        # much faster at p = 1e-300 (tied to conftest's sum above)
+        pv = exact_p(p, precision)
+        for n in range(41):
+            oracle = exact_central_moment if n <= 12 else integer_moment
+            for k in range(8):
+                got = central_moment_closed(n, p, k, precision)
+                assert got._mpf_ == rounded(oracle(n, pv, k), precision), (n, k)
 
     def test_rejects_unsupported_order(self, dps50):
         with pytest.raises(ValueError):
