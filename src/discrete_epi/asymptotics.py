@@ -12,11 +12,13 @@ Two empirical instruments live here:
   expansion coefficients are treated as fitted residuals.
 
 * The differential entropy h(S) of a lattice distribution smoothed by a
-  Gaussian, from a closed form when its proven error fits the tolerance
-  and by deterministic adaptive quadrature otherwise.  This feeds the
-  continuous entropy-power comparison: half-log increments of h(S^(n))
-  hold unconditionally, and the discrete inequality upgrades them to
-  full-log increments once n clears the empirical threshold.
+  Gaussian, from a closed form when its proven error fits the tolerance,
+  from the trapezoidal rule with a proven bound when the weights are a
+  log-concave run, and by deterministic adaptive quadrature otherwise.
+  This feeds the continuous entropy-power comparison: half-log
+  increments of h(S^(n)) hold unconditionally, and the discrete
+  inequality upgrades them to full-log increments once n clears the
+  empirical threshold.
 
 Closed-form route.  Let K ~ P be the lattice point and X = K + sigma Z.
 Then h(X) = h(X | K) + I(K; X), so, exactly,
@@ -53,23 +55,107 @@ either route).  The bound has four parts:
 The reported error is therefore never exactly 0.  At sigma = 1e-3 sqrt(n)
 with n <= 64 (criterion 9) delta is below 1e-800 and the bound is the
 rounding term alone; for binomial pmfs from sigma near 0.1 up the bound
-no longer fits a tolerance like 1e-9, and the quadrature runs.
+no longer fits a tolerance like 1e-9, and the trapezoidal route answers.
+
+Trapezoidal route.  It is taken when the nonzero weights sit on
+consecutive integers lo..hi (span s = hi - lo) and are log-concave,
+w_k**2 >= w_(k-1) w_(k+1), decided exactly on the rounded weights read
+as man * 2**exp.  Every binomial pmf passes: its exact ratio
+w_k**2 / (w_(k-1) w_(k+1)) = (k + 1)(n - k + 1) / (k (n - k)) exceeds
+1 + 1/n**2, far above the 2**-prec rounding of the weights.  With
+g = -f ln f, the rule T_M = (1/M) sum_j g(j/M) over the grid samples in
+[lo - 8 sigma, hi + 8 sigma] is returned with the bound
+
+    |T_M - h(S)| <= D_M + G_M + R_M,
+
+scaled by 1 + 2**-32 for the few dozen roundings of its evaluation; M is
+the smallest integer at which that fits the tolerance, found before any
+sample is taken.  The parts:
+
+* discretisation D_M (L. N. Trefethen and J. A. C. Weideman, "The
+  exponentially convergent trapezoidal rule", SIAM Review 56(3), 2014,
+  Theorem 5.1): if g is analytic in the strip |Im x| < a, decays in it,
+  and int |g(x + iy)| dx <= M_a for |y| < a, the trapezoidal sum over
+  all of Z/M is within D_M = 2 M_a / (exp(2 pi a M) - 1) of the integral.
+  - Write f(x + iy) = e^(y**2/2 sigma**2) sum_k a_k(x) e^(-iy (x - k)/sigma**2)
+    with a_k(x) = w_k phi_sigma(x - k).  Log-concave weights make the
+    second differences of k -> ln a_k(x) at most -1/sigma**2, so from its
+    maximiser k*, a_(k*+d) <= a_(k*) exp(-|d| (|d| - 1)/(2 sigma**2)).
+  - Let D >= 1 be the smallest lag whose far terms, |d| > D, sum to at
+    most a_(k*)/4 by that bound (capped at s, where no far terms are
+    left): D = 1 for sigma <= 1/2.  Take a = pi sigma**2 / (3 D).  Then
+    S = e^(-y**2/2 sigma**2) e^(iy (x - k*)/sigma**2) f = sum_k a_k e^(iy (k - k*)/sigma**2)
+    has its near terms within pi/3 of the real axis, so
+    Re S >= a_(k*) - a_(k*)/4 > 0 for |y| <= a.  f has no zero in the
+    strip, and the branch of ln f that is real on the axis is analytic
+    there; along the vertical segment at x it is
+    y**2/(2 sigma**2) - iy (x - k*)/sigma**2 + Log S, so
+    |Im ln f| <= a |x - k*|/sigma**2 + pi/2.
+  - M_a: |f| <= E sum_k a_k(x) with E = exp(a**2/(2 sigma**2)), and
+    ln|f| lies between ln(3/4) + ln a_k(x) (any k) and
+    ln E + ln(m/(sigma sqrt(2 pi))), m the mass.  With
+    |ln a_k| <= |ln w_k| + |ln(sigma sqrt(2 pi))| + (x - k)**2/(2 sigma**2)
+    and |x - k*| <= |x - k| + s, integrating peak by peak gives
+    M_a <= E [H + m (L + 1/2 + ln(4/3) + ln E + L0)
+              + m ((a/sigma**2)(sigma sqrt(2/pi) + s) + pi/2)],
+    H = sum_k w_k |ln w_k|, L = |ln(sigma sqrt(2 pi))|,
+    L0 = |ln(m/(sigma sqrt(2 pi)))|.
+* grid truncation G_M: outside the region every peak is more than
+  8 sigma away and f <= m phi(8)/sigma <= 1 (the route declines
+  otherwise), so |g| <= sum_k a_k |ln a_k| there.  Each such tail is
+  decreasing, so its grid sum is at most its integral plus 1/M times its
+  value at 8 sigma: G_M is the integral bound of ``_truncation_bound``
+  plus (2 phi(8)/(sigma M)) (H + m (L + 32)).
+* rounding R_M, with u = 2**(1 - prec) one ulp at 1:
+  - The Gaussian table phi_sigma(t/M), |t| <= reach, comes from one
+    ``exp`` for q = exp(-1/(2 sigma**2 M**2)) and the recurrence
+    G_(t+1) = G_t r_t, r_(t+1) = r_t q**2 from G_0 = 1/(sigma sqrt(2 pi))
+    and r_0 = q.  Entry t is G_0 q**(t**2) after at most 3 t**2 + 5
+    roundings, with q's relative error at most 5 ulps times its exponent
+    plus 2, taken t**2 times: at most 5 + 5 z + 3 reach**2 ulps, with
+    z = reach**2 times the exponent of q.  The recurrence runs with
+    20 guard bits more than the bit length of twice that count, so every
+    entry is within 2**-(prec+20) before it is rounded once to prec bits.
+  - The samples at offset r/M from the lattice are the weights
+    convolved with the table entries M s + r, one exact ``_exact_convolve``
+    per r (dist_core), so each is rounded once to within u/2 (1 + 2**-16)
+    of the exact sum of its terms.  Peaks farther than reach/M are
+    left out; reach is chosen so that they weigh below 2**-(prec+16) of
+    the nearest peak within max(8 sigma + 1/M, 1/2), whose weight is at
+    least the smallest.  So every sample is within 1.03 u of f, relative.
+  - Each term f ln f (one ``ln``, one product) is summed exactly, and
+    the sum is rounded once and divided by M.  Per sample the error is
+    below 3 u f (|ln f| + 1), so the total is below 4 u B with
+    B >= (1/M) sum_j f (|ln f| + 1) over all of Z/M; bounding each peak's
+    grid sum by its integral plus 1/M times its peak gives
+    B = (H + m (L0 + L + 1))(1 + c) + m (1/2 + 2c/e), c = 1/(M sigma sqrt(2 pi)).
+    Four times that, R_M = 16 u B, is reported.
+
+For binomial rows with n from 3 to 64 at 30 digits and tolerance 1e-9,
+M is 58 to 63 at sigma = 1/4, 15 or 16 at sigma = 1/2 and 8 at
+sigma = 1.  The grid grows like 1/sigma**2, so a grid of more than
+``MAX_TRAPEZOID_SAMPLES`` samples is declined and the adaptive
+quadrature runs, as it did before this route existed: at sigma well
+below 0.1 the closed form answers at any tolerance above the truncation
+floor, and only a caller that bypasses it gets there.
 
 The truncation-floor check of the quadrature (a tolerance at or below
 twice the bound on the -f ln f mass outside the 8-sigma region is
-refused) runs before either route, so which inputs are refused with
+refused) runs before all three routes, so which inputs are refused with
 QuadratureError does not depend on which route would have answered.
 
-Quadrature design: the mixture density with standard deviation sigma
-much below the lattice spacing is a row of near-disjoint peaks, so the
-integration region [min - 8 sigma, max + 8 sigma] is pre-split at
-k +- min(40 sigma, 1/2) around every support point, then each panel is
-refined by bisection under a fixed Gauss-Legendre rule until the local
-defect fits a width-proportional share of the requested tolerance.
-Every accepted defect is accumulated, so the reported quadrature error
-is a true bound on the acceptance slack and never exceeds the request.
-A density evaluation sums only peaks within 40 sigma (beyond that a
-peak's contribution is below any working precision used here).
+Fallback quadrature, for weights that are not a log-concave run: the
+mixture density with standard deviation sigma much below the lattice
+spacing is a row of near-disjoint peaks, so the integration region
+[min - 8 sigma, max + 8 sigma] is pre-split at k +- min(40 sigma, 1/2)
+around every support point, then each panel is refined by bisection
+under a fixed Gauss-Legendre rule until the local defect fits a
+width-proportional share of the requested tolerance.  Every accepted
+defect is accumulated, so the reported quadrature error is a true bound
+on the acceptance slack and never exceeds the request; it is not a
+proven bound on the error.  A density evaluation sums only peaks within
+40 sigma (beyond that a peak's contribution is below any working
+precision used here).
 """
 
 from __future__ import annotations
@@ -85,6 +171,7 @@ from mpmath import mpf
 from .dist_core import (  # MAX_SUM_SUPPORT is re-exported
     MAX_SUM_SUPPORT,
     IntegerPmf,
+    _exact_convolve,
     _iid_ladder,
     binomial_pmf,
     entropy,
@@ -116,6 +203,7 @@ QUADRATURE_ORDER = 12
 MAX_BISECTION_DEPTH = 48
 DENSITY_WINDOW_SIGMAS = 40
 REGION_PAD_SIGMAS = 8
+MAX_TRAPEZOID_SAMPLES = 1 << 18
 
 _CUMULANT_ORDERS = 8
 
@@ -409,6 +497,130 @@ def _disjoint_peaks(weights: Sequence[mpf], sig: mpf) -> Optional[Tuple[mpf, mpf
     return h_p + log_term, error
 
 
+def _log_concave_run(positions: Sequence[int], weights: Sequence[mpf]) -> bool:
+    """Nonzero weights on consecutive integers with w_k**2 >= w_(k-1) w_(k+1).
+
+    Decided exactly on the rounded weights, each read as man * 2**exp.
+    """
+    if positions[-1] - positions[0] != len(positions) - 1:
+        return False
+    exact = [w._mpf_[1:3] for w in weights]
+    for (m0, e0), (m1, e1), (m2, e2) in zip(exact, exact[1:], exact[2:]):
+        shift = 2 * e1 - e0 - e2
+        square, outer = m1 * m1, m0 * m2
+        if (square << max(shift, 0)) < (outer << max(-shift, 0)):
+            return False
+    return True
+
+
+def _strip(sig: mpf, span: int) -> mpf:
+    """Half-width a = pi sigma**2 / (3 D) of the strip where ln f is analytic.
+
+    D >= 1 is the smallest lag whose far terms, the lags d > D, weigh at
+    most a quarter of the largest term, capped at the span.  They are
+    bounded by 2 sum_(d > D) exp(-d (d - 1) / (2 sigma**2)), whose ratios
+    fall below r = exp(-(D + 1) / sigma**2), so the sum is at most its
+    first term over 1 - r.
+    """
+    inv = 1 / (2 * sig * sig)
+    lag = 1
+    while lag < span:
+        first = mpmath.exp(-lag * (lag + 1) * inv)
+        if 2 * first <= -mpmath.expm1(-2 * (lag + 1) * inv) / 4:
+            break
+        lag += 1
+    return mpmath.pi * sig * sig / (3 * lag)
+
+
+def _trapezoid(
+    positions: Sequence[int], weights: Sequence[mpf], sig: mpf, tol: mpf
+) -> Optional[Tuple[mpf, mpf]]:
+    """Trapezoidal h(S) on the grid x = j/M and its proven error bound.
+
+    None when the weights are not a log-concave run, when sigma is too
+    small for the grid-truncation bound (f <= 1 outside the region), or
+    when the grid would pass ``MAX_TRAPEZOID_SAMPLES`` samples.  M is the
+    smallest step count whose bound fits ``tol``.  The error model is in
+    the module docstring.
+    """
+    if not _log_concave_run(positions, weights):
+        return None
+    span = len(weights) - 1
+    prec, u = mpmath.mp.prec, mpmath.eps
+    pi, root2pi = mpmath.pi, mpmath.sqrt(2 * mpmath.pi)
+    mass = mpmath.fsum(weights)
+    if mass * mpmath.exp(-32) > sig * root2pi:
+        return None
+    h_w = mpmath.fsum(w * abs(mpmath.ln(w)) for w in weights)
+    log_norm = abs(mpmath.ln(sig * root2pi))
+    log_peak = abs(mpmath.ln(mass / (sig * root2pi)))
+    a = _strip(sig, span)
+    excess = a * a / (2 * sig * sig)
+    log_part = h_w + mass * (log_norm + mpf(1) / 2 + mpmath.ln(mpf(4) / 3) + excess + log_peak)
+    phase_part = mass * (a / (sig * sig) * (sig * mpmath.sqrt(2 / pi) + span) + pi / 2)
+    strip_mass = mpmath.exp(excess) * (log_part + phase_part)
+
+    # Per unit step: the grid tail beyond the integral's, and the rounding.
+    pad_sigmas = mpf(REGION_PAD_SIGMAS)
+    edge = 2 * mpmath.exp(-pad_sigmas ** 2 / 2) / (sig * root2pi) * (
+        h_w + mass * (log_norm + pad_sigmas ** 2 / 2))
+    log_sum = h_w + mass * (log_peak + log_norm + 1)
+    coarse = log_sum / (sig * root2pi) + 2 * mass / (mpmath.e * sig * root2pi)
+    fixed = _truncation_bound(weights, sig) + 16 * u * (log_sum + mass / 2)
+
+    def bound(steps: int) -> mpf:
+        discretisation = 2 * strip_mass / mpmath.expm1(2 * pi * a * steps)
+        per_step = (edge + 16 * u * coarse) / steps
+        return (discretisation + fixed + per_step) * (1 + mpf(2) ** -32)
+
+    share = tol - fixed
+    if not share > 0:
+        return None
+    # The discretisation alone fixes a lower bound on M; the per-step
+    # terms can push it up by a few steps.
+    steps = max(1, int(mpmath.ceil(mpmath.log1p(2 * strip_mass / share) / (2 * pi * a))))
+    while True:
+        pad = int(mpmath.ceil(REGION_PAD_SIGMAS * sig * steps))
+        if span * steps + 2 * pad + 1 > MAX_TRAPEZOID_SAMPLES:
+            return None
+        err = bound(steps)
+        if err <= tol:
+            break
+        steps += 1
+
+    # Samples f(lo + j/M) for -pad <= j <= span M + pad.  Those at offset
+    # r/M from the lattice are the weights convolved with phi_sigma at
+    # (M s + r)/M, for |M s + r| <= reach.
+    near = max(mpf(pad) / steps, mpf(1) / 2)
+    wide = near * near + 2 * sig * sig * (
+        mpmath.ln(mass / min(weights)) + (prec + 17) * mpmath.ln(2))
+    reach = min(int(mpmath.ceil(mpmath.sqrt(wide) * steps)), span * steps + pad)
+    z2 = int(mpmath.ceil(mpf(reach) ** 2 / (2 * (sig * steps) ** 2)))
+    guard = (10 + 10 * z2 + 6 * reach * reach).bit_length() + 20
+    half: List[mpf] = []
+    with mpmath.workprec(prec + guard):
+        ratio_step = mpmath.exp(-1 / (2 * (sig * steps) ** 2))
+        ratio_square = ratio_step * ratio_step
+        value, ratio = 1 / (sig * mpmath.sqrt(2 * pi)), ratio_step
+        for _ in range(reach + 1):
+            half.append(value)
+            value, ratio = value * ratio, ratio * ratio_square
+    table = [+g for g in half]
+
+    # The terms f ln f, summed exactly and rounded once.
+    exact = []
+    for r in range(steps):
+        first = -((reach + r) // steps)
+        kernel = [table[abs(steps * s + r)] for s in range(first, (reach - r) // steps + 1)]
+        for i, f in enumerate(_exact_convolve(weights, kernel, prec), first):
+            if -pad <= steps * i + r <= span * steps + pad:
+                sign, man, exp, _ = (f * mpmath.ln(f))._mpf_
+                exact.append((-man if sign else man, exp))
+    low = min(exp for _, exp in exact)
+    total = sum(man << (exp - low) for man, exp in exact)
+    return -mpf((total, low)) / steps, err
+
+
 def gaussian_smoothed_entropy(
     pmf: IntegerPmf,
     sigma: RealLike,
@@ -418,13 +630,19 @@ def gaussian_smoothed_entropy(
 ) -> SmoothedEntropy:
     """Differential entropy (nats) of the pmf convolved with N(0, sigma**2).
 
-    When the peaks are disjoint enough that the closed form
-    H(P) + (1/2) ln(2 pi e sigma**2) is provably within the tolerance,
-    that is returned with its error bound.  Otherwise the density
-    f(x) = sum_k P(k) phi_sigma(x - k) is integrated as -f ln f over
-    [min - 8 sigma, max + 8 sigma] by the deterministic adaptive scheme.
-    Both routes are described in the module docstring;
-    ``quadrature_error`` is the reported error bound of either.  ``n``
+    Three routes, tried in order, each described in the module docstring:
+
+    1. closed form: when the peaks are disjoint enough that
+       H(P) + (1/2) ln(2 pi e sigma**2) is provably within the
+       tolerance, that is returned with its error bound;
+    2. trapezoidal rule: when the nonzero weights are a log-concave run,
+       the density f(x) = sum_k P(k) phi_sigma(x - k) is summed as
+       -f ln f on the grid x = j/M, with M the smallest step count whose
+       proven bound fits the tolerance;
+    3. adaptive quadrature: otherwise -f ln f is integrated over
+       [min - 8 sigma, max + 8 sigma] by the deterministic adaptive scheme.
+
+    ``quadrature_error`` is the reported error bound of the route taken.  ``n``
     is an optional label carried into the result (the fold count when
     the pmf is an iid sum).  Raises QuadratureError when the tolerance
     is below the truncation floor or not reachable within the bisection
@@ -445,10 +663,12 @@ def gaussian_smoothed_entropy(
                 f"{REGION_PAD_SIGMAS}-sigma truncation floor "
                 f"{mpmath.nstr(2 * truncation, 3)} of the integration region"
             )
-        closed = _disjoint_peaks(weights, sig)
-        if closed is not None and closed[1] <= tolerance:
+        answer = _disjoint_peaks(weights, sig)
+        if answer is None or answer[1] > tolerance:
+            answer = _trapezoid(positions, weights, sig, tolerance)
+        if answer is not None:
             return SmoothedEntropy(
-                n=n, sigma=sig, h_value=closed[0], quadrature_error=closed[1]
+                n=n, sigma=sig, h_value=answer[0], quadrature_error=answer[1]
             )
         window = DENSITY_WINDOW_SIGMAS * sig
         norm = 1 / (sig * mpmath.sqrt(2 * mpmath.pi))

@@ -182,17 +182,36 @@ class TestSmoothedIncrements:
             tulino_verdu_compare("0.5", "1e-3", [1])
 
 
-def quadrature_calls(monkeypatch) -> list:
-    """Record every call of the adaptive quadrature from here on."""
-    calls = []
-    original = asymptotics._adaptive_integral
+def spy_routes(monkeypatch) -> list:
+    """Record every trapezoid attempt and adaptive quadrature from here on.
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    Entries are "trapezoid" (it answered), "declined" (it returned None)
+    and "adaptive".
+    """
+    taken = []
+    trapezoid, adaptive = asymptotics._trapezoid, asymptotics._adaptive_integral
 
-    monkeypatch.setattr(asymptotics, "_adaptive_integral", counting)
-    return calls
+    def spy_trapezoid(*args):
+        out = trapezoid(*args)
+        taken.append("declined" if out is None else "trapezoid")
+        return out
+
+    def spy_adaptive(*args):
+        taken.append("adaptive")
+        return adaptive(*args)
+
+    monkeypatch.setattr(asymptotics, "_trapezoid", spy_trapezoid)
+    monkeypatch.setattr(asymptotics, "_adaptive_integral", spy_adaptive)
+    return taken
+
+
+def route_taken(monkeypatch, pmf, sigma, tol="1e-9", precision=30):
+    """The route that answered ("closed", "trapezoid" or "adaptive") and its result."""
+    with monkeypatch.context() as patch:
+        taken = spy_routes(patch)
+        result = gaussian_smoothed_entropy(pmf, sigma, tol, precision)
+    answered = [route for route in taken if route != "declined"]
+    return (answered[-1] if answered else "closed"), result
 
 
 ORACLE_PMFS = {
@@ -215,6 +234,7 @@ class TestClosedFormRoute:
             closed, closed_err = asymptotics._disjoint_peaks(weights, sig)
         returned = gaussian_smoothed_entropy(pmf, sigma, ORACLE_TOL, 30)
         monkeypatch.setattr(asymptotics, "_disjoint_peaks", lambda *args: None)
+        monkeypatch.setattr(asymptotics, "_trapezoid", lambda *args: None)
         quad = gaussian_smoothed_entropy(pmf, sigma, ORACLE_TOL, 30)
         with working_precision(30):
             assert 0 < closed_err
@@ -227,28 +247,31 @@ class TestClosedFormRoute:
 
     @pytest.mark.parametrize("name", sorted(ORACLE_PMFS))
     @pytest.mark.parametrize(
-        "sigma, quadrature_runs",
+        "sigma, overlapping",
         [("1e-3", False), ("0.02", False), ("0.05", False), ("0.1", True), ("0.25", True)],
     )
-    def test_route_follows_the_bound(self, name, sigma, quadrature_runs, monkeypatch):
-        calls = quadrature_calls(monkeypatch)
-        gaussian_smoothed_entropy(ORACLE_PMFS[name](), sigma, ORACLE_TOL, 30)
-        assert bool(calls) == quadrature_runs
+    def test_route_follows_the_bound(self, name, sigma, overlapping, monkeypatch):
+        # Overlapping peaks leave the closed form; the skewed pmf is not
+        # log-concave, so it falls back to the adaptive quadrature.
+        expected = {"binomial": "trapezoid", "skewed": "adaptive"}[name] if overlapping else "closed"
+        route, _ = route_taken(monkeypatch, ORACLE_PMFS[name](), sigma, ORACLE_TOL)
+        assert route == expected
 
     def test_single_peak_needs_no_quadrature(self, dps50, monkeypatch):
-        calls = quadrature_calls(monkeypatch)
-        result = gaussian_smoothed_entropy(delta_pmf(3), "2", tol="1e-12")
-        assert not calls
+        route, result = route_taken(monkeypatch, delta_pmf(3), "2", "1e-12", 50)
+        assert route == "closed"
         assert 0 < result.quadrature_error < mpf("1e-45")
         assert abs(result.h_value - gaussian_entropy("2")) <= result.quadrature_error
 
     def test_truncation_floor_still_refuses(self, dps50, monkeypatch):
-        calls = quadrature_calls(monkeypatch)
+        taken = spy_routes(monkeypatch)
         with pytest.raises(QuadratureError):
             gaussian_smoothed_entropy(delta_pmf(0), "1e-3", tol="1e-20")
         with pytest.raises(QuadratureError):
             gaussian_smoothed_entropy(binomial_pmf(4, "0.5"), "1e-3", tol="1e-20")
-        assert not calls
+        with pytest.raises(QuadratureError):
+            gaussian_smoothed_entropy(binomial_pmf(4, "0.5"), "0.5", tol="1e-20")
+        assert not taken
 
     def test_bound_shrinks_with_sigma(self, dps50):
         weights = list(binomial_pmf(8, "0.3").weights)
@@ -290,7 +313,7 @@ class TestPeakedIncrementsAreStepMargins:
 
 
 class TestMirrorAndRepeatProperties:
-    # 1e-3 and 0.03 take the closed form, 0.3 the quadrature.
+    # 1e-3 and 0.03 take the closed form, 0.3 the trapezoid.
     @pytest.mark.parametrize("sigma", ["1e-3", "0.03", "0.3"])
     @settings(max_examples=8, deadline=None, database=None, derandomize=True)
     @given(
@@ -308,3 +331,151 @@ class TestMirrorAndRepeatProperties:
         with working_precision(30):
             slack = first.quadrature_error + mirror.quadrature_error
             assert abs(first.h_value - mirror.h_value) <= slack
+
+    # An interior zero breaks the log-concave run: the adaptive quadrature runs.
+    @settings(max_examples=8, deadline=None, database=None, derandomize=True)
+    @given(
+        p=st.fractions(min_value=0, max_value=1, max_denominator=1000).filter(
+            lambda v: 0 < v < 1
+        ),
+    )
+    def test_adaptive_mirror_and_repeat(self, p):
+        def smoothed(v):
+            pmf = IntegerPmf.from_weights([v, 0, 1 - v], precision=30)
+            return gaussian_smoothed_entropy(pmf, "0.3", "1e-9", 30)
+
+        with pytest.MonkeyPatch.context() as patch:
+            taken = spy_routes(patch)
+            first, again, mirror = smoothed(p), smoothed(p), smoothed(1 - p)
+        assert taken == ["declined", "adaptive"] * 3
+        assert first.h_value._mpf_ == again.h_value._mpf_
+        assert first.quadrature_error._mpf_ == again.quadrature_error._mpf_
+        with working_precision(30):
+            slack = first.quadrature_error + mirror.quadrature_error
+            assert abs(first.h_value - mirror.h_value) <= slack
+
+
+def smoothed_reference(pmf: IntegerPmf, sigma: str, dps: int = 40) -> mpf:
+    """h(S) by mpmath's tanh-sinh quadrature, split halfway between peaks."""
+    with mpmath.workdps(dps):
+        sig = mpf(sigma)
+        peaks = [(k, w) for k, w in pmf.items() if w > 0]
+        norm = 1 / (sig * mpmath.sqrt(2 * mpmath.pi))
+
+        def integrand(x):
+            f = norm * mpmath.fsum(
+                w * mpmath.exp(-((x - k) ** 2) / (2 * sig * sig)) for k, w in peaks
+            )
+            return -f * mpmath.ln(f)
+
+        lo, hi = peaks[0][0], peaks[-1][0]
+        edges = [lo - 30 * sig] + [k + mpf(1) / 2 for k in range(lo, hi)] + [hi + 30 * sig]
+        return mpmath.quad(integrand, edges)
+
+
+def grid_steps(monkeypatch, pmf, sigma, tol="1e-9"):
+    """The trapezoid's step count M (one lattice convolution per offset r/M)."""
+    calls = []
+    original = asymptotics._exact_convolve
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(asymptotics, "_exact_convolve", counting)
+        route, result = route_taken(patch, pmf, sigma, tol)
+    assert route == "trapezoid"
+    return len(calls), result
+
+
+SIGMAS = ["0.25", "0.5", "1"]
+
+
+class TestTrapezoidRoute:
+    @pytest.mark.parametrize("n", [3, 8, 64])
+    @pytest.mark.parametrize("p", ["0.3", "0.5"])
+    @pytest.mark.parametrize("sigma", SIGMAS)
+    def test_agrees_with_adaptive_oracle(self, n, p, sigma, monkeypatch):
+        pmf = binomial_pmf(n, p, 30)
+        route, trap = route_taken(monkeypatch, pmf, sigma, ORACLE_TOL)
+        monkeypatch.setattr(asymptotics, "_trapezoid", lambda *args: None)
+        route_off, quad = route_taken(monkeypatch, pmf, sigma, ORACLE_TOL)
+        assert (route, route_off) == ("trapezoid", "adaptive")
+        with working_precision(30):
+            assert 0 < trap.quadrature_error <= ORACLE_TOL
+            assert abs(trap.h_value - quad.h_value) <= trap.quadrature_error + quad.quadrature_error
+
+    @pytest.mark.parametrize("n", [3, 8])
+    @pytest.mark.parametrize("sigma", SIGMAS)
+    def test_reported_error_covers_reference(self, n, sigma, monkeypatch):
+        pmf = binomial_pmf(n, "0.3", 30)
+        route, result = route_taken(monkeypatch, pmf, sigma, "1e-12")
+        assert route == "trapezoid"
+        reference = smoothed_reference(pmf, sigma)
+        with mpmath.workdps(40):
+            assert 0 < result.quadrature_error <= mpf("1e-12")
+            assert abs(result.h_value - reference) <= result.quadrature_error
+
+    @pytest.mark.parametrize("sigma, steps", [("0.25", 59), ("0.5", 15), ("1", 8)])
+    def test_grid_is_the_smallest_the_bound_allows(self, sigma, steps, monkeypatch):
+        # Pinned: a narrower strip or a looser bound would need a finer grid.
+        assert grid_steps(monkeypatch, binomial_pmf(6, "0.5", 30), sigma)[0] == steps
+
+    def test_grid_tail_takes_its_share_of_the_tolerance(self, monkeypatch):
+        pmf = binomial_pmf(6, "0.5", 30)
+        base_steps, _ = grid_steps(monkeypatch, pmf, "0.25")
+        original = asymptotics._truncation_bound
+        extra = ORACLE_TOL * mpf("0.45")
+        monkeypatch.setattr(
+            asymptotics, "_truncation_bound", lambda *args: original(*args) + extra
+        )
+        steps, result = grid_steps(monkeypatch, pmf, "0.25")
+        assert steps > base_steps
+        assert extra < result.quadrature_error <= ORACLE_TOL
+
+    @pytest.mark.parametrize("sigma", SIGMAS)
+    def test_strip_keeps_f_off_zero(self, sigma):
+        # Re S >= (3/4) a_k* on both edges of the strip, over the region.
+        pmf = binomial_pmf(8, "0.3", 30)
+        with working_precision(30):
+            sig = mpf(sigma)
+            a = asymptotics._strip(sig, 8)
+            for i in range(-40, 201):
+                x = mpf(i) / 20
+                terms = [w * mpmath.exp(-((x - k) ** 2) / (2 * sig * sig)) for k, w in pmf.items()]
+                top = max(range(len(terms)), key=terms.__getitem__)
+                for y in (a, -a):
+                    s = mpmath.fsum(
+                        t * mpmath.expj(y * (k - top) / (sig * sig)) for k, t in enumerate(terms)
+                    )
+                    assert s.real >= terms[top] * mpf("0.75")
+
+    def test_strip_half_width(self, dps50):
+        pi = mpmath.pi
+        assert asymptotics._strip(mpf("0.25"), 64) == pi / 48
+        assert asymptotics._strip(mpf("0.5"), 64) == pi / 12
+        assert asymptotics._strip(mpf("1"), 64) == pi / 6
+        assert asymptotics._strip(mpf("10"), 3) == pi * 100 / 9
+
+    def test_log_concavity_gate_is_exact(self, monkeypatch):
+        with working_precision(30):
+            delta = mpmath.ldexp(1, -mpmath.mp.prec - 1)  # one ulp at 1/4
+            quarter = mpf(1) / 4
+            flat = [quarter] * 4
+            nudged = [quarter + delta, quarter - delta, quarter, quarter]
+            assert asymptotics._log_concave_run(range(4), flat)
+            assert not asymptotics._log_concave_run(range(4), nudged)
+            assert asymptotics._log_concave_run(range(65), binomial_pmf(64, "0.3", 30).weights)
+            assert asymptotics._log_concave_run(range(201), binomial_pmf(200, "0.01", 30).weights)
+        cases = {
+            "trapezoid": [IntegerPmf(0, tuple(flat), 30)],
+            "adaptive": [
+                IntegerPmf(0, tuple(nudged), 30),
+                ORACLE_PMFS["skewed"](),
+                IntegerPmf.from_weights(["0.5", "0", "0.5"], precision=30),
+            ],
+        }
+        for expected, pmfs in cases.items():
+            for pmf in pmfs:
+                assert route_taken(monkeypatch, pmf, "0.25", ORACLE_TOL)[0] == expected

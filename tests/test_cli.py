@@ -205,6 +205,23 @@ class TestWorkBudgets:
         assert err.startswith("computation budget exceeded: ")
         assert "row budget" in err
 
+    @pytest.mark.parametrize(
+        "argv, budget",
+        [
+            (["bound", "--p", "0.3", "--n", "1000000"], "weight budget"),
+            (["discrimination", "--n", "1000000", "--p", "0.3"], "weight budget"),
+            (["grid", "--m", "3000", "--n", "3000", "--p", "0.3"], "cell budget"),
+        ],
+    )
+    def test_oversized_pmf_or_grid_is_refused_at_once(self, capsys, argv, budget):
+        started = time.monotonic()
+        code, out, err = run(capsys, argv)
+        assert time.monotonic() - started < 1
+        assert code == 3
+        assert out == ""
+        assert err.startswith("computation budget exceeded: ")
+        assert budget in err
+
     def test_oversized_sum_stays_bad_args(self, capsys):
         code, out, err = run(capsys, ["knessl", "--p", "0.5", "--n", "100000000"])
         assert code == 2
