@@ -14,7 +14,8 @@ Two empirical instruments live here:
 * The differential entropy h(S) of a lattice distribution smoothed by a
   Gaussian, from a closed form when its proven error fits the tolerance,
   from the trapezoidal rule with a proven bound when the weights are a
-  log-concave run, and by deterministic adaptive quadrature otherwise.
+  log-concave run and the grid it needs is not too fine, and by
+  deterministic adaptive quadrature otherwise.
   This feeds the continuous entropy-power comparison: half-log
   increments of h(S^(n)) hold unconditionally, and the discrete
   inequality upgrades them to full-log increments once n clears the
@@ -119,10 +120,22 @@ sample is taken.  The parts:
   - The samples at offset r/M from the lattice are the weights
     convolved with the table entries M s + r, one exact ``_exact_convolve``
     per r (dist_core), so each is rounded once to within u/2 (1 + 2**-16)
-    of the exact sum of its terms.  Peaks farther than reach/M are
-    left out; reach is chosen so that they weigh below 2**-(prec+16) of
-    the nearest peak within max(8 sigma + 1/M, 1/2), whose weight is at
-    least the smallest.  So every sample is within 1.03 u of f, relative.
+    of the exact sum of its terms.  Peaks farther than R = reach/M from
+    the sample are left out.  The support point k0 nearest the sample is
+    at most nu = max(8 sigma + 1/M, 1/2) away.  The differences of ln w
+    fall along the run, so Lambda, the larger |ln(w_(k+1)/w_k)| of the
+    two ends plus 1 for rounding, bounds them all, and
+    w_j <= w_k0 e^(Lambda |j - k0|).  A peak at distance d from the
+    sample therefore weighs at most e^E(d) times the one at k0, with
+    E(d) = Lambda (d + nu) - (d**2 - nu**2)/(2 sigma**2).  With
+    c = (prec + 18) ln 2, E(d) <= -c once d is past the larger root
+    sigma**2 Lambda + sqrt((nu + sigma**2 Lambda)**2 + 2 sigma**2 c) of
+    E(d) = -c, and E(d + 1) - E(d) <= Lambda - d/sigma**2 <= -ln 2 once
+    d >= sigma**2 (Lambda + ln 2).  R is the larger of the two, so the
+    peaks left out on one side weigh at most 2**-(prec+17) of the one
+    at k0, and both sides 2**-(prec+16).  (The 1 added to Lambda also
+    covers the roundings of R.)  So every sample is within 1.03 u of f,
+    relative.
   - Each term f ln f (one ``ln``, one product) is summed exactly, and
     the sum is rounded once and divided by M.  Per sample the error is
     below 3 u f (|ln f| + 1), so the total is below 4 u B with
@@ -133,29 +146,50 @@ sample is taken.  The parts:
 
 For binomial rows with n from 3 to 64 at 30 digits and tolerance 1e-9,
 M is 58 to 63 at sigma = 1/4, 15 or 16 at sigma = 1/2 and 8 at
-sigma = 1.  The grid grows like 1/sigma**2, so a grid of more than
-``MAX_TRAPEZOID_SAMPLES`` samples is declined and the adaptive
-quadrature runs, as it did before this route existed: at sigma well
-below 0.1 the closed form answers at any tolerance above the truncation
-floor, and only a caller that bypasses it gets there.
+sigma = 1.  M grows like 1/sigma**2, and the route's cost with it (one
+sample per grid point), while the adaptive quadrature's cost per peak
+hardly depends on sigma.  So an M above ``MAX_TRAPEZOID_STEPS`` = 512 is
+declined, before any sample is taken, and the adaptive quadrature
+answers.  The cap sits below the point where the two routes cost the
+same.  At 50 digits, tolerance 1e-9 and p = 0.3 (2-core Xeon, Python
+3.11, pure-Python mpmath), trapezoid against adaptive time:
+
+    n       sigma   M      trapezoid   adaptive
+    64      0.06    1088   0.53 s      0.58 s
+    200     0.07    832    1.31 s      1.41 s
+    1000    0.08    675    5.67 s      5.82 s
+    1000    0.09    533    4.53 s      5.89 s
+    4000    0.09    559    19.5 s      21.9 s
+    4000    0.1     453    16.2 s      22.4 s
+    16383   0.09    585    89.1 s      90.7 s
+    16383   0.1     474    73.5 s      94.1 s
+
+The break-even M falls slowly as n grows (about 1100 at n = 64, 690 at
+n = 1000 and 590 at n = 16,383), because a long row's samples cost a
+little more; at the cap the trapezoid was the faster route on every row
+measured.  Binomial rows meet the cap near sigma = 0.09 at tolerance
+1e-9: ``smooth --p 0.3 --n 1000 --sigma 0.1`` (M = 432) takes the
+trapezoid and sigma = 0.08 (M = 675) the adaptive quadrature.  The
+closed form answers from about sigma = 0.065 down, so the adaptive
+quadrature still answers the binomial rows in between.
 
 The truncation-floor check of the quadrature (a tolerance at or below
 twice the bound on the -f ln f mass outside the 8-sigma region is
 refused) runs before all three routes, so which inputs are refused with
 QuadratureError does not depend on which route would have answered.
 
-Fallback quadrature, for weights that are not a log-concave run: the
-mixture density with standard deviation sigma much below the lattice
-spacing is a row of near-disjoint peaks, so the integration region
-[min - 8 sigma, max + 8 sigma] is pre-split at k +- min(40 sigma, 1/2)
-around every support point, then each panel is refined by bisection
-under a fixed Gauss-Legendre rule until the local defect fits a
-width-proportional share of the requested tolerance.  Every accepted
-defect is accumulated, so the reported quadrature error is a true bound
-on the acceptance slack and never exceeds the request; it is not a
-proven bound on the error.  A density evaluation sums only peaks within
-40 sigma (beyond that a peak's contribution is below any working
-precision used here).
+Fallback quadrature, for weights that are not a log-concave run and
+for grids past the cap: the mixture density with standard deviation
+sigma much below the lattice spacing is a row of near-disjoint peaks,
+so the integration region [min - 8 sigma, max + 8 sigma] is pre-split
+at k +- min(40 sigma, 1/2) around every support point, then each panel
+is refined by bisection under a fixed Gauss-Legendre rule until the
+local defect fits a width-proportional share of the requested
+tolerance.  Every accepted defect is accumulated, so the reported
+quadrature error is a true bound on the acceptance slack and never
+exceeds the request; it is not a proven bound on the error.  A density
+evaluation sums only peaks within 40 sigma (beyond that a peak's
+contribution is below any working precision used here).
 """
 
 from __future__ import annotations
@@ -203,7 +237,7 @@ QUADRATURE_ORDER = 12
 MAX_BISECTION_DEPTH = 48
 DENSITY_WINDOW_SIGMAS = 40
 REGION_PAD_SIGMAS = 8
-MAX_TRAPEZOID_SAMPLES = 1 << 18
+MAX_TRAPEZOID_STEPS = 512
 
 _CUMULANT_ORDERS = 8
 
@@ -532,6 +566,22 @@ def _strip(sig: mpf, span: int) -> mpf:
     return mpmath.pi * sig * sig / (3 * lag)
 
 
+def _reach(weights: Sequence[mpf], sig: mpf, near: mpf, prec: int) -> mpf:
+    """Distance R past which the peaks of a log-concave run are left out.
+
+    For a sample whose nearest support point is at most ``near`` away,
+    the peaks farther than R weigh at most 2**-(prec+16) of that one
+    (module docstring, rounding of the samples).
+    """
+    slope = mpf(0)
+    if len(weights) > 1:
+        ends = (weights[1] / weights[0], weights[-1] / weights[-2])
+        slope = max(abs(mpmath.ln(t)) for t in ends) + 1
+    drift, bits = sig * sig * slope, (prec + 18) * mpmath.ln(2)
+    root = drift + mpmath.sqrt((near + drift) ** 2 + 2 * sig * sig * bits)
+    return max(root, drift + sig * sig * mpmath.ln(2))
+
+
 def _trapezoid(
     positions: Sequence[int], weights: Sequence[mpf], sig: mpf, tol: mpf
 ) -> Optional[Tuple[mpf, mpf]]:
@@ -539,9 +589,9 @@ def _trapezoid(
 
     None when the weights are not a log-concave run, when sigma is too
     small for the grid-truncation bound (f <= 1 outside the region), or
-    when the grid would pass ``MAX_TRAPEZOID_SAMPLES`` samples.  M is the
-    smallest step count whose bound fits ``tol``.  The error model is in
-    the module docstring.
+    when M would pass ``MAX_TRAPEZOID_STEPS``, before any sample is taken.
+    M is the smallest step count whose bound fits ``tol``.  The error
+    model is in the module docstring.
     """
     if not _log_concave_run(positions, weights):
         return None
@@ -580,21 +630,20 @@ def _trapezoid(
     # terms can push it up by a few steps.
     steps = max(1, int(mpmath.ceil(mpmath.log1p(2 * strip_mass / share) / (2 * pi * a))))
     while True:
-        pad = int(mpmath.ceil(REGION_PAD_SIGMAS * sig * steps))
-        if span * steps + 2 * pad + 1 > MAX_TRAPEZOID_SAMPLES:
+        if steps > MAX_TRAPEZOID_STEPS:
             return None
         err = bound(steps)
         if err <= tol:
             break
         steps += 1
+    pad = int(mpmath.ceil(REGION_PAD_SIGMAS * sig * steps))
 
     # Samples f(lo + j/M) for -pad <= j <= span M + pad.  Those at offset
     # r/M from the lattice are the weights convolved with phi_sigma at
     # (M s + r)/M, for |M s + r| <= reach.
     near = max(mpf(pad) / steps, mpf(1) / 2)
-    wide = near * near + 2 * sig * sig * (
-        mpmath.ln(mass / min(weights)) + (prec + 17) * mpmath.ln(2))
-    reach = min(int(mpmath.ceil(mpmath.sqrt(wide) * steps)), span * steps + pad)
+    far = _reach(weights, sig, near, prec)
+    reach = min(int(mpmath.ceil(far * steps)), span * steps + pad)
     z2 = int(mpmath.ceil(mpf(reach) ** 2 / (2 * (sig * steps) ** 2)))
     guard = (10 + 10 * z2 + 6 * reach * reach).bit_length() + 20
     half: List[mpf] = []
@@ -607,18 +656,25 @@ def _trapezoid(
             value, ratio = value * ratio, ratio * ratio_square
     table = [+g for g in half]
 
-    # The terms f ln f, summed exactly and rounded once.
-    exact = []
+    # The terms f ln f, summed exactly (one offset at a time, so only one
+    # row of terms is held) and rounded once.
+    partials = []
     for r in range(steps):
         first = -((reach + r) // steps)
         kernel = [table[abs(steps * s + r)] for s in range(first, (reach - r) // steps + 1)]
+        terms = []
         for i, f in enumerate(_exact_convolve(weights, kernel, prec), first):
             if -pad <= steps * i + r <= span * steps + pad:
                 sign, man, exp, _ = (f * mpmath.ln(f))._mpf_
-                exact.append((-man if sign else man, exp))
-    low = min(exp for _, exp in exact)
-    total = sum(man << (exp - low) for man, exp in exact)
-    return -mpf((total, low)) / steps, err
+                terms.append((-man if sign else man, exp))
+        partials.append(_exact_sum(terms))
+    return -mpf(_exact_sum(partials)) / steps, err
+
+
+def _exact_sum(terms: Sequence[Tuple[int, int]]) -> Tuple[int, int]:
+    """The exact sum of the values man * 2**exp, as one such pair."""
+    low = min(exp for _, exp in terms)
+    return sum(man << (exp - low) for man, exp in terms), low
 
 
 def gaussian_smoothed_entropy(
@@ -638,7 +694,8 @@ def gaussian_smoothed_entropy(
     2. trapezoidal rule: when the nonzero weights are a log-concave run,
        the density f(x) = sum_k P(k) phi_sigma(x - k) is summed as
        -f ln f on the grid x = j/M, with M the smallest step count whose
-       proven bound fits the tolerance;
+       proven bound fits the tolerance, if that M is at most
+       ``MAX_TRAPEZOID_STEPS``;
     3. adaptive quadrature: otherwise -f ln f is integrated over
        [min - 8 sigma, max + 8 sigma] by the deterministic adaptive scheme.
 

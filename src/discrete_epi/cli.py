@@ -258,6 +258,12 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 
 def _cmd_discrimination(args: argparse.Namespace) -> int:
     precision = args.precision
+    if args.n + 1 >= dist_core.MAX_CHAIN_ROWS:
+        # The entropy step needs B(n + 1); refuse before B(n) is built.
+        raise BudgetExceededError(
+            f"n={args.n}: the entropy step's B(n + 1) is past the "
+            f"{dist_core.MAX_CHAIN_ROWS}-weight budget"
+        )
     with working_precision(precision):
         before = dist_core.binomial_pmf(args.n, args.p, precision)
         after = dist_core.shift(before, 1)

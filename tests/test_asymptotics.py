@@ -422,6 +422,27 @@ class TestTrapezoidRoute:
         # Pinned: a narrower strip or a looser bound would need a finer grid.
         assert grid_steps(monkeypatch, binomial_pmf(6, "0.5", 30), sigma)[0] == steps
 
+    def test_grid_past_the_cap_is_declined_before_any_sample(self, monkeypatch):
+        # At sigma = 0.07 and tol 1e-10 the closed form's bound is too loose
+        # and the trapezoid needs more than MAX_TRAPEZOID_STEPS steps.
+        pmf = binomial_pmf(3, "0.3", 30)
+        convolutions = []
+        original = asymptotics._exact_convolve
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                asymptotics, "_exact_convolve",
+                lambda *args: convolutions.append(args) or original(*args),
+            )
+            route, quad = route_taken(patch, pmf, "0.07", "1e-10")
+        assert route == "adaptive"
+        assert convolutions == []
+        cap = asymptotics.MAX_TRAPEZOID_STEPS
+        monkeypatch.setattr(asymptotics, "MAX_TRAPEZOID_STEPS", 1 << 20)
+        steps, trap = grid_steps(monkeypatch, pmf, "0.07", "1e-10")
+        assert steps > cap
+        with working_precision(30):
+            assert abs(trap.h_value - quad.h_value) <= trap.quadrature_error + quad.quadrature_error
+
     def test_grid_tail_takes_its_share_of_the_tolerance(self, monkeypatch):
         pmf = binomial_pmf(6, "0.5", 30)
         base_steps, _ = grid_steps(monkeypatch, pmf, "0.25")
@@ -450,6 +471,28 @@ class TestTrapezoidRoute:
                         t * mpmath.expj(y * (k - top) / (sig * sig)) for k, t in enumerate(terms)
                     )
                     assert s.real >= terms[top] * mpf("0.75")
+
+    @pytest.mark.parametrize(
+        "n, p, sigma", [(64, "0.3", "0.25"), (40, "0.5", "1"), (60, "0.02", "2")]
+    )
+    def test_reach_leaves_out_a_negligible_share(self, n, p, sigma):
+        # Peaks beyond the reach weigh below 2**-(prec+16) of f everywhere in
+        # the region.  Without the slope term the sigma = 1 and 2 rows fail;
+        # with a reach 20% short, the sigma = 1/4 row does.
+        pmf = binomial_pmf(n, p, 30)
+        with working_precision(30):
+            prec, sig = mpmath.mp.prec, mpf(sigma)
+            near = max(8 * sig + mpf(1) / 8, mpf(1) / 2)
+            far = asymptotics._reach(list(pmf.weights), sig, near, prec)
+        with mpmath.workdps(60):
+            for i in range(int(-4 * near), 4 * (n + int(near)) + 1):
+                x = mpf(i) / 4
+                if not -near <= x <= n + near:
+                    continue
+                terms = [(abs(x - k), w * mpmath.exp(-((x - k) ** 2) / (2 * sig * sig)))
+                         for k, w in pmf.items()]
+                left_out = mpmath.fsum(t for d, t in terms if d > far)
+                assert left_out <= mpmath.ldexp(mpmath.fsum(t for _, t in terms), -(prec + 16))
 
     def test_strip_half_width(self, dps50):
         pi = mpmath.pi

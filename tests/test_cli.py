@@ -210,6 +210,7 @@ class TestWorkBudgets:
         [
             (["bound", "--p", "0.3", "--n", "1000000"], "weight budget"),
             (["discrimination", "--n", "1000000", "--p", "0.3"], "weight budget"),
+            (["discrimination", "--n", "16383", "--p", "0.3"], "weight budget"),
             (["grid", "--m", "3000", "--n", "3000", "--p", "0.3"], "cell budget"),
         ],
     )
