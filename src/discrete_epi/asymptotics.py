@@ -49,9 +49,12 @@ either route).  The bound has four parts:
   delta' is bounded as above with beta divided by m; the closed form
   is off by a further |m - 1| |(1/2) ln(2 pi e sigma**2)|.
 * rounding: with u one ulp at the working precision, H(P) (each term
-  -w ln w within 2u, summed exactly and rounded once), the log term
-  (its argument within 6u) and their sum are within
-  4u (H(P) + |ln term| + 1); twice that is reported.
+  -w ln w within 2u, summed by ``mpmath.fsum`` and rounded once), the
+  log term (its argument within 6u) and their sum are within
+  4u (H(P) + |ln term| + 1); twice that is reported.  ``fsum`` adds
+  exactly except that it drops a term more than 2 prec bits below the
+  running sum; the terms are nonnegative, so what it drops is below
+  (number of weights) 2**(-2 prec) H(P), inside the doubled term.
 
 The reported error is therefore never exactly 0.  At sigma = 1e-3 sqrt(n)
 with n <= 64 (criterion 9) delta is below 1e-800 and the bound is the

@@ -38,6 +38,7 @@ from .polycert import CERT_SUBSTITUTIONS, certify
 from .precision import (
     DEFAULT_PRECISION,
     MIN_PRECISION,
+    as_mpf,
     check_precision,
     working_precision,
 )
@@ -130,8 +131,6 @@ def _svg_text(points: List[Tuple[float, float]], x_label: str, y_label: str) -> 
 
 
 def _p_grid(p_min: str, p_max: str, steps: int, precision: int) -> List[mpf]:
-    from .precision import as_mpf, working_precision
-
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     lo = as_mpf(p_min, precision)

@@ -28,8 +28,8 @@ The binomial moments are one exact table (``_moment_poly``).  With
 p = 1/2 + r the Bernoulli cumulants are polynomials in r, kappa_1 =
 1/2 + r and kappa_(g+1) = (1/4 - r**2) d kappa_g / dr, and the
 block-partition expansion over them (``faa_di_bruno_poly``) gives
-mu_k(n) = sum_i n**i P_ki(r) exactly.  ``polycert.symbolic_moments``
-takes its rows as they are.  p rounded to the working precision is an
+mu_k(n) = sum_i n**i P_ki(r) exactly.  ``polycert.build_g`` takes
+its rows as they are.  p rounded to the working precision is an
 exact binary fraction, so ``central_moment_closed`` and
 ``bernoulli_cumulants`` evaluate the rows exactly and round once to
 nearest, and ``gamma_l`` and ``c_coeff`` read the exact Laurent table

@@ -29,14 +29,25 @@ Substitutions shipped:
     control  n = t + 1 + m             must FAIL: keeps the engine
              falsifiable
 
-Internal representation: bivariate polynomials are dicts mapping
-exponent pairs to Fractions; rational expressions keep a polynomial
-numerator over a denominator drawn from the fixed factor basis
-{n, n+1, t+4, 1+t} plus an explicit parity flag for a dangling factor
-of r.  Every multiplication folds r*r into t/(4(t+4)) and cancels
-denominator factors that divide the numerator exactly; the pipeline
-asserts that the final parity is even and the final denominator is
-exactly n**3 (n+1)**6, raising ConsistencyError otherwise.
+Construction of g.  Polynomials are ``BivarPoly``: dicts from exponent
+pairs to Fractions.  Write N = n + 1, p = 1/2 + r, q = 1/2 - r and
+u = pq = 1/4 - r**2 = 1/(t+4).  Since F_k(p) k (k-1) (pq)**(k-1) =
+p**(k-1) + (-1)**k q**(k-1), and the moment table gives
+mu_k(N) = sum_{b>=1} N**b P_kb(r) (``moments_bounds._moment_poly``),
+
+    h(n, r) = u**6 g
+            = sum_{k=2}^{7} 420/(k(k-1)) n**3 [p**(k-1) + (-1)**k q**(k-1)]
+                  u**(7-k) sum_b N**(b+6-k) P_kb(r)
+              - 420 N**6 u**6 (n**2/2 - n/4 + 1/6).
+
+Every exponent is >= 0 because b >= 1 and k <= 7, so h is a plain
+polynomial in (r, N), built with n = N - 1.  h is even in r, so
+r**2 = 1/4 - u gives h = sum_j h_j(n) u**j, and then
+g = sum_j h_j(n) (t+4)**(6-j), a polynomial exactly when deg_u h <= 6.
+Each substitution is one Horner ``compose_first``: r**2 -> 1/4 - u,
+then v -> t + 4 after reflecting u**j to v**(6-j), then N -> n + 1.
+A moment row with an n**0 term, an odd power of r in h, or deg_u h > 6
+raises ConsistencyError.
 """
 
 from __future__ import annotations
@@ -44,7 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 from .errors import ConsistencyError
 from .moments_bounds import _moment_poly
@@ -52,9 +63,7 @@ from .moments_bounds import _moment_poly
 __all__ = [
     "BivarPoly",
     "CertificateReport",
-    "FactorExponents",
     "QUAD_LINEAR_COEFF",
-    "RationalExpr",
     "THRESHOLD_SLOPE",
     "THRESHOLD_SLOPE_REFINED",
     "build_g",
@@ -63,9 +72,6 @@ __all__ = [
     "quadratic_shift_expand",
     "rational_substitute_t",
     "shift_expand",
-    "symbolic_f",
-    "symbolic_moments",
-    "symbolic_taylor_coeff",
 ]
 
 THRESHOLD_SLOPE = Fraction(111, 25)
@@ -223,305 +229,63 @@ class BivarPoly:
         return " + ".join(parts)
 
 
-def _try_divide_linear(
-    poly: BivarPoly, axis: int, c: Fraction
-) -> Optional[BivarPoly]:
-    """Exact quotient of poly by (x + c) along the given axis, else None.
-
-    The divisor involves one variable only, so division acts slice-wise
-    on the other variable's exponent (synthetic division at root -c).
-    """
-    root = -c
-    slices: Dict[int, Dict[int, Fraction]] = {}
-    for (i, j), v in poly.coeffs.items():
-        dx, other = (i, j) if axis == 0 else (j, i)
-        slices.setdefault(other, {})[dx] = v
-    out: Dict[Exponents, Fraction] = {}
-    for other, uni in slices.items():
-        deg = max(uni)
-        if deg == 0:
-            return None  # nonzero constant slice cannot be divisible
-        q: Dict[int, Fraction] = {deg - 1: uni[deg]}
-        for d in range(deg - 1, 0, -1):
-            q[d - 1] = uni.get(d, Fraction(0)) + root * q[d]
-        remainder = uni.get(0, Fraction(0)) + root * q[0]
-        if remainder != 0:
-            return None
-        for d, v in q.items():
-            if v != 0:
-                out[(d, other) if axis == 0 else (other, d)] = v
-    return BivarPoly(poly.vars, out)
-
-
-@dataclass(frozen=True, eq=True)
-class FactorExponents:
-    """Exponents of the fixed denominator basis {n, n+1, t+4, 1+t}."""
-
-    n: int = 0
-    n1: int = 0
-    t4: int = 0
-    t1: int = 0
-
-    def __post_init__(self):
-        if min(self.n, self.n1, self.t4, self.t1) < 0:
-            raise ValueError("denominator exponents must be nonnegative")
-
-    def combine(self, other: "FactorExponents") -> "FactorExponents":
-        return FactorExponents(
-            self.n + other.n, self.n1 + other.n1,
-            self.t4 + other.t4, self.t1 + other.t1,
-        )
-
-    def is_trivial(self) -> bool:
-        return self == FactorExponents()
-
-
-_FACTOR_SPECS = {
-    "n": (0, Fraction(0)),
-    "n1": (0, Fraction(1)),
-    "t4": (1, Fraction(4)),
-    "t1": (1, Fraction(1)),
-}
-
 _NT = ("n", "t")
-_NR = ("n", "r")
 
 
-def _factor_poly(name: str) -> BivarPoly:
-    axis, c = _FACTOR_SPECS[name]
-    e_var = (1, 0) if axis == 0 else (0, 1)
-    return BivarPoly.from_terms(_NT, {e_var: 1, (0, 0): c})
+def _affine(vars: Tuple[str, str], slope: FractionLike, const: FractionLike) -> BivarPoly:
+    """slope * x + const in the first variable x."""
+    return BivarPoly.from_terms(vars, {(1, 0): slope, (0, 0): const})
 
 
-@dataclass(frozen=True, eq=True)
-class RationalExpr:
-    """num / (n**e1 (n+1)**e2 (t+4)**e3 (1+t)**e4), times r**parity.
-
-    parity in {0, 1} records a dangling odd power of r = p - 1/2; two
-    odd factors multiply into r**2 = t / (4 (t+4)).  Construction
-    cancels denominator factors dividing the numerator exactly, so an
-    expression that is secretly a polynomial normalises to one.
-    """
-
-    num: BivarPoly
-    den: FactorExponents = FactorExponents()
-    parity: int = 0
-
-    def __post_init__(self):
-        if self.parity not in (0, 1):
-            raise ValueError(f"parity must be 0 or 1, got {self.parity!r}")
-
-    @classmethod
-    def zero(cls) -> "RationalExpr":
-        return cls(BivarPoly.zero(_NT))
-
-    @classmethod
-    def from_poly(cls, num: BivarPoly, **den_exponents: int) -> "RationalExpr":
-        return cls(num, FactorExponents(**den_exponents))._reduced()
-
-    def _reduced(self) -> "RationalExpr":
-        num = self.num
-        exps = {"n": self.den.n, "n1": self.den.n1, "t4": self.den.t4, "t1": self.den.t1}
-        if num.is_zero():
-            return RationalExpr(num, FactorExponents(), self.parity)
-        for name in exps:
-            axis, c = _FACTOR_SPECS[name]
-            while exps[name] > 0:
-                q = _try_divide_linear(num, axis, c)
-                if q is None:
-                    break
-                num = q
-                exps[name] -= 1
-        return RationalExpr(
-            num,
-            FactorExponents(exps["n"], exps["n1"], exps["t4"], exps["t1"]),
-            self.parity,
-        )
-
-    def __add__(self, other: "RationalExpr") -> "RationalExpr":
-        if self.parity != other.parity:
-            raise ConsistencyError("adding expressions of different r-parity")
-        den = FactorExponents(
-            max(self.den.n, other.den.n),
-            max(self.den.n1, other.den.n1),
-            max(self.den.t4, other.den.t4),
-            max(self.den.t1, other.den.t1),
-        )
-        num_a = self.num * _den_fill(self.den, den)
-        num_b = other.num * _den_fill(other.den, den)
-        return RationalExpr(num_a + num_b, den, self.parity)._reduced()
-
-    def __neg__(self) -> "RationalExpr":
-        return RationalExpr(-self.num, self.den, self.parity)
-
-    def __sub__(self, other: "RationalExpr") -> "RationalExpr":
-        return self + (-other)
-
-    def __mul__(self, other: "RationalExpr") -> "RationalExpr":
-        num = self.num * other.num
-        den = self.den.combine(other.den)
-        parity = self.parity + other.parity
-        if parity == 2:
-            # r * r = t / (4 (t + 4))
-            num = num * BivarPoly.from_terms(_NT, {(0, 1): Fraction(1, 4)})
-            den = den.combine(FactorExponents(t4=1))
-            parity = 0
-        return RationalExpr(num, den, parity)._reduced()
-
-    def scale(self, c: FractionLike) -> "RationalExpr":
-        return RationalExpr(self.num.scale(c), self.den, self.parity)
-
-    def shift_n_plus_1(self) -> "RationalExpr":
-        """Substitute n -> n + 1; only for expressions free of n-denominators."""
-        if self.den.n or self.den.n1:
-            raise ConsistencyError("n-shift on an expression with n in the denominator")
-        repl = BivarPoly.from_terms(_NT, {(1, 0): 1, (0, 0): 1})
-        return RationalExpr(self.num.compose_first(repl, _NT), self.den, self.parity)
-
-    def evaluate(self, n: FractionLike, t: FractionLike) -> Fraction:
-        """Exact value at rational (n, t); parity must be even."""
-        if self.parity != 0:
-            raise ConsistencyError("cannot evaluate an expression with odd r-parity")
-        nv, tv = _frac(n), _frac(t)
-        value = self.num.evaluate(nv, tv)
-        for name, exp in (("n", self.den.n), ("n1", self.den.n1),
-                          ("t4", self.den.t4), ("t1", self.den.t1)):
-            if exp:
-                axis, c = _FACTOR_SPECS[name]
-                base = (nv if axis == 0 else tv) + c
-                if base == 0:
-                    raise ZeroDivisionError(f"denominator factor {name} vanishes")
-                value /= base**exp
-        return value
-
-
-def _den_fill(have: FactorExponents, want: FactorExponents) -> BivarPoly:
-    """Product of the missing denominator factors, as a polynomial."""
-    out = BivarPoly.constant(_NT, 1)
-    for name, h, w in (("n", have.n, want.n), ("n1", have.n1, want.n1),
-                       ("t4", have.t4, want.t4), ("t1", have.t1, want.t1)):
-        for _ in range(w - h):
-            out = out * _factor_poly(name)
-    return out
-
-
-def _from_nr(poly_nr: BivarPoly) -> RationalExpr:
-    """Convert a polynomial in (n, r) into the (n, t) representation.
-
-    Requires every monomial to share one r-parity; r**(2b) maps to
-    t**b / (4**b (t+4)**b) via r**2 = t / (4 (t+4)).
-    """
-    if poly_nr.is_zero():
-        return RationalExpr.zero()
-    parities = {j % 2 for (_, j) in poly_nr.coeffs}
-    if len(parities) > 1:
-        raise ConsistencyError("mixed r-parity inside one closed form")
-    parity = parities.pop()
-    cap = max((j - parity) // 2 for (_, j) in poly_nr.coeffs)
-    out: Dict[Exponents, Fraction] = {}
-    t4 = _factor_poly("t4")
-    for (i, j), c in poly_nr.coeffs.items():
-        b = (j - parity) // 2
-        piece = BivarPoly.from_terms(_NT, {(i, b): c * Fraction(1, 4**b)})
-        piece = piece * t4.power(cap - b)
-        for e, v in piece.coeffs.items():
-            out[e] = out.get(e, Fraction(0)) + v
-    return RationalExpr(BivarPoly(_NT, out), FactorExponents(t4=cap), parity)._reduced()
-
-
-def _nr(terms: Dict[Exponents, FractionLike]) -> BivarPoly:
-    return BivarPoly.from_terms(_NR, terms)
-
-
-@lru_cache(maxsize=None)
-def symbolic_moments(k: int) -> RationalExpr:
-    """Central moment mu_k of Binomial(n, p) as an exact expression in (n, t).
-
-    Row k of the exact moment table (``moments_bounds``), a polynomial
-    in n and r = p - 1/2, with even powers of r eliminated through
-    r**2 = t/(4(t+4)).  Odd k carries parity 1.
-    """
-    if not isinstance(k, int) or not 1 <= k <= 7:
-        raise ValueError(f"symbolic moments cover k in 1..7, got {k!r}")
-    terms = {(i, j): c for i, row in enumerate(_moment_poly(k)) for j, c in enumerate(row)}
-    return _from_nr(BivarPoly(_NR, terms))
-
-
-@lru_cache(maxsize=None)
-def symbolic_taylor_coeff(k: int) -> RationalExpr:
-    """Taylor coefficient F_k at p = 1/2 + r as an exact expression in t.
-
-    For k >= 2, with 1/4 - r**2 = 1/(t+4),
-
-        F_k = [ (1/2+r)**(k-1) + (-1)**k (1/2-r)**(k-1) ]
-              * (t+4)**(k-1) / (k (k-1)).
-    """
-    if not isinstance(k, int) or k < 2:
-        raise ValueError(f"rational Taylor coefficients need k >= 2, got {k!r}")
-    half_plus = _nr({(0, 1): 1, (0, 0): Fraction(1, 2)})
-    half_minus = _nr({(0, 1): -1, (0, 0): Fraction(1, 2)})
-    sign = 1 if k % 2 == 0 else -1
-    numer = half_plus.power(k - 1) + half_minus.power(k - 1).scale(sign)
-    expr = _from_nr(numer).scale(Fraction(1, k * (k - 1)))
-    t4_power = RationalExpr(_factor_poly("t4").power(k - 1))
-    return (expr * t4_power)._reduced()
-
-
-def _inverse_n1_power(k: int) -> RationalExpr:
-    return RationalExpr(BivarPoly.constant(_NT, 1), FactorExponents(n1=k))
-
-
-@lru_cache(maxsize=None)
-def symbolic_f() -> RationalExpr:
-    """The step-condition slack f(n, t) as one exact rational expression.
-
-    Sum of F_k (n+1)**-k mu_k(n+1) over k = 2..7 (the k = 1 term
-    vanishes with the first central moment) minus the half-log tail
-    1/(2n) - 1/(4n**2) + 1/(6n**3).  The result must come out with even
-    parity and denominator exactly dividing n**3 (n+1)**6; anything else
-    raises ConsistencyError.
-    """
-    total = RationalExpr.zero()
-    for k in range(2, 8):
-        mu_shifted = symbolic_moments(k).shift_n_plus_1()
-        term = symbolic_taylor_coeff(k) * mu_shifted * _inverse_n1_power(k)
-        total = total + term
-    tail = RationalExpr.from_poly(
-        BivarPoly.from_terms(
-            _NT,
-            {(2, 0): Fraction(-1, 2), (1, 0): Fraction(1, 4), (0, 0): Fraction(-1, 6)},
-        ),
-        n=3,
-    )
-    total = total + tail
-    if total.parity != 0:
-        raise ConsistencyError("step-condition slack came out with odd r-parity")
-    if total.den.t4 or total.den.t1:
-        raise ConsistencyError(
-            f"skew-variable denominators failed to cancel: {total.den}"
-        )
-    if total.den.n > 3 or total.den.n1 > 6:
-        raise ConsistencyError(f"denominator exceeds n**3 (n+1)**6: {total.den}")
-    return total
+def _relabel(poly: BivarPoly, vars: Tuple[str, str], key) -> BivarPoly:
+    """The same coefficients under new variables, exponent pairs mapped by key."""
+    return BivarPoly(vars, {key(i, j): c for (i, j), c in poly.coeffs.items()})
 
 
 @lru_cache(maxsize=None)
 def build_g() -> BivarPoly:
     """Denominator-cleared slack g(n, t) = 420 (n+1)**6 n**3 f(n, t).
 
-    Exact polynomial in (n, t); the construction fails loudly if any
-    denominator factor survives the clearing.
+    Builds h = u**6 g in (r, N) from the moment table and substitutes
+    r**2 = 1/4 - u, u**j -> (t+4)**(6-j) and N = n + 1, one Horner pass
+    each; the derivation is in the module docstring.  Raises
+    ConsistencyError if a moment row has an n**0 term, if h has an odd
+    power of r, or if its degree in u exceeds 6.
     """
-    f = symbolic_f()
-    num = f.num.scale(420)
-    num = num * _factor_poly("n").power(3 - f.den.n)
-    num = num * _factor_poly("n1").power(6 - f.den.n1)
-    return num
+    rn = ("r", "N")
+    p, q = _affine(rn, 1, Fraction(1, 2)), _affine(rn, -1, Fraction(1, 2))
+    u = p * q
+    n = BivarPoly.from_terms(rn, {(0, 1): 1, (0, 0): -1})
+    h = BivarPoly.zero(rn)
+    for k in range(2, 8):
+        rows = _moment_poly(k)
+        if any(rows[0]):
+            raise ConsistencyError(f"mu_{k} has a nonzero n**0 term")
+        mu = BivarPoly(rn, {
+            (j, b + 6 - k): c for b, row in enumerate(rows[1:], 1) for j, c in enumerate(row)
+        })
+        taylor = p.power(k - 1) + q.power(k - 1).scale((-1) ** k)
+        h = h + (taylor * u.power(7 - k) * mu).scale(Fraction(420, k * (k - 1)))
+    tail = (
+        (n * n).scale(Fraction(1, 2)) - n.scale(Fraction(1, 4))
+        + BivarPoly.constant(rn, Fraction(1, 6))
+    )
+    h = n.power(3) * h - tail * u.power(6) * BivarPoly.from_terms(rn, {(0, 6): 420})
+    if any(j % 2 for j, _ in h.coeffs):
+        raise ConsistencyError("h(n, r) has an odd power of r")
+    in_u = _relabel(h, ("s", "N"), lambda j, i: (j // 2, i)).compose_first(
+        _affine(("u", "N"), -1, Fraction(1, 4)), ("u", "N"))
+    if in_u.degree(0) > 6:
+        raise ConsistencyError(f"h has degree {in_u.degree(0)} > 6 in u = 1/(t+4)")
+    in_t = _relabel(in_u, ("v", "N"), lambda j, i: (6 - j, i)).compose_first(
+        _affine(("t", "N"), 1, 4), ("t", "N"))
+    return _relabel(in_t, ("N", "t"), lambda j, i: (i, j)).compose_first(_affine(_NT, 1, 1), _NT)
 
 
 def f_exact(n: FractionLike, t: FractionLike) -> Fraction:
     """Exact rational value of the slack f at rational arguments."""
-    return symbolic_f().evaluate(n, t)
+    nv = _frac(n)
+    return build_g().evaluate(nv, t) / (420 * nv**3 * (nv + 1) ** 6)
 
 
 def shift_expand(

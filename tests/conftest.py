@@ -43,6 +43,11 @@ def exact_central_moment(n: int, p: Fraction, k: int) -> Fraction:
     return sum(w * (Fraction(i) - mean) ** k for i, w in enumerate(weights))
 
 
+def exact_taylor_coeff(k: int, p: Fraction) -> Fraction:
+    """F_k(p) = ((1-p)**(1-k) + (-1)**k p**(1-k)) / (k (k-1)), exact, k >= 2."""
+    return ((1 - p) ** (1 - k) + (-1) ** k * p ** (1 - k)) / (k * (k - 1))
+
+
 def exact_bernoulli_cumulants(p: Fraction, max_order: int) -> List[Fraction]:
     """kappa_1 .. kappa_K of Bernoulli(p), exact.
 

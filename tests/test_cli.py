@@ -1,5 +1,6 @@
 """Command-line interface tests: payload shapes, exit codes, determinism."""
 
+import hashlib
 import json
 import math
 import time
@@ -133,6 +134,22 @@ class TestDiscriminationCommand:
 
 
 class TestCertifyCommand:
+    # sha256 of the stdout of `certify --sub X`: every coefficient, byte
+    # for byte, as the frozen certificates print it
+    STDOUT_SHA256 = {
+        "A": "31e3277d761c282b31dcac7d3941224eefddd9ef26d457dbd347756eacdf99af",
+        "Aprime": "7ed072aac07d23a68329a8cf6b2a47e6737f66c5d1bd9fc2120a24edf9cea4a1",
+        "B": "3bbbf0efb465951a61dbf3f7352db77c148126d3db3cd569f4ba2dcdfb0f59e5",
+        "C": "fcd951642063d3ce2087901ad26a2d893f8bf7e2b3fb697d420abd1d330f9627",
+        "control": "45534007a16fa3e66a6f47ed6fb4cc6c5476bb5eb66b05b2feeca48c3d138e59",
+    }
+
+    @pytest.mark.parametrize("sub", sorted(STDOUT_SHA256))
+    def test_output_bytes_pinned(self, capsys, sub):
+        code, out, err = run(capsys, ["certify", "--sub", sub])
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == self.STDOUT_SHA256[sub]
+
     def test_production_certificate(self, capsys):
         code, out, _ = run(capsys, ["certify", "--sub", "A"])
         assert code == 0

@@ -13,6 +13,7 @@ from discrete_epi.dist_core import IntegerPmf, binomial_pmf, entropy, iid_sum_pm
 from discrete_epi.moments_bounds import (
     _harmonic_cursor,
     _laurent_table,
+    _moment_poly,
     bernoulli_cumulants,
     c_coeff,
     central_moment_brute,
@@ -33,6 +34,7 @@ from conftest import (
     assert_close,
     exact_bernoulli_cumulants,
     exact_central_moment,
+    exact_taylor_coeff,
     exact_value,
 )
 
@@ -45,10 +47,6 @@ def exact_p(p, precision: int = 50) -> Fraction:
     """The value p has at the given precision, as an exact binary fraction."""
     man, exp = as_mpf(p, precision).man_exp
     return Fraction(man) * Fraction(2) ** exp
-
-
-def exact_taylor_coeff(k: int, p: Fraction) -> Fraction:
-    return ((1 - p) ** (1 - k) + (-1) ** k * p ** (1 - k)) / (k * (k - 1))
 
 
 @lru_cache(maxsize=None)
@@ -181,6 +179,19 @@ class TestCentralMoments:
     def test_rejects_unsupported_order(self, dps50):
         with pytest.raises(ValueError):
             central_moment_closed(3, "0.5", 8)
+
+
+class TestMomentTable:
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_rows_match_exact(self, k):
+        # mu_k(n) = sum_b n**b P_kb(r) at exact p = 1/2 + r; odd orders too
+        rows = _moment_poly(k)
+        for p in (Fraction(3, 10), Fraction(9, 10)):
+            r = p - Fraction(1, 2)
+            for n in (1, 2, 5, 17):
+                row_values = [sum(c * r**j for j, c in enumerate(row)) for row in rows]
+                value = sum(n**b * v for b, v in enumerate(row_values))
+                assert value == exact_central_moment(n, p, k), (p, n)
 
 
 class TestFaaDiBruno:

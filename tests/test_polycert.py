@@ -5,26 +5,22 @@ from fractions import Fraction
 import pytest
 from mpmath import mpf
 
+from discrete_epi import cli, polycert
 from discrete_epi.dist_core import binomial_pmf
 from discrete_epi.errors import ConsistencyError
 from discrete_epi.moments_bounds import central_moment_brute, taylor_coeff
 from discrete_epi.polycert import (
     CERT_SUBSTITUTIONS,
     BivarPoly,
-    FactorExponents,
-    RationalExpr,
     build_g,
     certify,
     f_exact,
     quadratic_shift_expand,
     rational_substitute_t,
     shift_expand,
-    symbolic_f,
-    symbolic_moments,
-    symbolic_taylor_coeff,
 )
 
-from conftest import exact_central_moment, skew_parameter
+from conftest import exact_central_moment, exact_taylor_coeff, skew_parameter
 
 NT = ("n", "t")
 
@@ -132,98 +128,7 @@ class TestBivarPoly:
         assert order == [(2, 0), (2, 3), (1, 0), (0, 2)]
 
 
-class TestRationalExpr:
-    def test_reduction_clears_exact_factors(self):
-        # (n**2 + n) / n normalises to the polynomial n + 1.
-        num = BivarPoly.from_terms(NT, {(2, 0): 1, (1, 0): 1})
-        expr = RationalExpr.from_poly(num, n=1)
-        assert expr.den == FactorExponents()
-        assert expr.num.coeffs == {(1, 0): Fraction(1), (0, 0): Fraction(1)}
-
-    def test_parity_mismatch_on_add(self):
-        even = RationalExpr(BivarPoly.constant(NT, 1))
-        odd = RationalExpr(BivarPoly.constant(NT, 1), parity=1)
-        with pytest.raises(ConsistencyError):
-            even + odd
-
-    def test_odd_parity_refuses_evaluation(self):
-        odd = RationalExpr(BivarPoly.constant(NT, 1), parity=1)
-        with pytest.raises(ConsistencyError):
-            odd.evaluate(1, 1)
-
-    def test_odd_times_odd_folds_to_skew(self):
-        # r * r must equal t / (4 (t + 4)); at p = 3/10, r**2 = 1/25.
-        r = RationalExpr(BivarPoly.constant(NT, 1), parity=1)
-        square = r * r
-        assert square.parity == 0
-        t = skew_parameter(Fraction(3, 10))
-        assert square.evaluate(9, t) == Fraction(1, 25)
-
-    def test_evaluate_exact(self):
-        num = BivarPoly.from_terms(NT, {(1, 0): 1})
-        expr = RationalExpr.from_poly(num, n1=1)  # n / (n + 1)
-        assert expr.evaluate(3, 0) == Fraction(3, 4)
-
-
-class TestSymbolicMoments:
-    P = Fraction(3, 10)
-
-    def test_first_moment_vanishes(self):
-        assert symbolic_moments(1).num.is_zero()
-
-    @pytest.mark.parametrize("k", [2, 4, 6])
-    def test_even_orders_match_exact(self, k):
-        t = skew_parameter(self.P)
-        for n in (1, 2, 5, 17):
-            assert symbolic_moments(k).evaluate(n, t) == exact_central_moment(n, self.P, k)
-
-    @pytest.mark.parametrize("k", [3, 5, 7])
-    def test_odd_orders_match_exact_squared(self, k):
-        # Odd moments carry one dangling factor of r; the square has even
-        # parity and can be evaluated exactly.
-        t = skew_parameter(self.P)
-        mu = symbolic_moments(k)
-        assert mu.parity == 1
-        squared = mu * mu
-        for n in (1, 2, 5, 17):
-            assert squared.evaluate(n, t) == exact_central_moment(n, self.P, k) ** 2
-
-    def test_order_bounds(self):
-        with pytest.raises(ValueError):
-            symbolic_moments(8)
-        with pytest.raises(ValueError):
-            symbolic_moments(0)
-
-
-class TestSymbolicTaylorCoeff:
-    def test_second_coefficient(self):
-        p = Fraction(3, 10)
-        t = skew_parameter(p)
-        expected = 1 / (2 * p * (1 - p))
-        assert symbolic_taylor_coeff(2).evaluate(0, t) == expected
-
-    def test_fourth_at_symmetric_point(self):
-        assert symbolic_taylor_coeff(4).evaluate(0, 0) == Fraction(4, 3)
-
-    def test_third_squared_at_quarter(self):
-        coeff = symbolic_taylor_coeff(3)
-        assert coeff.parity == 1
-        t = skew_parameter(Fraction(1, 4))
-        assert t == Fraction(4, 3)
-        assert (coeff * coeff).evaluate(0, t) == Fraction(64, 27) ** 2
-
-    def test_rejects_low_order(self):
-        with pytest.raises(ValueError):
-            symbolic_taylor_coeff(1)
-
-
 class TestSlackExpression:
-    def test_shape(self):
-        f = symbolic_f()
-        assert f.parity == 0
-        assert f.den.t4 == 0 and f.den.t1 == 0
-        assert f.den.n <= 3 and f.den.n1 <= 6
-
     def test_known_exact_value(self):
         assert f_exact(7, 0) == Fraction(179, 10536960)
 
@@ -252,10 +157,72 @@ class TestBuildG:
         assert g.evaluate(6, 0) == -457072
 
     def test_clearing_identity(self):
+        # g against the slack summed from the exact binomial weights and
+        # F_k(p), a route that does not read the moment table
         g = build_g()
-        for n, t in ((5, Fraction(7, 3)), (11, Fraction(1, 2))):
-            cleared = f_exact(n, t) * 420 * Fraction(n + 1) ** 6 * Fraction(n) ** 3
-            assert g.evaluate(n, t) == cleared
+        for p in (Fraction(3, 10), Fraction(1, 4), Fraction(1, 2), Fraction(9, 10), Fraction(1, 100)):
+            t = skew_parameter(p)
+            for n in (1, 6, 7, 20):
+                j = n + 1
+                slack = sum(
+                    exact_taylor_coeff(k, p) * exact_central_moment(j, p, k) / Fraction(j) ** k
+                    for k in range(2, 8)
+                ) - (Fraction(1, 2 * n) - Fraction(1, 4 * n**2) + Fraction(1, 6 * n**3))
+                assert g.evaluate(n, t) == 420 * n**3 * j**6 * slack, (p, n)
+
+
+class TestConsistencyChecks:
+    """build_g refuses a moment table that cannot give a polynomial g."""
+
+    @pytest.fixture
+    def patch_rows(self, monkeypatch):
+        real = polycert._moment_poly
+
+        def patch(edit):
+            def rows(k):
+                out = [list(row) for row in real(k)]
+                edit(k, out)
+                return tuple(tuple(row) for row in out)
+
+            monkeypatch.setattr(polycert, "_moment_poly", rows)
+
+        build_g.cache_clear()
+        yield patch
+        monkeypatch.undo()
+        build_g.cache_clear()
+
+    @staticmethod
+    def odd_r_power(k, rows):
+        if k == 2:
+            rows[1][1] += 1
+
+    def test_odd_power_of_r_refused(self, patch_rows):
+        patch_rows(self.odd_r_power)
+        with pytest.raises(ConsistencyError, match="odd power of r"):
+            build_g()
+
+    def test_constant_moment_row_refused(self, patch_rows):
+        def constant_row(k, rows):
+            if k == 7:
+                rows[0][0] = Fraction(1)
+
+        patch_rows(constant_row)
+        with pytest.raises(ConsistencyError, match=r"n\*\*0"):
+            build_g()
+
+    def test_degree_in_u_above_six_refused(self, patch_rows):
+        def even_r_power(k, rows):
+            if k == 2:
+                rows[1] += [Fraction(0)] * (14 - len(rows[1])) + [Fraction(1)]
+
+        patch_rows(even_r_power)
+        with pytest.raises(ConsistencyError, match="> 6 in u"):
+            build_g()
+
+    def test_certify_command_exits_4(self, patch_rows, capsys):
+        patch_rows(self.odd_r_power)
+        assert cli.main(["certify", "--sub", "A"]) == 4
+        assert capsys.readouterr().out == ""
 
 
 class TestSubstitutions:
