@@ -121,11 +121,12 @@ sample is taken.  The parts:
     20 guard bits more than the bit length of twice that count, so every
     entry is within 2**-(prec+20) before it is rounded once to prec bits.
   - The samples at offset r/M from the lattice are the weights
-    convolved with the table entries M s + r, one exact ``_exact_convolve``
-    per r (dist_core), so each is rounded once to within u/2 (1 + 2**-16)
-    of the exact sum of its terms.  Peaks farther than R = reach/M from
-    the sample are left out.  The support point k0 nearest the sample is
-    at most nu = max(8 sigma + 1/M, 1/2) away.  The differences of ln w
+    convolved with the table entries M s + r, one exact ``_convolve_runs``
+    per r on weights cut into runs once (dist_core), so each is rounded
+    once to within u/2 (1 + 2**-16) of the exact sum of its terms.
+    Peaks farther than R = reach/M from the sample are left out.  The
+    support point k0 nearest the sample is at most
+    nu = max(8 sigma + 1/M, 1/2) away.  The differences of ln w
     fall along the run, so Lambda, the larger |ln(w_(k+1)/w_k)| of the
     two ends plus 1 for rounding, bounds them all, and
     w_j <= w_k0 e^(Lambda |j - k0|).  A peak at distance d from the
@@ -204,12 +205,14 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mpf
+from mpmath.libmp import from_man_exp, mpf_log, mpf_mul
 
 from .dist_core import (  # MAX_SUM_SUPPORT is re-exported
     MAX_SUM_SUPPORT,
     IntegerPmf,
-    _exact_convolve,
+    _convolve_runs,
     _iid_ladder,
+    _runs,
     binomial_pmf,
     entropy,
 )
@@ -352,7 +355,12 @@ def leading_constant_fit(
     ns = sorted(set(n_range))
     if len(ns) < 4:
         raise ValueError(f"need at least 4 fold counts for a fit, got {len(ns)}")
-    profile = knessl_profile(base, ns, precision)
+    return _fit_profile(knessl_profile(base, ns, precision))
+
+
+def _fit_profile(profile: KnesslProfile) -> LeadingFit:
+    """``leading_constant_fit`` over every fold count of a computed profile."""
+    ns = sorted(profile.g_values)
     g_abs = [abs(float(profile.g_values[n])) for n in ns]
     if any(v == 0 for v in g_abs):
         raise ValueError("g(n) vanished exactly; nothing to fit on a log scale")
@@ -660,15 +668,20 @@ def _trapezoid(
     table = [+g for g in half]
 
     # The terms f ln f, summed exactly (one offset at a time, so only one
-    # row of terms is held) and rounded once.
+    # row of terms is held) and rounded once.  Each sample is rounded and
+    # its f ln f taken on raw mpf tuples, as mpf(), ln and * would.
+    run_span = 2 * prec
+    runs = _runs(weights, run_span)
     partials = []
     for r in range(steps):
         first = -((reach + r) // steps)
         kernel = [table[abs(steps * s + r)] for s in range(first, (reach - r) // steps + 1)]
+        sums = _convolve_runs(runs, _runs(kernel, run_span), len(weights) + len(kernel) - 1, prec)
         terms = []
-        for i, f in enumerate(_exact_convolve(weights, kernel, prec), first):
+        for i, (man, exp) in enumerate(sums, first):
             if -pad <= steps * i + r <= span * steps + pad:
-                sign, man, exp, _ = (f * mpmath.ln(f))._mpf_
+                f = from_man_exp(man, exp, prec, "n")
+                sign, man, exp, _ = mpf_mul(f, mpf_log(f, prec, "n"), prec, "n")
                 terms.append((-man if sign else man, exp))
         partials.append(_exact_sum(terms))
     return -mpf(_exact_sum(partials)) / steps, err

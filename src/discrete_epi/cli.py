@@ -300,7 +300,7 @@ def _cmd_knessl(args: argparse.Namespace) -> int:
     with working_precision(precision):
         base = dist_core.binomial_pmf(1, args.p, precision)
         profile = asymptotics.knessl_profile(base, family, precision)
-        fit = asymptotics.leading_constant_fit(base, family, precision)
+        fit = asymptotics._fit_profile(profile)
         kappa3 = profile.kappa.kappa(3)
         kappa4 = profile.kappa.kappa(4)
         sigma2 = profile.sigma2

@@ -10,7 +10,7 @@ and every constructor checks that total mass is one within
 Binomial pmfs are built exactly and rounded once (error model below).
 Sums of n iid copies come from one repeated-squaring ladder
 (``_iid_ladder``, shared with ``asymptotics.iid_power_pmfs`` and
-``iid_epi_gap``): at most 2 log2(n) + 1 convolutions, whose cost is
+``iid_epi_gap``): at most 2 log2(n) convolutions, whose cost is
 dominated by the last squaring, at half the final support.  A sum whose
 support would pass ``MAX_SUM_SUPPORT`` points is refused before any
 convolution (ValueError).  The entropy chain costs O(n_max**2) integer
@@ -330,16 +330,24 @@ def _pack(ints: Sequence[int], width: int) -> int:
     return int.from_bytes(b"".join(x.to_bytes(width, "little") for x in ints), "little")
 
 
-def _exact_convolve(a: Sequence[mpf], b: Sequence[mpf], prec: int) -> List[mpf]:
-    """Weights of a * b, each rounded once to prec bits (module docstring)."""
-    span = 2 * prec
-    runs_a = _runs(a, span)
-    square = a is b
-    runs_b = runs_a if square else _runs(b, span)
+def _convolve_runs(
+    runs_a: List[Tuple[int, List[int], int, int]],
+    runs_b: List[Tuple[int, List[int], int, int]],
+    size: int,
+    prec: int,
+) -> List[Tuple[int, int]]:
+    """Outputs of a * b, each as the exact sum man * 2**exp of its kept terms.
+
+    ``runs_a`` and ``runs_b`` are ``_runs`` of the two inputs at span
+    2 prec, ``size`` is len(a) + len(b) - 1, and the same list passed
+    twice squares.  Rounding each pair to prec bits gives the weights of
+    the module docstring's error model; an output with no terms is (0, 0).
+    """
+    square = runs_a is runs_b
     # Contributions more than prec + g bits below an output's largest
     # are dropped; no output has more than one per pair of runs.
     drop = prec + (len(runs_a) * len(runs_b)).bit_length() + 16 + 1
-    terms: List[List[Tuple[int, int]]] = [[] for _ in range(len(a) + len(b) - 1)]
+    terms: List[List[Tuple[int, int]]] = [[] for _ in range(size)]
     for i, (sa, xa, ea, ba) in enumerate(runs_a):
         for j, (sb, xb, eb, bb) in enumerate(runs_b):
             if square and j < i:
@@ -359,7 +367,6 @@ def _exact_convolve(a: Sequence[mpf], b: Sequence[mpf], prec: int) -> List[mpf]:
             for k, v in enumerate(slots, sa + sb):
                 if v:
                     terms[k].extend([(v, e)] * copies)
-    zero = mpf(0)
     out = []
     for contributions in terms:
         if len(contributions) > 1:
@@ -368,7 +375,7 @@ def _exact_convolve(a: Sequence[mpf], b: Sequence[mpf], prec: int) -> List[mpf]:
             kept = [c for c, top in zip(contributions, tops) if top > cut]
             e0 = min(e for _, e in kept)
             contributions = [(sum(v << (e - e0) for v, e in kept), e0)]
-        out.append(mpf(contributions[0]) if contributions else zero)
+        out.append(contributions[0] if contributions else (0, 0))
     return out
 
 
@@ -380,8 +387,12 @@ def convolve(a: IntegerPmf, b: IntegerPmf) -> IntegerPmf:
     """
     precision = _check_same_precision(a, b)
     with working_precision(precision):
-        out = _exact_convolve(a.weights, b.weights, mpmath.mp.prec)
-    return IntegerPmf(offset=a.offset + b.offset, weights=tuple(out), precision=precision)
+        prec = mpmath.mp.prec
+        runs_a = _runs(a.weights, 2 * prec)
+        runs_b = runs_a if a.weights is b.weights else _runs(b.weights, 2 * prec)
+        sums = _convolve_runs(runs_a, runs_b, a.size + b.size - 1, prec)
+        out = tuple(mpf(c) for c in sums)
+    return IntegerPmf(offset=a.offset + b.offset, weights=out, precision=precision)
 
 
 def shift(pmf: IntegerPmf, k: int) -> IntegerPmf:
@@ -412,9 +423,10 @@ def _check_sum_support(base: IntegerPmf, n: int) -> None:
 def _iid_ladder(base: IntegerPmf, n_values: Iterable[int]) -> Dict[int, IntegerPmf]:
     """n-fold iid sums of base for every n, from one repeated-squaring ladder.
 
-    Rung r holds the 2**r-fold sum; the n-fold sum starts from the point
-    mass at zero and convolves in the rung of each set bit of n, lowest
-    first.  The support budget is checked before any convolution.
+    Rung r holds the 2**r-fold sum; the n-fold sum starts from the rung
+    of the lowest set bit of n and convolves in the rung of each higher
+    set bit, lowest first (n = 0 gives the point mass at zero).  The
+    support budget is checked before any convolution.
     """
     targets = sorted(set(n_values))
     if not targets:
@@ -425,10 +437,10 @@ def _iid_ladder(base: IntegerPmf, n_values: Iterable[int]) -> Dict[int, IntegerP
         ladder.append(convolve(ladder[-1], ladder[-1]))
     out = {}
     for n in targets:
-        acc = delta_pmf(0, base.precision)
-        for rung, power in enumerate(ladder):
-            if n >> rung & 1:
-                acc = convolve(acc, power)
+        rungs = [power for rung, power in enumerate(ladder) if n >> rung & 1]
+        acc = rungs[0] if rungs else delta_pmf(0, base.precision)
+        for power in rungs[1:]:
+            acc = convolve(acc, power)
         out[n] = acc
     return out
 

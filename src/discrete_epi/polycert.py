@@ -135,9 +135,6 @@ class BivarPoly:
             return -1
         return max(e[axis] for e in self.coeffs)
 
-    def coefficient(self, i: int, j: int) -> Fraction:
-        return self.coeffs.get((i, j), Fraction(0))
-
     def sorted_terms(self) -> List[Tuple[int, int, Fraction]]:
         """Terms ordered by first-variable degree descending, then second ascending."""
         return [

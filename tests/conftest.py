@@ -9,6 +9,19 @@ import pytest
 
 from discrete_epi.precision import working_precision
 
+# The denominator-cleared slack polynomial g(n, t), frozen
+# coefficient-for-coefficient.  Keys are (n-degree, t-degree).
+G_EXPECTED = {
+    exponents: Fraction(c)
+    for exponents, c in {
+        (7, 1): 35, (6, 2): 35, (6, 1): 315, (6, 0): 70,
+        (5, 3): -721, (5, 2): -3339, (5, 1): -2989, (5, 0): -315,
+        (4, 4): -546, (4, 3): -1568, (4, 2): 371, (4, 1): 721, (4, 0): -826,
+        (3, 5): -10, (3, 4): -66, (3, 3): -157, (3, 2): -135, (3, 1): -90,
+        (3, 0): -826, (2, 0): -630, (1, 0): -315, (0, 0): -70,
+    }.items()
+}
+
 
 @pytest.fixture
 def dps50():

@@ -38,15 +38,9 @@ from discrete_epi.moments_bounds import (
 from discrete_epi.polycert import build_g, certify
 from discrete_epi.precision import eps_for, working_precision
 
-P_GRID_9 = [f"0.{d}" for d in range(1, 10)]
+from conftest import G_EXPECTED
 
-G_EXPECTED = {
-    (7, 1): 35, (6, 2): 35, (6, 1): 315, (6, 0): 70,
-    (5, 3): -721, (5, 2): -3339, (5, 1): -2989, (5, 0): -315,
-    (4, 4): -546, (4, 3): -1568, (4, 2): 371, (4, 1): 721, (4, 0): -826,
-    (3, 5): -10, (3, 4): -66, (3, 3): -157, (3, 2): -135, (3, 1): -90,
-    (3, 0): -826, (2, 0): -630, (1, 0): -315, (0, 0): -70,
-}
+P_GRID_9 = [f"0.{d}" for d in range(1, 10)]
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -147,9 +141,7 @@ def test_criterion_04_series_identity():
 def test_criterion_05_positivity_certificates():
     started = time.monotonic()
     g = build_g()
-    exact_match = g.coeffs == {
-        e: Fraction(c) for e, c in G_EXPECTED.items()
-    }
+    exact_match = g.coeffs == G_EXPECTED
     production = all(
         certify(sub).all_nonneg for sub in ("A", "Aprime", "B", "C")
     )

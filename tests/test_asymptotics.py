@@ -376,14 +376,14 @@ def smoothed_reference(pmf: IntegerPmf, sigma: str, dps: int = 40) -> mpf:
 def grid_steps(monkeypatch, pmf, sigma, tol="1e-9"):
     """The trapezoid's step count M (one lattice convolution per offset r/M)."""
     calls = []
-    original = asymptotics._exact_convolve
+    original = asymptotics._convolve_runs
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
     with monkeypatch.context() as patch:
-        patch.setattr(asymptotics, "_exact_convolve", counting)
+        patch.setattr(asymptotics, "_convolve_runs", counting)
         route, result = route_taken(patch, pmf, sigma, tol)
     assert route == "trapezoid"
     return len(calls), result
@@ -427,10 +427,10 @@ class TestTrapezoidRoute:
         # and the trapezoid needs more than MAX_TRAPEZOID_STEPS steps.
         pmf = binomial_pmf(3, "0.3", 30)
         convolutions = []
-        original = asymptotics._exact_convolve
+        original = asymptotics._convolve_runs
         with monkeypatch.context() as patch:
             patch.setattr(
-                asymptotics, "_exact_convolve",
+                asymptotics, "_convolve_runs",
                 lambda *args: convolutions.append(args) or original(*args),
             )
             route, quad = route_taken(patch, pmf, "0.07", "1e-10")

@@ -376,6 +376,21 @@ class TestIidSum:
             assert single.offset == shared.offset
             assert single.weights == shared.weights
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 65])
+    def test_starting_from_the_lowest_rung_is_bit_identical(self, n, dps50):
+        # The ladder skips convolving the point mass at zero with the first
+        # rung it needs; convolving a weight of exactly 1 changes no bit.
+        base = ratio_pmf([3, 1, 4, 1, 5], -1)
+        rungs, chain = [base], delta_pmf(0)
+        while len(rungs) < n.bit_length():
+            rungs.append(convolve(rungs[-1], rungs[-1]))
+        for rung, power in enumerate(rungs):
+            if n >> rung & 1:
+                chain = convolve(chain, power)
+        summed = iid_sum_pmf(base, n)
+        assert summed.offset == chain.offset
+        assert [w._mpf_ for w in summed.weights] == [w._mpf_ for w in chain.weights]
+
     def test_support_budget_fails_before_any_convolution(self, dps50, monkeypatch):
         def refuse(a, b):
             raise AssertionError("convolved before the budget check")

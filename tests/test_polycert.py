@@ -20,36 +20,9 @@ from discrete_epi.polycert import (
     shift_expand,
 )
 
-from conftest import exact_central_moment, exact_taylor_coeff, skew_parameter
+from conftest import G_EXPECTED, exact_central_moment, exact_taylor_coeff, skew_parameter
 
 NT = ("n", "t")
-
-# Denominator-cleared slack polynomial, frozen coefficient-for-coefficient.
-# Keys are (n-degree, t-degree).
-G_FIXTURE = {
-    (7, 1): Fraction(35),
-    (6, 2): Fraction(35),
-    (6, 1): Fraction(315),
-    (6, 0): Fraction(70),
-    (5, 3): Fraction(-721),
-    (5, 2): Fraction(-3339),
-    (5, 1): Fraction(-2989),
-    (5, 0): Fraction(-315),
-    (4, 4): Fraction(-546),
-    (4, 3): Fraction(-1568),
-    (4, 2): Fraction(371),
-    (4, 1): Fraction(721),
-    (4, 0): Fraction(-826),
-    (3, 5): Fraction(-10),
-    (3, 4): Fraction(-66),
-    (3, 3): Fraction(-157),
-    (3, 2): Fraction(-135),
-    (3, 1): Fraction(-90),
-    (3, 0): Fraction(-826),
-    (2, 0): Fraction(-630),
-    (1, 0): Fraction(-315),
-    (0, 0): Fraction(-70),
-}
 
 # Rounded rows of the linear-substitution expansion, as published; each
 # entry is (t-degree, printed value, scale).  agreement is checked to one
@@ -149,7 +122,7 @@ class TestSlackExpression:
 
 class TestBuildG:
     def test_matches_frozen_coefficients(self):
-        assert build_g().coeffs == G_FIXTURE
+        assert build_g().coeffs == G_EXPECTED
 
     def test_sign_change_between_six_and_seven(self):
         g = build_g()
