@@ -58,7 +58,7 @@ either route).  The bound has four parts:
 
 The reported error is therefore never exactly 0.  At sigma = 1e-3 sqrt(n)
 with n <= 64 (criterion 9) delta is below 1e-800 and the bound is the
-rounding term alone; for binomial pmfs from sigma near 0.1 up the bound
+rounding term alone; for binomial pmfs from sigma near 0.07 up the bound
 no longer fits a tolerance like 1e-9, and the trapezoidal route answers.
 
 Trapezoidal route.  It is taken when the nonzero weights sit on
@@ -81,27 +81,55 @@ sample is taken.  The parts:
   Theorem 5.1): if g is analytic in the strip |Im x| < a, decays in it,
   and int |g(x + iy)| dx <= M_a for |y| < a, the trapezoidal sum over
   all of Z/M is within D_M = 2 M_a / (exp(2 pi a M) - 1) of the integral.
-  - Write f(x + iy) = e^(y**2/2 sigma**2) sum_k a_k(x) e^(-iy (x - k)/sigma**2)
-    with a_k(x) = w_k phi_sigma(x - k).  Log-concave weights make the
-    second differences of k -> ln a_k(x) at most -1/sigma**2, so from its
+  With a_k(x) = w_k phi_sigma(x - k), g = -f ln f and z = x + iy, the
+  bound on M_a below needs two facts on |y| <= a: for every k,
+  ln|f(z)| >= ln a_k(x) - loss, and the branch of ln f that is real on
+  the axis is analytic there with |Im ln f| <= (a/sigma**2) |x - k*| + turn
+  for some k* in lo..hi.  ``_strip`` gives a, loss and turn from one of
+  two strips.
+  - Real-rooted strip, taken when sigma**2 ln 4 < 1 (decided with upward
+    rounding).  With v = e^((z - lo)/sigma**2),
+        f(z) = phi_sigma(z - lo) Q(v),   Q(v) = sum_j c_j v**j,
+        c_j = w_(lo+j) e^(-j**2/(2 sigma**2)),
+    and, with k = lo + j, c_j**2 / (c_(j-1) c_(j+1)) =
+    e^(1/sigma**2) w_k**2 / (w_(k-1) w_(k+1)) > 4, the weights being
+    log-concave.  By D. C. Kurtz, "A sufficient condition for all the
+    roots of a polynomial to be real", Amer. Math. Monthly 99 (1992)
+    259-263, a polynomial with positive coefficients and
+    c_j**2 > 4 c_(j-1) c_(j+1) has only real roots, here negative:
+    Q(v) = c_s prod_i (v + rho_i) with rho_i > 0.  So f vanishes only
+    where v < 0, that is on the lines |Im z| = (2m + 1) pi sigma**2, and
+    not in |Im z| < pi sigma**2.  Take a = theta sigma**2 with
+    theta = 2 pi / 3.  On |y| <= a, v has argument phi = y/sigma**2 with
+    |phi| <= theta, so for rho > 0, |v + rho|**2 - (|v| + rho)**2
+    cos(theta/2)**2 >= (1 - cos theta)(|v| - rho)**2 / 2 >= 0, and
+    arg(v + rho) lies between 0 and phi.  With
+    |phi_sigma(z - lo)| = e^(y**2/2 sigma**2) phi_sigma(x - lo) and
+    f(x) = phi_sigma(x - lo) Q(|v|), that gives
+    |f(z)| >= e^(y**2/2 sigma**2) 2**-s f(x) >= 2**-s a_k(x), so
+    loss = s ln 2.  ln f = ln phi_sigma(z - lo) + ln c_s
+    + sum_i Log(v + rho_i) is analytic there and real on the axis, and
+    Im ln f = -(x - lo) y/sigma**2 + sum_i arg(v + rho_i), so k* = lo
+    and turn = s theta.
+  - Lag strip, otherwise.  Log-concave weights make the second
+    differences of k -> ln a_k(x) at most -1/sigma**2, so from its
     maximiser k*, a_(k*+d) <= a_(k*) exp(-|d| (|d| - 1)/(2 sigma**2)).
-  - Let D >= 1 be the smallest lag whose far terms, |d| > D, sum to at
+    Let D >= 1 be the smallest lag whose far terms, |d| > D, sum to at
     most a_(k*)/4 by that bound (capped at s, where no far terms are
-    left): D = 1 for sigma <= 1/2.  Take a = pi sigma**2 / (3 D).  Then
+    left).  Take a = pi sigma**2 / (3 D).  Then
     S = e^(-y**2/2 sigma**2) e^(iy (x - k*)/sigma**2) f = sum_k a_k e^(iy (k - k*)/sigma**2)
     has its near terms within pi/3 of the real axis, so
-    Re S >= a_(k*) - a_(k*)/4 > 0 for |y| <= a.  f has no zero in the
-    strip, and the branch of ln f that is real on the axis is analytic
-    there; along the vertical segment at x it is
-    y**2/(2 sigma**2) - iy (x - k*)/sigma**2 + Log S, so
-    |Im ln f| <= a |x - k*|/sigma**2 + pi/2.
+    Re S >= a_(k*) - a_(k*)/4 > 0 for |y| <= a: |f| >= (3/4) a_(k*)(x)
+    and loss = ln(4/3).  f has no zero in the strip, and along the
+    vertical segment at x the branch of ln f is
+    y**2/(2 sigma**2) - iy (x - k*)/sigma**2 + Log S, so turn = pi/2.
   - M_a: |f| <= E sum_k a_k(x) with E = exp(a**2/(2 sigma**2)), and
-    ln|f| lies between ln(3/4) + ln a_k(x) (any k) and
+    ln|f| lies between ln a_k(x) - loss (any k) and
     ln E + ln(m/(sigma sqrt(2 pi))), m the mass.  With
     |ln a_k| <= |ln w_k| + |ln(sigma sqrt(2 pi))| + (x - k)**2/(2 sigma**2)
     and |x - k*| <= |x - k| + s, integrating peak by peak gives
-    M_a <= E [H + m (L + 1/2 + ln(4/3) + ln E + L0)
-              + m ((a/sigma**2)(sigma sqrt(2/pi) + s) + pi/2)],
+    M_a <= E [H + m (L + 1/2 + loss + ln E + L0)
+              + m ((a/sigma**2)(sigma sqrt(2/pi) + s) + turn)],
     H = sum_k w_k |ln w_k|, L = |ln(sigma sqrt(2 pi))|,
     L0 = |ln(m/(sigma sqrt(2 pi)))|.
 * grid truncation G_M: outside the region every peak is more than
@@ -149,14 +177,31 @@ sample is taken.  The parts:
     Four times that, R_M = 16 u B, is reported.
 
 For binomial rows with n from 3 to 64 at 30 digits and tolerance 1e-9,
-M is 58 to 63 at sigma = 1/4, 15 or 16 at sigma = 1/2 and 8 at
-sigma = 1.  M grows like 1/sigma**2, and the route's cost with it (one
-sample per grid point), while the adaptive quadrature's cost per peak
-hardly depends on sigma.  So an M above ``MAX_TRAPEZOID_STEPS`` = 512 is
+M is 30 to 34 at sigma = 1/4, 8 or 9 at sigma = 1/2 and 4 at
+sigma = 0.8, against 58 to 63, 15 or 16 and 12 with the lag strip, which
+still gives 8 at sigma = 1.  The angle theta was set from this table
+of M (30 digits, p as given, tolerance 1e-9 unless marked):
+
+    row                        pi/2   7pi/12   2pi/3   3pi/4   5pi/6
+    B(6, 1/2), sigma 1/4       41     35       31      28      25
+    B(64, 0.3), sigma 1/4      44     38       34      30      27
+    B(1000, 0.3), sigma 0.1    300    259      228     204     184
+    B(3, 0.3), 0.065, 1e-12    747    643      565     504     456
+
+M keeps falling as theta grows toward pi, because the loss
+s ln(1/cos(theta/2)) and the turn enter only through ln M_a.  At
+theta = 2 pi/3, cos(theta/2) = 1/2 is exact and most of the gain over
+the lag strip is taken; a wider angle is left open.
+
+M grows like 1/sigma**2, and the route's cost with it (one sample per
+grid point), while the adaptive quadrature's cost per peak hardly
+depends on sigma.  So an M above ``MAX_TRAPEZOID_STEPS`` = 512 is
 declined, before any sample is taken, and the adaptive quadrature
 answers.  The cap sits below the point where the two routes cost the
 same.  At 50 digits, tolerance 1e-9 and p = 0.3 (2-core Xeon, Python
-3.11, pure-Python mpmath), trapezoid against adaptive time:
+3.11, pure-Python mpmath), trapezoid against adaptive time, measured
+when each sample still went through mpf objects and recut the weights
+into runs:
 
     n       sigma   M      trapezoid   adaptive
     64      0.06    1088   0.53 s      0.58 s
@@ -171,11 +216,21 @@ same.  At 50 digits, tolerance 1e-9 and p = 0.3 (2-core Xeon, Python
 The break-even M falls slowly as n grows (about 1100 at n = 64, 690 at
 n = 1000 and 590 at n = 16,383), because a long row's samples cost a
 little more; at the cap the trapezoid was the faster route on every row
-measured.  Binomial rows meet the cap near sigma = 0.09 at tolerance
-1e-9: ``smooth --p 0.3 --n 1000 --sigma 0.1`` (M = 432) takes the
-trapezoid and sigma = 0.08 (M = 675) the adaptive quadrature.  The
-closed form answers from about sigma = 0.065 down, so the adaptive
-quadrature still answers the binomial rows in between.
+measured.  A sample now costs less (B(1000, 0.3) at sigma = 0.1, M = 432
+and 30 digits: 6.9 s against 8.5 s), so the cap sits further below the
+break-even point.
+
+With the real-rooted strip, binomial rows at tolerance 1e-9 (p = 0.3,
+30 or 50 digits) meet the cap about where the closed form stops.  The
+closed form answers up to sigma = 0.070, 0.068, 0.066, 0.065 and 0.064
+at n = 3, 64, 1000, 4000 and 16,383, and 0.001 above that the trapezoid
+needs M = 369, 435, 507, 547 and 589.  So rows up to n = 1000 never
+reach the adaptive quadrature at this tolerance, while it still answers
+sigma = 0.066 to 0.068 at n = 4000 (M = 547 to 515) and 0.065 to 0.069
+at n = 16,383 (M = 589 to 523).
+``smooth --p 0.3 --n 1000 --sigma 0.1`` now takes M = 228.  Tighter
+tolerances widen the band: B(3, 0.3) at sigma = 0.065 and tolerance
+1e-12 needs M = 565.
 
 The truncation-floor check of the quadrature (a tolerance at or below
 twice the bound on the -f ln f mass outside the 8-sigma region is
@@ -558,23 +613,36 @@ def _log_concave_run(positions: Sequence[int], weights: Sequence[mpf]) -> bool:
     return True
 
 
-def _strip(sig: mpf, span: int) -> mpf:
-    """Half-width a = pi sigma**2 / (3 D) of the strip where ln f is analytic.
+def _strip(sig: mpf, span: int) -> Tuple[mpf, mpf, mpf]:
+    """Strip where ln f is analytic: its half-width a, loss and turn.
 
-    D >= 1 is the smallest lag whose far terms, the lags d > D, weigh at
-    most a quarter of the largest term, capped at the span.  They are
-    bounded by 2 sum_(d > D) exp(-d (d - 1) / (2 sigma**2)), whose ratios
-    fall below r = exp(-(D + 1) / sigma**2), so the sum is at most its
-    first term over 1 - r.
+    On |Im x| <= a, ln|f(x + iy)| >= ln a_k(x) - loss for every peak k,
+    and |Im ln f| <= (a / sigma**2) |x - k*| + turn for some k* in the
+    run (module docstring).  When sigma**2 ln 4 < 1, decided with upward
+    rounding, f has no zero in |Im x| < pi sigma**2 and a = theta sigma**2
+    with theta = 2 pi / 3, loss = span ln 2 and turn = span theta.
+    Otherwise a = pi sigma**2 / (3 D), loss = ln(4/3) and turn = pi/2,
+    where D >= 1 is the smallest lag whose far terms, the lags d > D,
+    weigh at most a quarter of the largest term, capped at the span.
+    They are bounded by 2 sum_(d > D) exp(-d (d - 1) / (2 sigma**2)),
+    whose ratios fall below r = exp(-(D + 1) / sigma**2), so the sum is
+    at most its first term over 1 - r.
     """
-    inv = 1 / (2 * sig * sig)
+    sig2 = sig * sig
+    # 1.38629436112 rounds to above ln 4 = 1.38629436111989... at the
+    # package's 20-digit minimum precision and above.
+    ln4_up = mpf("1.38629436112")
+    if mpmath.fmul(mpmath.fmul(sig, sig, rounding="u"), ln4_up, rounding="u") < 1:
+        theta = 2 * mpmath.pi / 3
+        return theta * sig2, span * mpmath.ln(2), span * theta
+    inv = 1 / (2 * sig2)
     lag = 1
     while lag < span:
         first = mpmath.exp(-lag * (lag + 1) * inv)
         if 2 * first <= -mpmath.expm1(-2 * (lag + 1) * inv) / 4:
             break
         lag += 1
-    return mpmath.pi * sig * sig / (3 * lag)
+    return mpmath.pi * sig2 / (3 * lag), mpmath.ln(mpf(4) / 3), mpmath.pi / 2
 
 
 def _reach(weights: Sequence[mpf], sig: mpf, near: mpf, prec: int) -> mpf:
@@ -615,10 +683,10 @@ def _trapezoid(
     h_w = mpmath.fsum(w * abs(mpmath.ln(w)) for w in weights)
     log_norm = abs(mpmath.ln(sig * root2pi))
     log_peak = abs(mpmath.ln(mass / (sig * root2pi)))
-    a = _strip(sig, span)
+    a, loss, turn = _strip(sig, span)
     excess = a * a / (2 * sig * sig)
-    log_part = h_w + mass * (log_norm + mpf(1) / 2 + mpmath.ln(mpf(4) / 3) + excess + log_peak)
-    phase_part = mass * (a / (sig * sig) * (sig * mpmath.sqrt(2 / pi) + span) + pi / 2)
+    log_part = h_w + mass * (log_norm + mpf(1) / 2 + loss + excess + log_peak)
+    phase_part = mass * (a / (sig * sig) * (sig * mpmath.sqrt(2 / pi) + span) + turn)
     strip_mass = mpmath.exp(excess) * (log_part + phase_part)
 
     # Per unit step: the grid tail beyond the integral's, and the rounding.

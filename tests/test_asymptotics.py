@@ -417,14 +417,15 @@ class TestTrapezoidRoute:
             assert 0 < result.quadrature_error <= mpf("1e-12")
             assert abs(result.h_value - reference) <= result.quadrature_error
 
-    @pytest.mark.parametrize("sigma, steps", [("0.25", 59), ("0.5", 15), ("1", 8)])
+    @pytest.mark.parametrize("sigma, steps", [("0.25", 31), ("0.5", 8), ("1", 8)])
     def test_grid_is_the_smallest_the_bound_allows(self, sigma, steps, monkeypatch):
         # Pinned: a narrower strip or a looser bound would need a finer grid.
         assert grid_steps(monkeypatch, binomial_pmf(6, "0.5", 30), sigma)[0] == steps
 
     def test_grid_past_the_cap_is_declined_before_any_sample(self, monkeypatch):
-        # At sigma = 0.07 and tol 1e-10 the closed form's bound is too loose
-        # and the trapezoid needs more than MAX_TRAPEZOID_STEPS steps.
+        # At sigma = 0.065 and tol 1e-12 the closed form's bound (1.5e-11)
+        # is too loose and the trapezoid needs 565 > MAX_TRAPEZOID_STEPS
+        # steps; the truncation floor, 8.9e-14, still admits the tolerance.
         pmf = binomial_pmf(3, "0.3", 30)
         convolutions = []
         original = asymptotics._convolve_runs
@@ -433,12 +434,12 @@ class TestTrapezoidRoute:
                 asymptotics, "_convolve_runs",
                 lambda *args: convolutions.append(args) or original(*args),
             )
-            route, quad = route_taken(patch, pmf, "0.07", "1e-10")
+            route, quad = route_taken(patch, pmf, "0.065", "1e-12")
         assert route == "adaptive"
         assert convolutions == []
         cap = asymptotics.MAX_TRAPEZOID_STEPS
         monkeypatch.setattr(asymptotics, "MAX_TRAPEZOID_STEPS", 1 << 20)
-        steps, trap = grid_steps(monkeypatch, pmf, "0.07", "1e-10")
+        steps, trap = grid_steps(monkeypatch, pmf, "0.065", "1e-12")
         assert steps > cap
         with working_precision(30):
             assert abs(trap.h_value - quad.h_value) <= trap.quadrature_error + quad.quadrature_error
@@ -455,13 +456,56 @@ class TestTrapezoidRoute:
         assert steps > base_steps
         assert extra < result.quadrature_error <= ORACLE_TOL
 
-    @pytest.mark.parametrize("sigma", SIGMAS)
+    @pytest.mark.parametrize("n, p, sigma", [(6, "0.5", "0.25"), (8, "0.3", "0.5"), (12, "0.3", "0.84")])
+    def test_real_rooted_strip_polynomial(self, n, p, sigma):
+        # Q(v) = sum_k c_k v**k, c_k = w_k exp(-(k - k*)**2 / (2 sigma**2))
+        # with k* = n // 2, has only real negative roots below
+        # sigma = 1/sqrt(ln 4).
+        pmf = binomial_pmf(n, p, 30)
+        with mpmath.workdps(60):
+            sig, mid = mpf(sigma), n // 2
+            coeffs = [w * mpmath.exp(-((k - mid) ** 2) / (2 * sig * sig)) for k, w in pmf.items()]
+            roots = mpmath.polyroots(coeffs[::-1], maxsteps=200, extraprec=200)
+            assert len(roots) == n
+            for r in roots:
+                assert abs(mpmath.im(r)) <= mpf("1e-40") * abs(r)
+                assert mpmath.re(r) < 0
+
+    @pytest.mark.parametrize("n, p, sigma", [(6, "0.5", "0.25"), (8, "0.3", "0.5"), (12, "0.3", "0.84")])
+    def test_real_rooted_strip_bounds_f(self, n, p, sigma):
+        # On the strip's edge |f(x + ia)| >= e**-loss e**(a**2/2 sigma**2) f(x),
+        # and ln f, followed up from the axis, turns by at most
+        # (a / sigma**2) |x - lo| + turn, with lo = 0.
+        pmf = binomial_pmf(n, p, 30)
+        with working_precision(30):
+            sig = mpf(sigma)
+            a, loss, turn = asymptotics._strip(sig, n)
+            assert mpmath.almosteq(a, 2 * mpmath.pi / 3 * sig * sig, 1e-25)
+            lift = mpmath.exp(a * a / (2 * sig * sig) - loss)
+
+            def f(z):
+                return mpmath.fsum(w * mpmath.exp(-((z - k) ** 2) / (2 * sig * sig)) for k, w in pmf.items())
+
+            for i in range(-20, 20 * n + 21):
+                x = mpf(i) / 20
+                assert abs(f(x + 1j * a)) >= lift * f(x)
+                if i % 10 == 0:
+                    phase, last = mpf(0), f(x)
+                    for j in range(1, 201):
+                        value = f(x + 1j * a * j / 200)
+                        phase += mpmath.arg(value / last)
+                        last = value
+                    assert abs(phase) <= a / (sig * sig) * abs(x) + turn
+
+    @pytest.mark.parametrize("sigma", ["0.8493219", "1", "2"])
     def test_strip_keeps_f_off_zero(self, sigma):
-        # Re S >= (3/4) a_k* on both edges of the strip, over the region.
+        # Above sigma = 1/sqrt(ln 4) the lag strip: Re S >= (3/4) a_k* on
+        # both edges of the strip, over the region.
         pmf = binomial_pmf(8, "0.3", 30)
         with working_precision(30):
             sig = mpf(sigma)
-            a = asymptotics._strip(sig, 8)
+            a, loss, turn = asymptotics._strip(sig, 8)
+            assert (loss, turn) == (mpmath.ln(mpf(4) / 3), mpmath.pi / 2)
             for i in range(-40, 201):
                 x = mpf(i) / 20
                 terms = [w * mpmath.exp(-((x - k) ** 2) / (2 * sig * sig)) for k, w in pmf.items()]
@@ -495,11 +539,16 @@ class TestTrapezoidRoute:
                 assert left_out <= mpmath.ldexp(mpmath.fsum(t for _, t in terms), -(prec + 16))
 
     def test_strip_half_width(self, dps50):
-        pi = mpmath.pi
-        assert asymptotics._strip(mpf("0.25"), 64) == pi / 48
-        assert asymptotics._strip(mpf("0.5"), 64) == pi / 12
-        assert asymptotics._strip(mpf("1"), 64) == pi / 6
-        assert asymptotics._strip(mpf("10"), 3) == pi * 100 / 9
+        pi, ln2 = mpmath.pi, mpmath.ln(2)
+        real_rooted = {"0.25": pi / 24, "0.5": pi / 6, "0.8493218": 2 * pi / 3 * mpf("0.8493218") ** 2}
+        for sigma, a in real_rooted.items():
+            assert mpmath.almosteq(asymptotics._strip(mpf(sigma), 64)[0], a, 1e-45)
+            assert asymptotics._strip(mpf(sigma), 64)[1:] == (64 * ln2, 64 * 2 * pi / 3)
+        # Just above sigma = 1/sqrt(ln 4) = 0.84932180..., the lag strip.
+        lag = {("0.8493219", 64): pi * mpf("0.8493219") ** 2 / 6, ("1", 64): pi / 6, ("10", 3): pi * 100 / 9}
+        for (sigma, span), a in lag.items():
+            assert mpmath.almosteq(asymptotics._strip(mpf(sigma), span)[0], a, 1e-45)
+            assert asymptotics._strip(mpf(sigma), span)[1:] == (mpmath.ln(mpf(4) / 3), pi / 2)
 
     def test_log_concavity_gate_is_exact(self, monkeypatch):
         with working_precision(30):
