@@ -12,10 +12,8 @@ Two empirical instruments live here:
   expansion coefficients are treated as fitted residuals.
 
 * The differential entropy h(S) of a lattice distribution smoothed by a
-  Gaussian, from a closed form when its proven error fits the tolerance,
-  from the trapezoidal rule with a proven bound when the weights are a
-  log-concave run and the grid it needs is not too fine, and by
-  deterministic adaptive quadrature otherwise.
+  Gaussian, from a closed form when its proven error fits the tolerance
+  and from the trapezoidal rule with a proven bound otherwise.
   This feeds the continuous entropy-power comparison: half-log
   increments of h(S^(n)) hold unconditionally, and the discrete
   inequality upgrades them to full-log increments once n clears the
@@ -32,11 +30,13 @@ tolerance, and reports that bound as ``quadrature_error`` (the field
 name is kept for the JSON output; it is the reported error bound on
 either route).  The bound has four parts:
 
-* Bhattacharyya: distinct support points are at least 1 apart, and the
-  Bhattacharyya coefficient of two unit-spaced N(., sigma**2) peaks is
-  exp(-1/(8 sigma**2)), so the union bound puts the error of guessing
-  K from X at P_e <= beta = (1/2) (sum_k sqrt(w_k))**2 exp(-1/(8 sigma**2)).
-  The exponent 1/(8 sigma**2) is rounded down, so its rounding, which
+* Bhattacharyya: distinct nonzero weights sit at least d apart, d the
+  smallest gap between them (1 for every binomial), and the
+  Bhattacharyya coefficient of two N(., sigma**2) peaks at distance
+  d' >= d is exp(-d'**2/(8 sigma**2)) <= exp(-d**2/(8 sigma**2)), so the
+  union bound puts the error of guessing K from X at
+  P_e <= beta = (1/2) (sum_k sqrt(w_k))**2 exp(-d**2/(8 sigma**2)).
+  The exponent d**2/(8 sigma**2) is rounded down, so its rounding, which
   grows with it, can only enlarge beta.
 * Fano: delta <= h_b(P_e) + P_e ln(M - 1) with M the number of nonzero
   weights; h_b(x) <= x (1 - ln x), and x (1 - ln x + ln(M - 1)) grows
@@ -61,10 +61,16 @@ with n <= 64 (criterion 9) delta is below 1e-800 and the bound is the
 rounding term alone; for binomial pmfs from sigma near 0.07 up the bound
 no longer fits a tolerance like 1e-9, and the trapezoidal route answers.
 
-Trapezoidal route.  It is taken when the nonzero weights sit on
-consecutive integers lo..hi (span s = hi - lo) and are log-concave,
-w_k**2 >= w_(k-1) w_(k+1), decided exactly on the rounded weights read
-as man * 2**exp.  Every binomial pmf passes: its exact ratio
+Trapezoidal route.  It answers every pmf that the closed form does not.
+The nonzero weights sit on lo..hi (span s = hi - lo), and w_lo..w_hi,
+zeros included, are taken as one dense run.  Its log-concavity ratio
+
+    rho = min(1, min_k w_k**2 / (w_(k-1) w_(k+1))),
+
+with the minimum over lo < k < hi, is taken on the rounded weights read
+as man * 2**exp: rho = 1 exactly when the run is log-concave (decided
+exactly), rho = 0 when a weight is zero, and otherwise it is rounded
+down.  Every binomial pmf has rho = 1: its exact ratio
 w_k**2 / (w_(k-1) w_(k+1)) = (k + 1)(n - k + 1) / (k (n - k)) exceeds
 1 + 1/n**2, far above the 2**-prec rounding of the weights.  With
 g = -f ln f, the rule T_M = (1/M) sum_j g(j/M) over the grid samples in
@@ -82,28 +88,30 @@ sample is taken.  The parts:
   and int |g(x + iy)| dx <= M_a for |y| < a, the trapezoidal sum over
   all of Z/M is within D_M = 2 M_a / (exp(2 pi a M) - 1) of the integral.
   With a_k(x) = w_k phi_sigma(x - k), g = -f ln f and z = x + iy, the
-  bound on M_a below needs two facts on |y| <= a: for every k,
-  ln|f(z)| >= ln a_k(x) - loss, and the branch of ln f that is real on
-  the axis is analytic there with |Im ln f| <= (a/sigma**2) |x - k*| + turn
-  for some k* in lo..hi.  ``_strip`` gives a, loss and turn from one of
-  two strips.
-  - Real-rooted strip, taken when sigma**2 ln 4 < 1 (decided with upward
-    rounding).  With v = e^((z - lo)/sigma**2),
+  bound on M_a below needs two facts on |y| <= a: for every k with
+  w_k > 0, ln|f(z)| >= ln a_k(x) - loss, and the branch of ln f that is
+  real on the axis is analytic there with
+  |Im ln f| <= (a/sigma**2) |x - k*| + turn for some k* in lo..hi.
+  ``_strip`` gives a, loss and turn from one of two strips.
+  - Real-rooted strip, taken when rho > 0 and sigma**2 ln(4/rho) < 1
+    (decided with upward rounding).  With v = e^((z - lo)/sigma**2),
         f(z) = phi_sigma(z - lo) Q(v),   Q(v) = sum_j c_j v**j,
         c_j = w_(lo+j) e^(-j**2/(2 sigma**2)),
     and, with k = lo + j, c_j**2 / (c_(j-1) c_(j+1)) =
-    e^(1/sigma**2) w_k**2 / (w_(k-1) w_(k+1)) > 4, the weights being
-    log-concave.  By D. C. Kurtz, "A sufficient condition for all the
-    roots of a polynomial to be real", Amer. Math. Monthly 99 (1992)
-    259-263, a polynomial with positive coefficients and
-    c_j**2 > 4 c_(j-1) c_(j+1) has only real roots, here negative:
-    Q(v) = c_s prod_i (v + rho_i) with rho_i > 0.  So f vanishes only
-    where v < 0, that is on the lines |Im z| = (2m + 1) pi sigma**2, and
-    not in |Im z| < pi sigma**2.  Take a = theta sigma**2 with
-    theta = 2 pi / 3.  On |y| <= a, v has argument phi = y/sigma**2 with
-    |phi| <= theta, so for rho > 0, |v + rho|**2 - (|v| + rho)**2
-    cos(theta/2)**2 >= (1 - cos theta)(|v| - rho)**2 / 2 >= 0, and
-    arg(v + rho) lies between 0 and phi.  With
+    e^(1/sigma**2) w_k**2 / (w_(k-1) w_(k+1)) >= e^(1/sigma**2) rho > 4.
+    By D. C. Kurtz, "A sufficient condition for all the roots of a
+    polynomial to be real", Amer. Math. Monthly 99 (1992) 259-263, a
+    polynomial with positive coefficients and c_j**2 > 4 c_(j-1) c_(j+1)
+    has only real roots, here negative: Q(v) = c_s prod_i (v + rho_i)
+    with rho_i > 0.  So f vanishes only where v < 0, that is on the
+    lines |Im z| = (2m + 1) pi sigma**2, and not in |Im z| < pi sigma**2.
+    (For rho = 1 the test is sigma**2 ln 4 < 1, and ln(4/rho) only
+    narrows the range of sigma for runs that are not log-concave.)  Take
+    a = theta sigma**2 with theta = 2 pi / 3.  On |y| <= a, v has
+    argument phi = y/sigma**2 with |phi| <= theta, so for rho' > 0,
+    |v + rho'|**2 - (|v| + rho')**2 cos(theta/2)**2
+    >= (1 - cos theta)(|v| - rho')**2 / 2 >= 0, and arg(v + rho') lies
+    between 0 and phi.  With
     |phi_sigma(z - lo)| = e^(y**2/2 sigma**2) phi_sigma(x - lo) and
     f(x) = phi_sigma(x - lo) Q(|v|), that gives
     |f(z)| >= e^(y**2/2 sigma**2) 2**-s f(x) >= 2**-s a_k(x), so
@@ -111,12 +119,14 @@ sample is taken.  The parts:
     + sum_i Log(v + rho_i) is analytic there and real on the axis, and
     Im ln f = -(x - lo) y/sigma**2 + sum_i arg(v + rho_i), so k* = lo
     and turn = s theta.
-  - Lag strip, otherwise.  Log-concave weights make the second
-    differences of k -> ln a_k(x) at most -1/sigma**2, so from its
-    maximiser k*, a_(k*+d) <= a_(k*) exp(-|d| (|d| - 1)/(2 sigma**2)).
-    Let D >= 1 be the smallest lag whose far terms, |d| > D, sum to at
-    most a_(k*)/4 by that bound (capped at s, where no far terms are
-    left).  Take a = pi sigma**2 / (3 D).  Then
+  - Lag strip, otherwise.  Let k* maximise a_k(x) and D >= 1 be a lag
+    such that the far terms, |k - k*| > D, sum to at most a_(k*)/4.
+    When rho < 1, D = s (1 for a single point): no term is that far,
+    so nothing about the weights is needed.  When rho = 1 the weights
+    are log-concave, so the second differences of k -> ln a_k(x) are
+    at most -1/sigma**2 and a_(k*+d) <= a_(k*) exp(-|d| (|d| - 1)/(2 sigma**2));
+    D is the smallest lag whose far terms sum to at most a_(k*)/4 by
+    that bound, capped at s.  Take a = pi sigma**2 / (3 D).  Then
     S = e^(-y**2/2 sigma**2) e^(iy (x - k*)/sigma**2) f = sum_k a_k e^(iy (k - k*)/sigma**2)
     has its near terms within pi/3 of the real axis, so
     Re S >= a_(k*) - a_(k*)/4 > 0 for |y| <= a: |f| >= (3/4) a_(k*)(x)
@@ -124,7 +134,7 @@ sample is taken.  The parts:
     vertical segment at x the branch of ln f is
     y**2/(2 sigma**2) - iy (x - k*)/sigma**2 + Log S, so turn = pi/2.
   - M_a: |f| <= E sum_k a_k(x) with E = exp(a**2/(2 sigma**2)), and
-    ln|f| lies between ln a_k(x) - loss (any k) and
+    ln|f| lies between ln a_k(x) - loss (any k with w_k > 0) and
     ln E + ln(m/(sigma sqrt(2 pi))), m the mass.  With
     |ln a_k| <= |ln w_k| + |ln(sigma sqrt(2 pi))| + (x - k)**2/(2 sigma**2)
     and |x - k*| <= |x - k| + s, integrating peak by peak gives
@@ -133,7 +143,7 @@ sample is taken.  The parts:
     H = sum_k w_k |ln w_k|, L = |ln(sigma sqrt(2 pi))|,
     L0 = |ln(m/(sigma sqrt(2 pi)))|.
 * grid truncation G_M: outside the region every peak is more than
-  8 sigma away and f <= m phi(8)/sigma <= 1 (the route declines
+  8 sigma away and f <= m phi(8)/sigma <= 1 (the route refuses
   otherwise), so |g| <= sum_k a_k |ln a_k| there.  Each such tail is
   decreasing, so its grid sum is at most its integral plus 1/M times its
   value at 8 sigma: G_M is the integral bound of ``_truncation_bound``
@@ -152,8 +162,9 @@ sample is taken.  The parts:
     convolved with the table entries M s + r, one exact ``_convolve_runs``
     per r on weights cut into runs once (dist_core), so each is rounded
     once to within u/2 (1 + 2**-16) of the exact sum of its terms.
-    Peaks farther than R = reach/M from the sample are left out.  The
-    support point k0 nearest the sample is at most
+    When rho < 1 the table covers the whole run and no peak is left
+    out.  When rho = 1, peaks farther than R = reach/M from the sample
+    are left out.  The support point k0 nearest the sample is at most
     nu = max(8 sigma + 1/M, 1/2) away.  The differences of ln w
     fall along the run, so Lambda, the larger |ln(w_(k+1)/w_k)| of the
     two ends plus 1 for rounding, bounds them all, and
@@ -193,70 +204,37 @@ s ln(1/cos(theta/2)) and the turn enter only through ln M_a.  At
 theta = 2 pi/3, cos(theta/2) = 1/2 is exact and most of the gain over
 the lag strip is taken; a wider angle is left open.
 
-M grows like 1/sigma**2, and the route's cost with it (one sample per
-grid point), while the adaptive quadrature's cost per peak hardly
-depends on sigma.  So an M above ``MAX_TRAPEZOID_STEPS`` = 512 is
-declined, before any sample is taken, and the adaptive quadrature
-answers.  The cap sits below the point where the two routes cost the
-same.  At 50 digits, tolerance 1e-9 and p = 0.3 (2-core Xeon, Python
-3.11, pure-Python mpmath), trapezoid against adaptive time, measured
-when each sample still went through mpf objects and recut the weights
-into runs:
+Refusals.  The route raises QuadratureError, before any sample is
+taken, when the tolerance is at or below the truncation floor (twice
+the bound on the -f ln f mass outside the 8-sigma region), when sigma
+is too small for f <= 1 outside the region, or when M would pass
+``MAX_TRAPEZOID_STEPS`` = 1100.  The closed form is tried first, so it
+answers whenever its own bound fits, even below the floor.
 
-    n       sigma   M      trapezoid   adaptive
-    64      0.06    1088   0.53 s      0.58 s
-    200     0.07    832    1.31 s      1.41 s
-    1000    0.08    675    5.67 s      5.82 s
-    1000    0.09    533    4.53 s      5.89 s
-    4000    0.09    559    19.5 s      21.9 s
-    4000    0.1     453    16.2 s      22.4 s
-    16383   0.09    585    89.1 s      90.7 s
-    16383   0.1     474    73.5 s      94.1 s
+M grows like 1/sigma**2 as sigma falls toward the closed form's edge, and
+like ln(1/tolerance).  The cap was set from the largest M that a
+binomial row allowed by the chain budget (n < 16,384) needs at the
+tightest tolerance the floor admits: for each sigma the tolerance just
+above the floor, at the smallest sigma where the closed form's bound
+does not fit it (found by bisection).  At 30 digits, p = 0.3 and 1/2:
 
-The break-even M falls slowly as n grows (about 1100 at n = 64, 690 at
-n = 1000 and 590 at n = 16,383), because a long row's samples cost a
-little more; at the cap the trapezoid was the faster route on every row
-measured.  A sample now costs less (B(1000, 0.3) at sigma = 0.1, M = 432
-and 30 digits: 6.9 s against 8.5 s), so the cap sits further below the
-break-even point.
+    n              3       64      1000    4000    16,383
+    M, p = 0.3     735     831     925     974     1025
+    M, p = 1/2     737     833     927     976     1027
+    sigma          0.0599  0.0584  0.0573  0.0568  0.0563
+    tolerance      9.0e-14 9.4e-14 9.7e-14 9.9e-14 1.0e-13
 
-With the real-rooted strip, binomial rows at tolerance 1e-9 (p = 0.3,
-30 or 50 digits) meet the cap about where the closed form stops.  The
-closed form answers up to sigma = 0.070, 0.068, 0.066, 0.065 and 0.064
-at n = 3, 64, 1000, 4000 and 16,383, and 0.001 above that the trapezoid
-needs M = 369, 435, 507, 547 and 589.  So rows up to n = 1000 never
-reach the adaptive quadrature at this tolerance, while it still answers
-sigma = 0.066 to 0.068 at n = 4000 (M = 547 to 515) and 0.065 to 0.069
-at n = 16,383 (M = 589 to 523).
-``smooth --p 0.3 --n 1000 --sigma 0.1`` now takes M = 228.  Tighter
-tolerances widen the band: B(3, 0.3) at sigma = 0.065 and tolerance
-1e-12 needs M = 565.
-
-The truncation-floor check of the quadrature (a tolerance at or below
-twice the bound on the -f ln f mass outside the 8-sigma region is
-refused) runs before all three routes, so which inputs are refused with
-QuadratureError does not depend on which route would have answered.
-
-Fallback quadrature, for weights that are not a log-concave run and
-for grids past the cap: the mixture density with standard deviation
-sigma much below the lattice spacing is a row of near-disjoint peaks,
-so the integration region [min - 8 sigma, max + 8 sigma] is pre-split
-at k +- min(40 sigma, 1/2) around every support point, then each panel
-is refined by bisection under a fixed Gauss-Legendre rule until the
-local defect fits a width-proportional share of the requested
-tolerance.  Every accepted defect is accumulated, so the reported
-quadrature error is a true bound on the acceptance slack and never
-exceeds the request; it is not a proven bound on the error.  A density
-evaluation sums only peaks within 40 sigma (beyond that a peak's
-contribution is below any working precision used here).
+So every binomial row fits the cap at every tolerance above the floor.
+At tolerance 1e-9 the closed form answers up to sigma = 0.070, 0.068,
+0.066, 0.065 and 0.064 at n = 3, 64, 1000, 4000 and 16,383 (p = 0.3),
+and 0.001 above that the trapezoid needs M = 369, 435, 507, 547 and 589.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mpf
@@ -273,13 +251,7 @@ from .dist_core import (  # MAX_SUM_SUPPORT is re-exported
 )
 from .errors import QuadratureError
 from .moments_bounds import CumulantSet, cumulants_from_raw_moments
-from .precision import (
-    DEFAULT_PRECISION,
-    RealLike,
-    as_mpf,
-    eps_for,
-    working_precision,
-)
+from .precision import DEFAULT_PRECISION, RealLike, as_mpf, working_precision
 
 __all__ = [
     "KnesslProfile",
@@ -294,11 +266,8 @@ __all__ = [
     "tulino_verdu_compare",
 ]
 
-QUADRATURE_ORDER = 12
-MAX_BISECTION_DEPTH = 48
-DENSITY_WINDOW_SIGMAS = 40
 REGION_PAD_SIGMAS = 8
-MAX_TRAPEZOID_STEPS = 512
+MAX_TRAPEZOID_STEPS = 1100
 
 _CUMULANT_ORDERS = 8
 
@@ -440,102 +409,15 @@ def _fit_profile(profile: KnesslProfile) -> LeadingFit:
 
 
 # ---------------------------------------------------------------------------
-# Deterministic adaptive quadrature
+# Gaussian-smoothed entropies
 # ---------------------------------------------------------------------------
-
-_NODE_CACHE: Dict[Tuple[int, int], Tuple[Tuple[mpf, mpf], ...]] = {}
-
-
-def _gauss_legendre_nodes(order: int, dps: int) -> Tuple[Tuple[mpf, mpf], ...]:
-    """Nodes and weights on [-1, 1], Newton-refined at the working precision."""
-    key = (order, dps)
-    cached = _NODE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    with mpmath.workdps(dps + 20):
-        tol = mpf(10) ** (-(dps + 10))
-        half: List[Tuple[mpf, mpf]] = []
-        for i in range(1, order // 2 + 1):
-            x = mpmath.cos(mpmath.pi * (i - mpf(1) / 4) / (order + mpf(1) / 2))
-            dp = mpf(1)
-            for _ in range(100):
-                p_prev, p = mpf(1), x
-                for k in range(2, order + 1):
-                    p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
-                dp = order * (x * p - p_prev) / (x * x - 1)
-                step = p / dp
-                x -= step
-                if abs(step) < tol:
-                    break
-            half.append((x, 2 / ((1 - x * x) * dp * dp)))
-        nodes = [(-x, w) for x, w in half]
-        if order % 2:
-            p_prev, p = mpf(1), mpf(0)
-            for k in range(2, order + 1):
-                p_prev, p = p, (-(k - 1) * p_prev) / k
-            dp0 = order * (-p_prev) / (-1)
-            nodes.append((mpf(0), 2 / (dp0 * dp0)))
-        nodes.extend((x, w) for x, w in reversed(half))
-    result = tuple((+x, +w) for x, w in nodes)
-    _NODE_CACHE[key] = result
-    return result
-
-
-def _panel_value(
-    fun: Callable[[mpf], mpf], a: mpf, b: mpf,
-    nodes: Tuple[Tuple[mpf, mpf], ...],
-) -> mpf:
-    mid = (a + b) / 2
-    scale = (b - a) / 2
-    return scale * mpmath.fsum(w * fun(mid + scale * x) for x, w in nodes)
-
-
-def _adaptive_integral(
-    fun: Callable[[mpf], mpf],
-    panels: Sequence[Tuple[mpf, mpf]],
-    tol: mpf,
-    order: int,
-) -> Tuple[mpf, mpf]:
-    """Integral over the given panels and a bound on the acceptance slack.
-
-    Each panel is bisected until the two halves reproduce the parent
-    value within tol * (panel width) / (total width); accepted defects
-    are summed, so the returned error estimate never exceeds tol.
-    """
-    nodes = _gauss_legendre_nodes(order, mpmath.mp.dps)
-    total_width = mpmath.fsum(b - a for a, b in panels)
-    if total_width <= 0:
-        raise ValueError("quadrature region has no width")
-    pieces: List[mpf] = []
-    defects: List[mpf] = []
-    stack = [(a, b, _panel_value(fun, a, b, nodes), 0) for a, b in panels if b > a]
-    while stack:
-        a, b, parent, depth = stack.pop()
-        mid = (a + b) / 2
-        left = _panel_value(fun, a, mid, nodes)
-        right = _panel_value(fun, mid, b, nodes)
-        defect = abs(left + right - parent)
-        if defect <= tol * (b - a) / total_width:
-            pieces.append(left)
-            pieces.append(right)
-            defects.append(defect)
-        elif depth >= MAX_BISECTION_DEPTH:
-            raise QuadratureError(
-                f"panel [{mpmath.nstr(a, 8)}, {mpmath.nstr(b, 8)}] still defective "
-                f"at bisection depth {MAX_BISECTION_DEPTH}"
-            )
-        else:
-            stack.append((a, mid, left, depth + 1))
-            stack.append((mid, b, right, depth + 1))
-    return mpmath.fsum(pieces), mpmath.fsum(defects)
-
 
 @dataclass(frozen=True)
 class SmoothedEntropy:
     """Differential entropy of a Gaussian-smoothed lattice distribution.
 
     ``quadrature_error`` is the reported error bound on ``h_value``, from
-    whichever route computed it (closed form or quadrature).
+    whichever route computed it (closed form or trapezoid).
     """
 
     n: Optional[int]
@@ -574,17 +456,22 @@ def _truncation_bound(weights: Sequence[mpf], sig: mpf) -> mpf:
     return 2 * total
 
 
-def _disjoint_peaks(weights: Sequence[mpf], sig: mpf) -> Optional[Tuple[mpf, mpf]]:
+def _disjoint_peaks(
+    weights: Sequence[mpf], sig: mpf, spacing: int
+) -> Optional[Tuple[mpf, mpf]]:
     """Closed form H(P) + (1/2) ln(2 pi e sigma**2) and a bound on its error.
 
-    None when the Bhattacharyya bound beta exceeds 1/2.  The error model
-    is in the module docstring.
+    ``spacing`` is the smallest gap between the nonzero weights.  None
+    when the Bhattacharyya bound beta exceeds 1/2.  The error model is in
+    the module docstring.
     """
     mass = mpmath.fsum(weights)
     fano = mpf(0)
     if len(weights) > 1:
         sig2_up = mpmath.fmul(sig, sig, rounding="u")
-        exponent = mpmath.fdiv(1, mpmath.fmul(8, sig2_up, rounding="u"), rounding="d")
+        exponent = mpmath.fdiv(
+            spacing * spacing, mpmath.fmul(8, sig2_up, rounding="u"), rounding="d"
+        )
         root_sum = mpmath.fsum(mpmath.sqrt(w) for w in weights)
         beta = root_sum * root_sum / (2 * mass) * mpmath.exp(-exponent)
         if beta > mpf(1) / 2:
@@ -597,46 +484,54 @@ def _disjoint_peaks(weights: Sequence[mpf], sig: mpf) -> Optional[Tuple[mpf, mpf
     return h_p + log_term, error
 
 
-def _log_concave_run(positions: Sequence[int], weights: Sequence[mpf]) -> bool:
-    """Nonzero weights on consecutive integers with w_k**2 >= w_(k-1) w_(k+1).
+def _concavity(weights: Sequence[mpf]) -> mpf:
+    """rho = min(1, w_k**2 / (w_(k-1) w_(k+1)) over the run), rounded down.
 
-    Decided exactly on the rounded weights, each read as man * 2**exp.
+    Exactly 1 when the weights are log-concave, decided exactly on the
+    rounded weights, each read as man * 2**exp; 0 when a weight is zero.
     """
-    if positions[-1] - positions[0] != len(positions) - 1:
-        return False
+    if not all(weights):
+        return mpf(0)
+    rho = mpf(1)
     exact = [w._mpf_[1:3] for w in weights]
     for (m0, e0), (m1, e1), (m2, e2) in zip(exact, exact[1:], exact[2:]):
         shift = 2 * e1 - e0 - e2
-        square, outer = m1 * m1, m0 * m2
-        if (square << max(shift, 0)) < (outer << max(-shift, 0)):
-            return False
-    return True
+        square, outer = m1 * m1 << max(shift, 0), m0 * m2 << max(-shift, 0)
+        if square < outer:
+            rho = min(rho, mpmath.fdiv(square, outer, rounding="d"))
+    return rho
 
 
-def _strip(sig: mpf, span: int) -> Tuple[mpf, mpf, mpf]:
+def _strip(sig: mpf, span: int, rho: mpf) -> Tuple[mpf, mpf, mpf]:
     """Strip where ln f is analytic: its half-width a, loss and turn.
 
     On |Im x| <= a, ln|f(x + iy)| >= ln a_k(x) - loss for every peak k,
     and |Im ln f| <= (a / sigma**2) |x - k*| + turn for some k* in the
-    run (module docstring).  When sigma**2 ln 4 < 1, decided with upward
-    rounding, f has no zero in |Im x| < pi sigma**2 and a = theta sigma**2
-    with theta = 2 pi / 3, loss = span ln 2 and turn = span theta.
-    Otherwise a = pi sigma**2 / (3 D), loss = ln(4/3) and turn = pi/2,
-    where D >= 1 is the smallest lag whose far terms, the lags d > D,
-    weigh at most a quarter of the largest term, capped at the span.
-    They are bounded by 2 sum_(d > D) exp(-d (d - 1) / (2 sigma**2)),
-    whose ratios fall below r = exp(-(D + 1) / sigma**2), so the sum is
-    at most its first term over 1 - r.
+    run (module docstring); ``rho`` is the run's ``_concavity``.  When
+    rho > 0 and sigma**2 ln(4 / rho) < 1, decided with upward rounding,
+    f has no zero in |Im x| < pi sigma**2 and a = theta sigma**2 with
+    theta = 2 pi / 3, loss = span ln 2 and turn = span theta.
+    Otherwise a = pi sigma**2 / (3 D), loss = ln(4/3) and turn = pi/2.
+    When rho < 1, D is the span (at least 1).  When rho = 1, D >= 1 is
+    the smallest lag whose far terms, the lags d > D, weigh at most a
+    quarter of the largest term, capped at the span.  They are bounded
+    by 2 sum_(d > D) exp(-d (d - 1) / (2 sigma**2)), whose ratios fall
+    below r = exp(-(D + 1) / sigma**2), so the sum is at most its first
+    term over 1 - r.
     """
     sig2 = sig * sig
     # 1.38629436112 rounds to above ln 4 = 1.38629436111989... at the
     # package's 20-digit minimum precision and above.
-    ln4_up = mpf("1.38629436112")
-    if mpmath.fmul(mpmath.fmul(sig, sig, rounding="u"), ln4_up, rounding="u") < 1:
+    log_up = mpf("1.38629436112")
+    if 0 < rho < 1:
+        # ln(1/rho), widened by 2**8 ulps for the error of ln.
+        widen = 1 + mpmath.ldexp(1, 8 - mpmath.mp.prec)
+        log_up = mpmath.fadd(log_up, mpmath.fmul(-mpmath.ln(rho), widen, rounding="u"), rounding="u")
+    if rho > 0 and mpmath.fmul(mpmath.fmul(sig, sig, rounding="u"), log_up, rounding="u") < 1:
         theta = 2 * mpmath.pi / 3
         return theta * sig2, span * mpmath.ln(2), span * theta
     inv = 1 / (2 * sig2)
-    lag = 1
+    lag = 1 if rho >= 1 else max(span, 1)
     while lag < span:
         first = mpmath.exp(-lag * (lag + 1) * inv)
         if 2 * first <= -mpmath.expm1(-2 * (lag + 1) * inv) / 4:
@@ -661,29 +556,39 @@ def _reach(weights: Sequence[mpf], sig: mpf, near: mpf, prec: int) -> mpf:
     return max(root, drift + sig * sig * mpmath.ln(2))
 
 
-def _trapezoid(
-    positions: Sequence[int], weights: Sequence[mpf], sig: mpf, tol: mpf
-) -> Optional[Tuple[mpf, mpf]]:
+def _trapezoid(weights: Sequence[mpf], sig: mpf, tol: mpf) -> Tuple[mpf, mpf]:
     """Trapezoidal h(S) on the grid x = j/M and its proven error bound.
 
-    None when the weights are not a log-concave run, when sigma is too
-    small for the grid-truncation bound (f <= 1 outside the region), or
-    when M would pass ``MAX_TRAPEZOID_STEPS``, before any sample is taken.
-    M is the smallest step count whose bound fits ``tol``.  The error
-    model is in the module docstring.
+    ``weights`` run from the first nonzero weight to the last, zeros
+    included.  M is the smallest step count whose bound fits ``tol``.
+    Raises QuadratureError, before any sample is taken, when ``tol`` is
+    at or below the truncation floor, when sigma is too small for the
+    grid-truncation bound (f <= 1 outside the region), or when M would
+    pass ``MAX_TRAPEZOID_STEPS``.  The error model is in the module
+    docstring.
     """
-    if not _log_concave_run(positions, weights):
-        return None
+    peaks = [w for w in weights if w]
+    truncation = _truncation_bound(peaks, sig)
+    if tol <= 2 * truncation:
+        raise QuadratureError(
+            f"tolerance {mpmath.nstr(tol, 3)} is below the "
+            f"{REGION_PAD_SIGMAS}-sigma truncation floor "
+            f"{mpmath.nstr(2 * truncation, 3)} of the integration region"
+        )
     span = len(weights) - 1
     prec, u = mpmath.mp.prec, mpmath.eps
     pi, root2pi = mpmath.pi, mpmath.sqrt(2 * mpmath.pi)
-    mass = mpmath.fsum(weights)
+    mass = mpmath.fsum(peaks)
     if mass * mpmath.exp(-32) > sig * root2pi:
-        return None
-    h_w = mpmath.fsum(w * abs(mpmath.ln(w)) for w in weights)
+        raise QuadratureError(
+            f"sigma {mpmath.nstr(sig, 3)} is too small for the trapezoid's "
+            "grid-truncation bound"
+        )
+    h_w = mpmath.fsum(w * abs(mpmath.ln(w)) for w in peaks)
     log_norm = abs(mpmath.ln(sig * root2pi))
     log_peak = abs(mpmath.ln(mass / (sig * root2pi)))
-    a, loss, turn = _strip(sig, span)
+    rho = _concavity(weights)
+    a, loss, turn = _strip(sig, span, rho)
     excess = a * a / (2 * sig * sig)
     log_part = h_w + mass * (log_norm + mpf(1) / 2 + loss + excess + log_peak)
     phase_part = mass * (a / (sig * sig) * (sig * mpmath.sqrt(2 / pi) + span) + turn)
@@ -695,7 +600,7 @@ def _trapezoid(
         h_w + mass * (log_norm + pad_sigmas ** 2 / 2))
     log_sum = h_w + mass * (log_peak + log_norm + 1)
     coarse = log_sum / (sig * root2pi) + 2 * mass / (mpmath.e * sig * root2pi)
-    fixed = _truncation_bound(weights, sig) + 16 * u * (log_sum + mass / 2)
+    fixed = truncation + 16 * u * (log_sum + mass / 2)
 
     def bound(steps: int) -> mpf:
         discretisation = 2 * strip_mass / mpmath.expm1(2 * pi * a * steps)
@@ -704,13 +609,19 @@ def _trapezoid(
 
     share = tol - fixed
     if not share > 0:
-        return None
+        raise QuadratureError(
+            f"tolerance {mpmath.nstr(tol, 3)} is below the trapezoid's fixed "
+            f"error {mpmath.nstr(fixed, 3)}"
+        )
     # The discretisation alone fixes a lower bound on M; the per-step
     # terms can push it up by a few steps.
     steps = max(1, int(mpmath.ceil(mpmath.log1p(2 * strip_mass / share) / (2 * pi * a))))
     while True:
         if steps > MAX_TRAPEZOID_STEPS:
-            return None
+            raise QuadratureError(
+                f"tolerance {mpmath.nstr(tol, 3)} needs a grid finer than "
+                f"{MAX_TRAPEZOID_STEPS} steps per unit"
+            )
         err = bound(steps)
         if err <= tol:
             break
@@ -720,9 +631,11 @@ def _trapezoid(
     # Samples f(lo + j/M) for -pad <= j <= span M + pad.  Those at offset
     # r/M from the lattice are the weights convolved with phi_sigma at
     # (M s + r)/M, for |M s + r| <= reach.
-    near = max(mpf(pad) / steps, mpf(1) / 2)
-    far = _reach(weights, sig, near, prec)
-    reach = min(int(mpmath.ceil(far * steps)), span * steps + pad)
+    reach = span * steps + pad
+    if rho >= 1:
+        near = max(mpf(pad) / steps, mpf(1) / 2)
+        far = _reach(weights, sig, near, prec)
+        reach = min(int(mpmath.ceil(far * steps)), reach)
     z2 = int(mpmath.ceil(mpf(reach) ** 2 / (2 * (sig * steps) ** 2)))
     guard = (10 + 10 * z2 + 6 * reach * reach).bit_length() + 20
     half: List[mpf] = []
@@ -770,24 +683,22 @@ def gaussian_smoothed_entropy(
 ) -> SmoothedEntropy:
     """Differential entropy (nats) of the pmf convolved with N(0, sigma**2).
 
-    Three routes, tried in order, each described in the module docstring:
+    Two routes, tried in order, each described in the module docstring:
 
     1. closed form: when the peaks are disjoint enough that
        H(P) + (1/2) ln(2 pi e sigma**2) is provably within the
        tolerance, that is returned with its error bound;
-    2. trapezoidal rule: when the nonzero weights are a log-concave run,
-       the density f(x) = sum_k P(k) phi_sigma(x - k) is summed as
-       -f ln f on the grid x = j/M, with M the smallest step count whose
-       proven bound fits the tolerance, if that M is at most
-       ``MAX_TRAPEZOID_STEPS``;
-    3. adaptive quadrature: otherwise -f ln f is integrated over
-       [min - 8 sigma, max + 8 sigma] by the deterministic adaptive scheme.
+    2. trapezoidal rule: otherwise the density
+       f(x) = sum_k P(k) phi_sigma(x - k) is summed as -f ln f on the
+       grid x = j/M, with M the smallest step count whose proven bound
+       fits the tolerance.
 
     ``quadrature_error`` is the reported error bound of the route taken.  ``n``
     is an optional label carried into the result (the fold count when
-    the pmf is an iid sum).  Raises QuadratureError when the tolerance
-    is below the truncation floor or not reachable within the bisection
-    depth budget.
+    the pmf is an iid sum).  Raises QuadratureError, before any sample
+    is taken, when neither route can meet the tolerance: the closed
+    form's bound does not fit it, and it is at or below the trapezoid's
+    truncation floor or needs a grid past ``MAX_TRAPEZOID_STEPS``.
     """
     sig = as_mpf(sigma, precision)
     tolerance = as_mpf(tol, precision)
@@ -797,63 +708,12 @@ def gaussian_smoothed_entropy(
         if not tolerance > 0:
             raise ValueError("tolerance must be positive")
         positions, weights = _mixture_peaks(pmf)
-        truncation = _truncation_bound(weights, sig)
-        if tolerance <= 2 * truncation:
-            raise QuadratureError(
-                f"tolerance {mpmath.nstr(tolerance, 3)} is below the "
-                f"{REGION_PAD_SIGMAS}-sigma truncation floor "
-                f"{mpmath.nstr(2 * truncation, 3)} of the integration region"
-            )
-        answer = _disjoint_peaks(weights, sig)
+        spacing = min((b - a for a, b in zip(positions, positions[1:])), default=1)
+        answer = _disjoint_peaks(weights, sig, spacing)
         if answer is None or answer[1] > tolerance:
-            answer = _trapezoid(positions, weights, sig, tolerance)
-        if answer is not None:
-            return SmoothedEntropy(
-                n=n, sigma=sig, h_value=answer[0], quadrature_error=answer[1]
-            )
-        window = DENSITY_WINDOW_SIGMAS * sig
-        norm = 1 / (sig * mpmath.sqrt(2 * mpmath.pi))
-        inv_two_s2 = 1 / (2 * sig * sig)
-        pos_f = [mpf(k) for k in positions]
-        panel_budget = tolerance - truncation
-
-        def density(x: mpf) -> mpf:
-            lo = bisect.bisect_left(positions, x - window)
-            hi = bisect.bisect_right(positions, x + window)
-            if lo >= hi:
-                return mpf(0)
-            return norm * mpmath.fsum(
-                weights[i] * mpmath.exp(-((x - pos_f[i]) ** 2) * inv_two_s2)
-                for i in range(lo, hi)
-            )
-
-        def integrand(x: mpf) -> mpf:
-            v = density(x)
-            return -v * mpmath.ln(v) if v > 0 else mpf(0)
-
-        lo_edge = pos_f[0] - REGION_PAD_SIGMAS * sig
-        hi_edge = pos_f[-1] + REGION_PAD_SIGMAS * sig
-        cut = min(window, mpf(1) / 2)
-        edges = {lo_edge, hi_edge}
-        for x in pos_f:
-            for candidate in (x - cut, x + cut):
-                if lo_edge < candidate < hi_edge:
-                    edges.add(candidate)
-        ordered = sorted(edges)
-        panels = [
-            (a, b) for a, b in zip(ordered, ordered[1:]) if b > a
-        ]
-        h_value, defect = _adaptive_integral(
-            integrand, panels, panel_budget, QUADRATURE_ORDER
-        )
-        err = defect + truncation
-        floor = mpmath.ln(2 * mpmath.pi * mpmath.e * sig * sig) / 2
-        if h_value < floor - tolerance - eps_for(precision):
-            raise QuadratureError(
-                "smoothed entropy fell below the Gaussian floor; "
-                "tolerance not reachable at this precision"
-            )
-    return SmoothedEntropy(n=n, sigma=sig, h_value=h_value, quadrature_error=err)
+            lo, hi = positions[0] - pmf.offset, positions[-1] - pmf.offset
+            answer = _trapezoid(pmf.weights[lo:hi + 1], sig, tolerance)
+    return SmoothedEntropy(n=n, sigma=sig, h_value=answer[0], quadrature_error=answer[1])
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,12 @@ class SeriesTruncationError(BudgetExceededError):
 
 
 class QuadratureError(BudgetExceededError):
-    """Adaptive quadrature could not reach the requested tolerance."""
+    """No smoothed-entropy route can meet the requested tolerance.
+
+    The closed form's bound does not fit it, and the trapezoidal rule
+    refuses before any sample: the tolerance is at or below its
+    truncation floor, or it needs a grid past its step cap.
+    """
 
 
 class ConsistencyError(RuntimeError):

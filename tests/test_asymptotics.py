@@ -30,6 +30,7 @@ from discrete_epi.errors import QuadratureError
 from discrete_epi.precision import eps_for, working_precision
 
 from conftest import assert_close
+from quadrature_oracle import adaptive_smoothed_entropy
 
 LN2 = "0.69314718055994530941723212145817656807550013436026"
 
@@ -147,8 +148,13 @@ class TestSmoothedEntropy:
         assert result.h_value <= floor + entropy(pmf) + result.quadrature_error
 
     def test_unreachable_tolerance_signals(self, dps50):
+        # A single peak is Gaussian, so the closed form meets any tolerance
+        # above its rounding; two overlapping peaks at 1e-20 meet neither
+        # the closed form nor the trapezoid's truncation floor.
+        result = gaussian_smoothed_entropy(delta_pmf(0), "1", tol="1e-20")
+        assert 0 < result.quadrature_error <= mpf("1e-20")
         with pytest.raises(QuadratureError):
-            gaussian_smoothed_entropy(delta_pmf(0), "1", tol="1e-20")
+            gaussian_smoothed_entropy(binomial_pmf(1, "0.5"), "1", tol="1e-20")
 
     def test_bad_arguments(self, dps50):
         with pytest.raises(ValueError):
@@ -183,35 +189,46 @@ class TestSmoothedIncrements:
 
 
 def spy_routes(monkeypatch) -> list:
-    """Record every trapezoid attempt and adaptive quadrature from here on.
+    """Record every trapezoid call from here on.
 
-    Entries are "trapezoid" (it answered), "declined" (it returned None)
-    and "adaptive".
+    Entries are "trapezoid" (it answered) and "refused" (it raised
+    QuadratureError).
     """
     taken = []
-    trapezoid, adaptive = asymptotics._trapezoid, asymptotics._adaptive_integral
+    trapezoid = asymptotics._trapezoid
 
     def spy_trapezoid(*args):
-        out = trapezoid(*args)
-        taken.append("declined" if out is None else "trapezoid")
+        try:
+            out = trapezoid(*args)
+        except QuadratureError:
+            taken.append("refused")
+            raise
+        taken.append("trapezoid")
         return out
 
-    def spy_adaptive(*args):
-        taken.append("adaptive")
-        return adaptive(*args)
-
     monkeypatch.setattr(asymptotics, "_trapezoid", spy_trapezoid)
-    monkeypatch.setattr(asymptotics, "_adaptive_integral", spy_adaptive)
     return taken
 
 
 def route_taken(monkeypatch, pmf, sigma, tol="1e-9", precision=30):
-    """The route that answered ("closed", "trapezoid" or "adaptive") and its result."""
+    """The route that answered ("closed" or "trapezoid") and its result."""
     with monkeypatch.context() as patch:
         taken = spy_routes(patch)
         result = gaussian_smoothed_entropy(pmf, sigma, tol, precision)
-    answered = [route for route in taken if route != "declined"]
-    return (answered[-1] if answered else "closed"), result
+    return (taken[-1] if taken else "closed"), result
+
+
+def peaks_and_spacing(pmf):
+    """Nonzero weights and the smallest gap between them."""
+    positions = [k for k, w in pmf.items() if w > 0]
+    spacing = min((b - a for a, b in zip(positions, positions[1:])), default=1)
+    return [w for w in pmf.weights if w > 0], spacing
+
+
+def run_weights(pmf):
+    """Weights from the first nonzero one to the last, zeros included."""
+    positions = [i for i, w in enumerate(pmf.weights) if w > 0]
+    return list(pmf.weights[positions[0]:positions[-1] + 1])
 
 
 ORACLE_PMFS = {
@@ -223,19 +240,33 @@ ORACLE_PMFS = {
 ORACLE_TOL = mpf("1e-9")
 
 
+def nudged_flat():
+    """[1/4 + d, 1/4 - d, 1/4, 1/4] at 30 digits, d one ulp at 1/4."""
+    with working_precision(30):
+        delta = mpmath.ldexp(1, -mpmath.mp.prec - 1)
+        quarter = mpf(1) / 4
+        return [quarter + delta, quarter - delta, quarter, quarter]
+
+
+# Runs that are not log-concave: rho = 2/3 for the skewed pmf, just
+# below 1 for the nudged flat one, and 0 with an interior zero.
+STRIP_PMFS = {
+    "skewed": ORACLE_PMFS["skewed"],
+    "nudged": lambda: IntegerPmf(0, tuple(nudged_flat()), 30),
+    "gapped": lambda: IntegerPmf.from_weights(["0.3", "0", "0.7"], precision=30),
+}
+
+
 class TestClosedFormRoute:
     @pytest.mark.parametrize("name", sorted(ORACLE_PMFS))
     @pytest.mark.parametrize("sigma", ["1e-3", "0.02", "0.05", "0.1", "0.25"])
-    def test_agrees_with_quadrature(self, name, sigma, monkeypatch):
+    def test_agrees_with_quadrature(self, name, sigma):
         pmf = ORACLE_PMFS[name]()
         with working_precision(30):
-            sig = mpf(sigma)
-            weights = [w for w in pmf.weights if w > 0]
-            closed, closed_err = asymptotics._disjoint_peaks(weights, sig)
+            weights, spacing = peaks_and_spacing(pmf)
+            closed, closed_err = asymptotics._disjoint_peaks(weights, mpf(sigma), spacing)
         returned = gaussian_smoothed_entropy(pmf, sigma, ORACLE_TOL, 30)
-        monkeypatch.setattr(asymptotics, "_disjoint_peaks", lambda *args: None)
-        monkeypatch.setattr(asymptotics, "_trapezoid", lambda *args: None)
-        quad = gaussian_smoothed_entropy(pmf, sigma, ORACLE_TOL, 30)
+        quad = adaptive_smoothed_entropy(pmf, sigma, ORACLE_TOL, 30)
         with working_precision(30):
             assert 0 < closed_err
             assert abs(closed - quad.h_value) <= closed_err + quad.quadrature_error
@@ -251,9 +282,9 @@ class TestClosedFormRoute:
         [("1e-3", False), ("0.02", False), ("0.05", False), ("0.1", True), ("0.25", True)],
     )
     def test_route_follows_the_bound(self, name, sigma, overlapping, monkeypatch):
-        # Overlapping peaks leave the closed form; the skewed pmf is not
-        # log-concave, so it falls back to the adaptive quadrature.
-        expected = {"binomial": "trapezoid", "skewed": "adaptive"}[name] if overlapping else "closed"
+        # Overlapping peaks leave the closed form for the trapezoid, whether
+        # or not the weights are log-concave.
+        expected = "trapezoid" if overlapping else "closed"
         route, _ = route_taken(monkeypatch, ORACLE_PMFS[name](), sigma, ORACLE_TOL)
         assert route == expected
 
@@ -264,22 +295,42 @@ class TestClosedFormRoute:
         assert abs(result.h_value - gaussian_entropy("2")) <= result.quadrature_error
 
     def test_truncation_floor_still_refuses(self, dps50, monkeypatch):
+        # Below the floor the closed form still answers when its bound
+        # fits; an input that neither route meets is refused by the
+        # trapezoid before any sample.
         taken = spy_routes(monkeypatch)
-        with pytest.raises(QuadratureError):
-            gaussian_smoothed_entropy(delta_pmf(0), "1e-3", tol="1e-20")
-        with pytest.raises(QuadratureError):
-            gaussian_smoothed_entropy(binomial_pmf(4, "0.5"), "1e-3", tol="1e-20")
-        with pytest.raises(QuadratureError):
+        for pmf in (delta_pmf(0), binomial_pmf(4, "0.5")):
+            result = gaussian_smoothed_entropy(pmf, "1e-3", tol="1e-20")
+            assert 0 < result.quadrature_error <= mpf("1e-20")
+        assert taken == []
+        convolutions = []
+        monkeypatch.setattr(asymptotics, "_convolve_runs", lambda *args: convolutions.append(args))
+        with pytest.raises(QuadratureError, match="truncation floor"):
             gaussian_smoothed_entropy(binomial_pmf(4, "0.5"), "0.5", tol="1e-20")
-        assert not taken
+        assert taken == ["refused"]
+        assert convolutions == []
+
+    def test_spacing_is_the_smallest_gap(self, monkeypatch):
+        # Peaks 10 apart at sigma = 0.3 are disjoint to far below 1e-9;
+        # with unit spacing assumed the bound would not fit.
+        pmf = IntegerPmf.from_weights(["0.5"] + ["0"] * 9 + ["0.5"], precision=30)
+        route, result = route_taken(monkeypatch, pmf, "0.3", ORACLE_TOL)
+        quad = adaptive_smoothed_entropy(pmf, "0.3", ORACLE_TOL, 30)
+        with working_precision(30):
+            weights, spacing = peaks_and_spacing(pmf)
+            assert spacing == 10
+            assert asymptotics._disjoint_peaks(weights, mpf("0.3"), 1)[1] > ORACLE_TOL
+            assert route == "closed"
+            assert 0 < result.quadrature_error <= ORACLE_TOL
+            assert abs(result.h_value - quad.h_value) <= result.quadrature_error + quad.quadrature_error
 
     def test_bound_shrinks_with_sigma(self, dps50):
         weights = list(binomial_pmf(8, "0.3").weights)
         errors = [
-            asymptotics._disjoint_peaks(weights, mpf(s))[1] for s in ("0.2", "0.1", "0.05")
+            asymptotics._disjoint_peaks(weights, mpf(s), 1)[1] for s in ("0.2", "0.1", "0.05")
         ]
         assert errors[0] > errors[1] > errors[2] > 0
-        assert asymptotics._disjoint_peaks(weights, mpf("0.5")) is None
+        assert asymptotics._disjoint_peaks(weights, mpf("0.5"), 1) is None
 
 
 class TestPeakedIncrementsAreStepMargins:
@@ -332,14 +383,14 @@ class TestMirrorAndRepeatProperties:
             slack = first.quadrature_error + mirror.quadrature_error
             assert abs(first.h_value - mirror.h_value) <= slack
 
-    # An interior zero breaks the log-concave run: the adaptive quadrature runs.
+    # An interior zero: the trapezoid's lag strip with D = span.
     @settings(max_examples=8, deadline=None, database=None, derandomize=True)
     @given(
         p=st.fractions(min_value=0, max_value=1, max_denominator=1000).filter(
             lambda v: 0 < v < 1
         ),
     )
-    def test_adaptive_mirror_and_repeat(self, p):
+    def test_gapped_mirror_and_repeat(self, p):
         def smoothed(v):
             pmf = IntegerPmf.from_weights([v, 0, 1 - v], precision=30)
             return gaussian_smoothed_entropy(pmf, "0.3", "1e-9", 30)
@@ -347,7 +398,7 @@ class TestMirrorAndRepeatProperties:
         with pytest.MonkeyPatch.context() as patch:
             taken = spy_routes(patch)
             first, again, mirror = smoothed(p), smoothed(p), smoothed(1 - p)
-        assert taken == ["declined", "adaptive"] * 3
+        assert taken == ["trapezoid"] * 3
         assert first.h_value._mpf_ == again.h_value._mpf_
         assert first.quadrature_error._mpf_ == again.quadrature_error._mpf_
         with working_precision(30):
@@ -399,9 +450,8 @@ class TestTrapezoidRoute:
     def test_agrees_with_adaptive_oracle(self, n, p, sigma, monkeypatch):
         pmf = binomial_pmf(n, p, 30)
         route, trap = route_taken(monkeypatch, pmf, sigma, ORACLE_TOL)
-        monkeypatch.setattr(asymptotics, "_trapezoid", lambda *args: None)
-        route_off, quad = route_taken(monkeypatch, pmf, sigma, ORACLE_TOL)
-        assert (route, route_off) == ("trapezoid", "adaptive")
+        quad = adaptive_smoothed_entropy(pmf, sigma, ORACLE_TOL, 30)
+        assert route == "trapezoid"
         with working_precision(30):
             assert 0 < trap.quadrature_error <= ORACLE_TOL
             assert abs(trap.h_value - quad.h_value) <= trap.quadrature_error + quad.quadrature_error
@@ -417,32 +467,43 @@ class TestTrapezoidRoute:
             assert 0 < result.quadrature_error <= mpf("1e-12")
             assert abs(result.h_value - reference) <= result.quadrature_error
 
+    @pytest.mark.parametrize(
+        "name, sigma", [("skewed", "0.25"), ("skewed", "0.8"), ("nudged", "0.25"), ("gapped", "0.3")]
+    )
+    def test_runs_that_are_not_log_concave_cover_reference(self, name, sigma, monkeypatch):
+        # The real-rooted strip through the rho gate (skewed at 0.25,
+        # nudged), the lag strip with D = span (skewed at 0.8, gapped).
+        pmf = STRIP_PMFS[name]()
+        route, result = route_taken(monkeypatch, pmf, sigma, "1e-12")
+        assert route == "trapezoid"
+        reference = smoothed_reference(pmf, sigma)
+        with mpmath.workdps(40):
+            assert 0 < result.quadrature_error <= mpf("1e-12")
+            assert abs(result.h_value - reference) <= result.quadrature_error
+
     @pytest.mark.parametrize("sigma, steps", [("0.25", 31), ("0.5", 8), ("1", 8)])
     def test_grid_is_the_smallest_the_bound_allows(self, sigma, steps, monkeypatch):
         # Pinned: a narrower strip or a looser bound would need a finer grid.
         assert grid_steps(monkeypatch, binomial_pmf(6, "0.5", 30), sigma)[0] == steps
 
-    def test_grid_past_the_cap_is_declined_before_any_sample(self, monkeypatch):
+    def test_grid_past_the_cap_is_refused_before_any_sample(self, monkeypatch):
         # At sigma = 0.065 and tol 1e-12 the closed form's bound (1.5e-11)
-        # is too loose and the trapezoid needs 565 > MAX_TRAPEZOID_STEPS
-        # steps; the truncation floor, 8.9e-14, still admits the tolerance.
+        # is too loose and the truncation floor, 8.9e-14, admits the
+        # tolerance: the trapezoid answers with M = 565, inside the cap.
+        # A cap one step lower refuses the same input before any sample.
         pmf = binomial_pmf(3, "0.3", 30)
-        convolutions = []
-        original = asymptotics._convolve_runs
-        with monkeypatch.context() as patch:
-            patch.setattr(
-                asymptotics, "_convolve_runs",
-                lambda *args: convolutions.append(args) or original(*args),
-            )
-            route, quad = route_taken(patch, pmf, "0.065", "1e-12")
-        assert route == "adaptive"
-        assert convolutions == []
-        cap = asymptotics.MAX_TRAPEZOID_STEPS
-        monkeypatch.setattr(asymptotics, "MAX_TRAPEZOID_STEPS", 1 << 20)
         steps, trap = grid_steps(monkeypatch, pmf, "0.065", "1e-12")
-        assert steps > cap
+        assert steps == 565 <= asymptotics.MAX_TRAPEZOID_STEPS
+        quad = adaptive_smoothed_entropy(pmf, "0.065", "1e-12", 30)
         with working_precision(30):
+            assert 0 < trap.quadrature_error <= mpf("1e-12")
             assert abs(trap.h_value - quad.h_value) <= trap.quadrature_error + quad.quadrature_error
+        convolutions = []
+        monkeypatch.setattr(asymptotics, "_convolve_runs", lambda *args: convolutions.append(args))
+        monkeypatch.setattr(asymptotics, "MAX_TRAPEZOID_STEPS", steps - 1)
+        with pytest.raises(QuadratureError, match="steps per unit"):
+            gaussian_smoothed_entropy(pmf, "0.065", "1e-12", 30)
+        assert convolutions == []
 
     def test_grid_tail_takes_its_share_of_the_tolerance(self, monkeypatch):
         pmf = binomial_pmf(6, "0.5", 30)
@@ -471,45 +532,76 @@ class TestTrapezoidRoute:
                 assert abs(mpmath.im(r)) <= mpf("1e-40") * abs(r)
                 assert mpmath.re(r) < 0
 
-    @pytest.mark.parametrize("n, p, sigma", [(6, "0.5", "0.25"), (8, "0.3", "0.5"), (12, "0.3", "0.84")])
+    @pytest.mark.parametrize(
+        "n, p, sigma",
+        [
+            (6, "0.5", "0.25"), (8, "0.3", "0.5"), (12, "0.3", "0.84"),
+            pytest.param("skewed", None, "0.7", id="skewed-0.7"),
+            pytest.param("gapped", None, "0.3", id="gapped-0.3"),
+        ],
+    )
     def test_real_rooted_strip_bounds_f(self, n, p, sigma):
         # On the strip's edge |f(x + ia)| >= e**-loss e**(a**2/2 sigma**2) f(x),
         # and ln f, followed up from the axis, turns by at most
-        # (a / sigma**2) |x - lo| + turn, with lo = 0.
-        pmf = binomial_pmf(n, p, 30)
+        # (a / sigma**2) |x - lo| + turn.  The skewed pmf (rho = 2/3) takes
+        # this strip below sigma = 1/sqrt(ln 6); the gapped one takes the
+        # lag strip, where the same holds with the largest peak a_k*(x) in
+        # place of f(x) and k* in place of lo.
+        pmf = binomial_pmf(n, p, 30) if p else STRIP_PMFS[n]()
+        weights = run_weights(pmf)
+        span, real_rooted = len(weights) - 1, n != "gapped"
+        lo = next(k for k, w in pmf.items() if w > 0)
         with working_precision(30):
             sig = mpf(sigma)
-            a, loss, turn = asymptotics._strip(sig, n)
-            assert mpmath.almosteq(a, 2 * mpmath.pi / 3 * sig * sig, 1e-25)
+            a, loss, turn = asymptotics._strip(sig, span, asymptotics._concavity(weights))
+            width = 2 * mpmath.pi / 3 if real_rooted else mpmath.pi / (3 * span)
+            assert mpmath.almosteq(a, width * sig * sig, 1e-25)
             lift = mpmath.exp(a * a / (2 * sig * sig) - loss)
 
-            def f(z):
-                return mpmath.fsum(w * mpmath.exp(-((z - k) ** 2) / (2 * sig * sig)) for k, w in pmf.items())
+            def peaks(z):
+                return [(k, w * mpmath.exp(-((z - k) ** 2) / (2 * sig * sig))) for k, w in pmf.items() if w > 0]
 
-            for i in range(-20, 20 * n + 21):
+            def f(z):
+                return mpmath.fsum(t for _, t in peaks(z))
+
+            for i in range(20 * (lo - 1), 20 * (lo + span + 1) + 1):
                 x = mpf(i) / 20
-                assert abs(f(x + 1j * a)) >= lift * f(x)
+                top, largest = max(peaks(x), key=lambda peak: peak[1])
+                centre, floor = (lo, f(x)) if real_rooted else (top, largest)
+                assert abs(f(x + 1j * a)) >= lift * floor
                 if i % 10 == 0:
                     phase, last = mpf(0), f(x)
                     for j in range(1, 201):
                         value = f(x + 1j * a * j / 200)
                         phase += mpmath.arg(value / last)
                         last = value
-                    assert abs(phase) <= a / (sig * sig) * abs(x) + turn
+                    assert abs(phase) <= a / (sig * sig) * abs(x - centre) + turn
 
-    @pytest.mark.parametrize("sigma", ["0.8493219", "1", "2"])
-    def test_strip_keeps_f_off_zero(self, sigma):
-        # Above sigma = 1/sqrt(ln 4) the lag strip: Re S >= (3/4) a_k* on
-        # both edges of the strip, over the region.
-        pmf = binomial_pmf(8, "0.3", 30)
+    @pytest.mark.parametrize(
+        "name, sigma",
+        [("binomial", "0.8493219"), ("binomial", "1"), ("binomial", "2"), ("skewed", "0.8"), ("gapped", "0.3")],
+        ids=["0.8493219", "1", "2", "skewed-0.8", "gapped-0.3"],
+    )
+    def test_strip_keeps_f_off_zero(self, name, sigma):
+        # The lag strip: above sigma = 1/sqrt(ln 4) for B(8, 0.3), above
+        # 1/sqrt(ln 6) for the skewed pmf (rho = 2/3) and at any sigma with
+        # an interior zero.  The terms of S turned more than pi/3 weigh at
+        # most a quarter of the largest, so Re S >= (3/4) a_k* on both
+        # edges of the strip, over the region.
+        pmf = binomial_pmf(8, "0.3", 30) if name == "binomial" else STRIP_PMFS[name]()
+        weights = run_weights(pmf)
+        span = len(weights) - 1
         with working_precision(30):
             sig = mpf(sigma)
-            a, loss, turn = asymptotics._strip(sig, 8)
+            a, loss, turn = asymptotics._strip(sig, span, asymptotics._concavity(weights))
             assert (loss, turn) == (mpmath.ln(mpf(4) / 3), mpmath.pi / 2)
-            for i in range(-40, 201):
+            near = mpmath.pi / 3 * (1 + mpf("1e-20"))
+            for i in range(-40, 20 * span + 41):
                 x = mpf(i) / 20
-                terms = [w * mpmath.exp(-((x - k) ** 2) / (2 * sig * sig)) for k, w in pmf.items()]
+                terms = [w * mpmath.exp(-((x - k) ** 2) / (2 * sig * sig)) for k, w in enumerate(weights)]
                 top = max(range(len(terms)), key=terms.__getitem__)
+                far = mpmath.fsum(t for k, t in enumerate(terms) if a * abs(k - top) / (sig * sig) > near)
+                assert far <= terms[top] / 4
                 for y in (a, -a):
                     s = mpmath.fsum(
                         t * mpmath.expj(y * (k - top) / (sig * sig)) for k, t in enumerate(terms)
@@ -539,35 +631,40 @@ class TestTrapezoidRoute:
                 assert left_out <= mpmath.ldexp(mpmath.fsum(t for _, t in terms), -(prec + 16))
 
     def test_strip_half_width(self, dps50):
-        pi, ln2 = mpmath.pi, mpmath.ln(2)
+        pi, ln2, one = mpmath.pi, mpmath.ln(2), mpf(1)
         real_rooted = {"0.25": pi / 24, "0.5": pi / 6, "0.8493218": 2 * pi / 3 * mpf("0.8493218") ** 2}
         for sigma, a in real_rooted.items():
-            assert mpmath.almosteq(asymptotics._strip(mpf(sigma), 64)[0], a, 1e-45)
-            assert asymptotics._strip(mpf(sigma), 64)[1:] == (64 * ln2, 64 * 2 * pi / 3)
+            assert mpmath.almosteq(asymptotics._strip(mpf(sigma), 64, one)[0], a, 1e-45)
+            assert asymptotics._strip(mpf(sigma), 64, one)[1:] == (64 * ln2, 64 * 2 * pi / 3)
         # Just above sigma = 1/sqrt(ln 4) = 0.84932180..., the lag strip.
         lag = {("0.8493219", 64): pi * mpf("0.8493219") ** 2 / 6, ("1", 64): pi / 6, ("10", 3): pi * 100 / 9}
         for (sigma, span), a in lag.items():
-            assert mpmath.almosteq(asymptotics._strip(mpf(sigma), span)[0], a, 1e-45)
-            assert asymptotics._strip(mpf(sigma), span)[1:] == (mpmath.ln(mpf(4) / 3), pi / 2)
+            assert mpmath.almosteq(asymptotics._strip(mpf(sigma), span, one)[0], a, 1e-45)
+            assert asymptotics._strip(mpf(sigma), span, one)[1:] == (mpmath.ln(mpf(4) / 3), pi / 2)
+        # The rho gate: with rho = 2/3 the real-rooted strip ends at
+        # sigma = 1/sqrt(ln 6) = 0.74706...; past it, and at any sigma for
+        # rho = 0, the lag strip with D = span.
+        rho = mpf(2) / 3
+        gated = {
+            ("0.747", 3, rho): 2 * pi / 3 * mpf("0.747") ** 2,
+            ("0.7471", 3, rho): pi * mpf("0.7471") ** 2 / 9,
+            ("0.3", 2, mpf(0)): pi * mpf("0.09") / 6,
+            ("0.05", 2, mpf(0)): pi * mpf("0.0025") / 6,
+        }
+        for (sigma, span, r), a in gated.items():
+            assert mpmath.almosteq(asymptotics._strip(mpf(sigma), span, r)[0], a, 1e-45)
 
     def test_log_concavity_gate_is_exact(self, monkeypatch):
         with working_precision(30):
-            delta = mpmath.ldexp(1, -mpmath.mp.prec - 1)  # one ulp at 1/4
-            quarter = mpf(1) / 4
-            flat = [quarter] * 4
-            nudged = [quarter + delta, quarter - delta, quarter, quarter]
-            assert asymptotics._log_concave_run(range(4), flat)
-            assert not asymptotics._log_concave_run(range(4), nudged)
-            assert asymptotics._log_concave_run(range(65), binomial_pmf(64, "0.3", 30).weights)
-            assert asymptotics._log_concave_run(range(201), binomial_pmf(200, "0.01", 30).weights)
-        cases = {
-            "trapezoid": [IntegerPmf(0, tuple(flat), 30)],
-            "adaptive": [
-                IntegerPmf(0, tuple(nudged), 30),
-                ORACLE_PMFS["skewed"](),
-                IntegerPmf.from_weights(["0.5", "0", "0.5"], precision=30),
-            ],
-        }
-        for expected, pmfs in cases.items():
-            for pmf in pmfs:
-                assert route_taken(monkeypatch, pmf, "0.25", ORACLE_TOL)[0] == expected
+            flat = [mpf(1) / 4] * 4
+            assert asymptotics._concavity(flat) == 1
+            assert 0 < asymptotics._concavity(nudged_flat()) < 1
+            assert asymptotics._concavity(binomial_pmf(64, "0.3", 30).weights) == 1
+            assert asymptotics._concavity(binomial_pmf(200, "0.01", 30).weights) == 1
+            skewed = asymptotics._concavity(run_weights(STRIP_PMFS["skewed"]()))
+            assert mpmath.almosteq(skewed, mpf(2) / 3, 1e-25)
+            assert asymptotics._concavity(run_weights(STRIP_PMFS["gapped"]())) == 0
+        pmfs = [IntegerPmf(0, tuple(flat), 30), *(make() for make in STRIP_PMFS.values()),
+                IntegerPmf.from_weights(["0.5", "0", "0.5"], precision=30)]
+        for pmf in pmfs:
+            assert route_taken(monkeypatch, pmf, "0.25", ORACLE_TOL)[0] == "trapezoid"

@@ -196,6 +196,16 @@ class TestSmoothCommand:
             float(payload["excess_over_floor"]), math.log(2), abs_tol=1e-6
         )
 
+    def test_closed_form_answers_below_the_floor(self, capsys):
+        # 1e-20 is below the truncation floor of the trapezoid's region,
+        # but the peaks are disjoint and the closed form's bound fits it.
+        code, out, _ = run(
+            capsys,
+            ["smooth", "--p", "0.5", "--n", "4", "--sigma", "1e-3", "--tol", "1e-20"],
+        )
+        assert code == 0
+        assert 0 < float(json.loads(out)["quadrature_error"]) <= 1e-20
+
     def test_unreachable_tolerance_exit(self, capsys):
         code, _, err = run(
             capsys,
