@@ -49,12 +49,10 @@ either route).  The bound has four parts:
   delta' is bounded as above with beta divided by m; the closed form
   is off by a further |m - 1| |(1/2) ln(2 pi e sigma**2)|.
 * rounding: with u one ulp at the working precision, H(P) (each term
-  -w ln w within 2u, summed by ``mpmath.fsum`` and rounded once), the
-  log term (its argument within 6u) and their sum are within
-  4u (H(P) + |ln term| + 1); twice that is reported.  ``fsum`` adds
-  exactly except that it drops a term more than 2 prec bits below the
-  running sum; the terms are nonnegative, so what it drops is below
-  (number of weights) 2**(-2 prec) H(P), inside the doubled term.
+  -w ln w within 2u, summed exactly by the entropy kernel of
+  ``dist_core`` and rounded once), the log term (its argument within
+  6u) and their sum are within 4u (H(P) + |ln term| + 1); twice that is
+  reported.
 
 The reported error is therefore never exactly 0.  At sigma = 1e-3 sqrt(n)
 with n <= 64 (criterion 9) delta is below 1e-800 and the bound is the
@@ -238,13 +236,16 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mpf
-from mpmath.libmp import from_man_exp, mpf_log, mpf_mul
+from mpmath.libmp import from_man_exp
 
 from .dist_core import (  # MAX_SUM_SUPPORT is re-exported
     MAX_SUM_SUPPORT,
     IntegerPmf,
     _convolve_runs,
+    _exact_sum,
     _iid_ladder,
+    _log_sum,
+    _rounded,
     _runs,
     binomial_pmf,
     entropy,
@@ -477,7 +478,9 @@ def _disjoint_peaks(
         if beta > mpf(1) / 2:
             return None
         fano = beta * (1 - mpmath.ln(beta) + mpmath.ln(len(weights) - 1))
-    h_p = -mpmath.fsum(w * mpmath.ln(w) for w in weights)
+    prec = mpmath.mp.prec
+    man, exp = _log_sum(((x, x, None) for x in (w._mpf_ for w in weights)), prec)
+    h_p = _rounded((-man, exp), prec)
     log_term = mpmath.ln(2 * mpmath.pi * mpmath.e * sig * sig) / 2
     rounding = 8 * mpmath.eps * (h_p + abs(log_term) + 1)
     error = 2 * mass * fano + abs(mass - 1) * abs(log_term) + rounding
@@ -649,8 +652,8 @@ def _trapezoid(weights: Sequence[mpf], sig: mpf, tol: mpf) -> Tuple[mpf, mpf]:
     table = [+g for g in half]
 
     # The terms f ln f, summed exactly (one offset at a time, so only one
-    # row of terms is held) and rounded once.  Each sample is rounded and
-    # its f ln f taken on raw mpf tuples, as mpf(), ln and * would.
+    # row of terms is held) and rounded once.  Each sample is rounded as
+    # mpf() would round it, and its f ln f taken by the entropy kernel.
     run_span = 2 * prec
     runs = _runs(weights, run_span)
     partials = []
@@ -658,20 +661,13 @@ def _trapezoid(weights: Sequence[mpf], sig: mpf, tol: mpf) -> Tuple[mpf, mpf]:
         first = -((reach + r) // steps)
         kernel = [table[abs(steps * s + r)] for s in range(first, (reach - r) // steps + 1)]
         sums = _convolve_runs(runs, _runs(kernel, run_span), len(weights) + len(kernel) - 1, prec)
-        terms = []
-        for i, (man, exp) in enumerate(sums, first):
-            if -pad <= steps * i + r <= span * steps + pad:
-                f = from_man_exp(man, exp, prec, "n")
-                sign, man, exp, _ = mpf_mul(f, mpf_log(f, prec, "n"), prec, "n")
-                terms.append((-man if sign else man, exp))
-        partials.append(_exact_sum(terms))
+        samples = (
+            from_man_exp(man, exp, prec, "n")
+            for i, (man, exp) in enumerate(sums, first)
+            if -pad <= steps * i + r <= span * steps + pad
+        )
+        partials.append(_log_sum(((f, f, None) for f in samples), prec))
     return -mpf(_exact_sum(partials)) / steps, err
-
-
-def _exact_sum(terms: Sequence[Tuple[int, int]]) -> Tuple[int, int]:
-    """The exact sum of the values man * 2**exp, as one such pair."""
-    low = min(exp for _, exp in terms)
-    return sum(man << (exp - low) for man, exp in terms), low
 
 
 def gaussian_smoothed_entropy(

@@ -13,7 +13,7 @@ Sums of n iid copies come from one repeated-squaring ladder
 ``iid_epi_gap``): at most 2 log2(n) convolutions, whose cost is
 dominated by the last squaring, at half the final support.  A sum whose
 support would pass ``MAX_SUM_SUPPORT`` points is refused before any
-convolution (ValueError).  The entropy chain costs O(n_max**2) integer
+convolution (BudgetExceededError).  The entropy chain costs O(n_max**2) integer
 steps, so a chain of more than ``MAX_CHAIN_ROWS`` rows is refused
 before any work (BudgetExceededError): at 50 digits and p = 0.3 it took
 3.1 s for 4,001 rows and 42 s for the largest allowed, 16,384, on a
@@ -96,15 +96,53 @@ tails of ``IntegerPmf``) need exactly that relative accuracy, which
 the fixed-point chain does not give.  The chain is the only Bernoulli
 mixing left, so ``entropy(binomial_pmf(n, p))`` and the chain are
 independent routes to the same entropies.
+
+Raw kernels.  The pmf checks, ``convolve``'s outputs, ``entropy`` and
+the divergences of ``discrimination`` compute on raw mpf tuples
+(sign, man, exp, bc) through mpmath's ``libmp``, with the rounding of
+every mpf operation they stand for, so they give the same bits as the
+mpf expressions without building an mpf per intermediate.  The weight
+check reads the sign bit and the special values: a sign on anything but
+zero, or NaN, is refused, and +inf makes the mass infinite.  The mass is
+the exact sum of the weights, rounded once.
+
+Error model of ``entropy``.  With u = 2**-prec, the relative error of
+one rounding to nearest at the working precision:
+
+* each term w ln w takes two roundings.  mpmath evaluates ln with guard
+  bits and rounds once, so ln w is within one ulp, 2u relative; the
+  product adds u.  A term is within 3.01 u of w ln w, relative.
+* the terms are summed exactly (``_exact_sum``, no term is dropped
+  however far below the others it lies);
+* the sum is rounded once, u relative.
+
+So |entropy - H| <= 3.01 u sum |w ln w| + u H.  For weights of at most
+1 every term has the same sign and sum |w ln w| = H, so the bound is
+4.01 u H.  The trapezoid of ``asymptotics`` and its closed form take
+their f ln f terms from the same kernel, ``_log_sum``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import mpmath
-from mpmath import mpf
+from mpmath import mp, mpf
+from mpmath.libmp import (
+    dps_to_prec,
+    finf,
+    fnan,
+    fone,
+    from_man_exp,
+    mpf_abs,
+    mpf_div,
+    mpf_gt,
+    mpf_log,
+    mpf_mul,
+    mpf_sub,
+)
 
 from .errors import BudgetExceededError, MassConservationError, PrecisionMismatchError
 from .precision import (
@@ -150,14 +188,20 @@ class IntegerPmf:
             raise ValueError(f"offset must be an integer, got {self.offset!r}")
         if len(self.weights) == 0:
             raise ValueError("pmf needs at least one weight")
-        with working_precision(self.precision):
-            for w in self.weights:
-                if not (w >= 0):
+        # Each weight is read as its raw (sign, man, exp, bc): a sign bit
+        # on anything but zero, or NaN, is refused, and +inf makes the
+        # mass infinite.  The mass is the exact sum, rounded once.
+        raw = [w._mpf_ for w in self.weights]
+        for w, x in zip(self.weights, raw):
+            if x[0] and (x[1] or x[2]) or x == fnan:
+                with working_precision(self.precision):
                     raise ValueError(f"negative or invalid weight {w}")
-            mass = mpmath.fsum(self.weights)
-            if abs(mass - 1) > eps_for(self.precision):
+        prec = _bits(self.precision)
+        mass = finf if finf in raw else from_man_exp(*_exact_sum([x[1:3] for x in raw]), prec, "n")
+        if mpf_gt(mpf_abs(mpf_sub(mass, fone, prec, "n")), eps_for(self.precision)._mpf_):
+            with working_precision(self.precision):
                 raise MassConservationError(
-                    f"total mass {mpmath.nstr(mass, 20)} deviates from 1 "
+                    f"total mass {mpmath.nstr(mp.make_mpf(mass), 20)} deviates from 1 "
                     f"beyond eps at precision {self.precision}"
                 )
 
@@ -220,6 +264,42 @@ class BernoulliParam:
             r = pv - mpf(1) / 2
             t = (2 * pv - 1) ** 2 / (pv * q)
         return cls(p=pv, q=q, r=r, t=t, precision=precision)
+
+
+@functools.lru_cache(maxsize=None)
+def _bits(precision: int) -> int:
+    """Working precision in bits at ``precision`` decimal digits."""
+    return dps_to_prec(check_precision(precision))
+
+
+def _rounded(pair: Tuple[int, int], prec: int) -> mpf:
+    """The mpf nearest man * 2**exp at prec bits, as ``mpf(pair)`` rounds it."""
+    return mp.make_mpf(from_man_exp(pair[0], pair[1], prec, "n"))
+
+
+def _exact_sum(terms: Sequence[Tuple[int, int]]) -> Tuple[int, int]:
+    """The exact sum of the values man * 2**exp, as one such pair."""
+    if not terms:
+        return 0, 0
+    low = min(exp for _, exp in terms)
+    return sum(man << (exp - low) for man, exp in terms), low
+
+
+def _log_sum(terms: Iterable[Tuple[tuple, tuple, Optional[tuple]]], prec: int) -> Tuple[int, int]:
+    """Exact sum of the terms c ln(x / y), or c ln x where y is None.
+
+    c, x and y are raw mpf tuples.  Each term is rounded as the mpf
+    expression ``c * ln(x / y)`` (or ``c * ln(x)``) rounds it at prec
+    bits, bit for bit; the terms are summed exactly (error models in the
+    module docstrings of this module and of ``discrimination``).
+    """
+    out = []
+    for c, x, y in terms:
+        if y is not None:
+            x = mpf_div(x, y, prec, "n")
+        sign, man, exp, _ = mpf_mul(c, mpf_log(x, prec, "n"), prec, "n")
+        out.append((-man if sign else man, exp))
+    return _exact_sum(out)
 
 
 def _check_same_precision(a: IntegerPmf, b: IntegerPmf) -> int:
@@ -330,6 +410,20 @@ def _pack(ints: Sequence[int], width: int) -> int:
     return int.from_bytes(b"".join(x.to_bytes(width, "little") for x in ints), "little")
 
 
+def _run_product(xa: List[int], ba: int, xb: List[int], bb: int) -> List[int]:
+    """Exact convolution of two runs' integers (``_runs``), one product."""
+    if len(xa) == 1:
+        return [xa[0] * y for y in xb]
+    if len(xb) == 1:
+        return [x * xb[0] for x in xa]
+    width = (ba + bb + min(len(xa), len(xb)).bit_length() + 7) // 8
+    packed = _pack(xa, width)
+    product = packed * packed if xa is xb else packed * _pack(xb, width)
+    size = (len(xa) + len(xb) - 1) * width
+    buf, unpack = product.to_bytes(size, "little"), int.from_bytes
+    return [unpack(buf[k:k + width], "little") for k in range(0, size, width)]
+
+
 def _convolve_runs(
     runs_a: List[Tuple[int, List[int], int, int]],
     runs_b: List[Tuple[int, List[int], int, int]],
@@ -342,8 +436,16 @@ def _convolve_runs(
     2 prec, ``size`` is len(a) + len(b) - 1, and the same list passed
     twice squares.  Rounding each pair to prec bits gives the weights of
     the module docstring's error model; an output with no terms is (0, 0).
+    When each input is one run, every output has at most one term and
+    the slots of the one product are returned as they are.
     """
     square = runs_a is runs_b
+    if len(runs_a) == len(runs_b) == 1:
+        (sa, xa, ea, ba), (sb, xb, eb, bb) = runs_a[0], runs_b[0]
+        slots = _run_product(xa, ba, xb, bb)
+        e = ea + eb
+        tail = size - sa - sb - len(slots)
+        return [(0, 0)] * (sa + sb) + [(v, e) if v else (0, 0) for v in slots] + [(0, 0)] * tail
     # Contributions more than prec + g bits below an output's largest
     # are dropped; no output has more than one per pair of runs.
     drop = prec + (len(runs_a) * len(runs_b)).bit_length() + 16 + 1
@@ -352,17 +454,7 @@ def _convolve_runs(
         for j, (sb, xb, eb, bb) in enumerate(runs_b):
             if square and j < i:
                 continue
-            if len(xa) == 1:
-                slots = [xa[0] * y for y in xb]
-            elif len(xb) == 1:
-                slots = [x * xb[0] for x in xa]
-            else:
-                width = (ba + bb + min(len(xa), len(xb)).bit_length() + 7) // 8
-                packed = _pack(xa, width)
-                product = packed * packed if xa is xb else packed * _pack(xb, width)
-                m = len(xa) + len(xb) - 1
-                buf = product.to_bytes(m * width, "little")
-                slots = [int.from_bytes(buf[k * width:(k + 1) * width], "little") for k in range(m)]
+            slots = _run_product(xa, ba, xb, bb)
             e, copies = ea + eb, (2 if square and i != j else 1)
             for k, v in enumerate(slots, sa + sb):
                 if v:
@@ -386,12 +478,11 @@ def convolve(a: IntegerPmf, b: IntegerPmf) -> IntegerPmf:
     is in the module docstring.
     """
     precision = _check_same_precision(a, b)
-    with working_precision(precision):
-        prec = mpmath.mp.prec
-        runs_a = _runs(a.weights, 2 * prec)
-        runs_b = runs_a if a.weights is b.weights else _runs(b.weights, 2 * prec)
-        sums = _convolve_runs(runs_a, runs_b, a.size + b.size - 1, prec)
-        out = tuple(mpf(c) for c in sums)
+    prec = _bits(precision)
+    runs_a = _runs(a.weights, 2 * prec)
+    runs_b = runs_a if a.weights is b.weights else _runs(b.weights, 2 * prec)
+    sums = _convolve_runs(runs_a, runs_b, a.size + b.size - 1, prec)
+    out = tuple(_rounded(c, prec) for c in sums)
     return IntegerPmf(offset=a.offset + b.offset, weights=out, precision=precision)
 
 
@@ -403,9 +494,15 @@ def shift(pmf: IntegerPmf, k: int) -> IntegerPmf:
 
 
 def entropy(pmf: IntegerPmf) -> mpf:
-    """Shannon entropy -sum w ln w in nats; zero weights contribute zero."""
-    with working_precision(pmf.precision):
-        return -mpmath.fsum(w * mpmath.ln(w) for w in pmf.weights if w > 0)
+    """Shannon entropy -sum w ln w in nats; zero weights contribute zero.
+
+    Each term rounded twice, summed exactly and rounded once (error
+    model in the module docstring).
+    """
+    prec = _bits(pmf.precision)
+    raw = [w._mpf_ for w in pmf.weights]
+    man, exp = _log_sum(((x, x, None) for x in raw if x[1]), prec)
+    return _rounded((-man, exp), prec)
 
 
 def mean(pmf: IntegerPmf) -> mpf:
@@ -415,7 +512,7 @@ def mean(pmf: IntegerPmf) -> mpf:
 
 def _check_sum_support(base: IntegerPmf, n: int) -> None:
     if (base.size - 1) * n + 1 > MAX_SUM_SUPPORT:
-        raise ValueError(
+        raise BudgetExceededError(
             f"n={n} puts the sum support past the {MAX_SUM_SUPPORT}-point budget"
         )
 

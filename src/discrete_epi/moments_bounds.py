@@ -409,14 +409,35 @@ def gamma_l(j: int, p: RealLike, l: int, precision: int = DEFAULT_PRECISION) -> 
     """
     if not isinstance(j, int) or j < 1:
         raise ValueError(f"j must be a positive integer, got {j!r}")
+    table = _checked_table(p, l, precision)
+    with working_precision(precision):
+        return _gamma_from(table, j)
+
+
+def _checked_table(p: RealLike, l: int, precision: int) -> Tuple[Tuple[int, ...], int]:
+    """The Laurent table of Gamma_l at p, after the check on l."""
     if not isinstance(l, int) or l < 1:
         raise ValueError(f"l must be a positive integer, got {l!r}")
-    nums, den = _laurent_table(_exact_p(p, precision), l)
+    return _laurent_table(_exact_p(p, precision), l)
+
+
+def _gamma_from(table: Tuple[Tuple[int, ...], int], j: int) -> mpf:
+    """Gamma_l(j) summed exactly in j from its Laurent table, rounded once."""
+    nums, den = table
     acc = 0
     for n_w in nums:
         acc = acc * j + n_w
-    with working_precision(precision):
-        return mpf(from_rational(acc, den * j ** len(nums), mpmath.mp.prec, "n"))
+    return mpf(from_rational(acc, den * j ** len(nums), mpmath.mp.prec, "n"))
+
+
+def _coeff_from(table: Tuple[Tuple[int, ...], int], w: int) -> mpf:
+    """D_w of a Laurent table of depth at least w, rounded once.
+
+    D_w collects the Taylor orders k <= 2w only, so every table deep
+    enough holds the same exact value.
+    """
+    nums, den = table
+    return mpf(from_rational(nums[w - 1], den, mpmath.mp.prec, "n"))
 
 
 def c_coeff(w: int, p: RealLike, precision: int = DEFAULT_PRECISION) -> mpf:
@@ -430,9 +451,9 @@ def c_coeff(w: int, p: RealLike, precision: int = DEFAULT_PRECISION) -> mpf:
     """
     if not isinstance(w, int) or w < 1:
         raise ValueError(f"w must be a positive integer, got {w!r}")
-    nums, den = _laurent_table(_exact_p(p, precision), w)
+    table = _laurent_table(_exact_p(p, precision), w)
     with working_precision(precision):
-        return mpf(from_rational(nums[w - 1], den, mpmath.mp.prec, "n"))
+        return _coeff_from(table, w)
 
 
 @functools.lru_cache(maxsize=64)
@@ -475,9 +496,10 @@ def harmonic_lower_bound(
     """
     if not isinstance(bound_order, int) or bound_order < 1:
         raise ValueError(f"bound_order must be a positive integer, got {bound_order!r}")
+    table = _laurent_table(_exact_p(p, precision), bound_order)
     with working_precision(precision):
         return mpmath.fsum(
-            c_coeff(w, p, precision) * harmonic_number(n, w, precision)
+            _coeff_from(table, w) * harmonic_number(n, w, precision)
             for w in range(1, bound_order + 1)
         )
 
@@ -491,8 +513,9 @@ def cumulative_gamma_bound(
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
+    table = _checked_table(p, l, precision)
     with working_precision(precision):
-        return mpmath.fsum(gamma_l(j, p, l, precision) for j in range(1, n + 1))
+        return mpmath.fsum(_gamma_from(table, j) for j in range(1, n + 1))
 
 
 def harmonic_bound_violations(

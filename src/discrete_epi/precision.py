@@ -18,6 +18,7 @@ Fractions; a Python float is converted at its exact binary value.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Tuple, Union
 
@@ -43,8 +44,12 @@ def working_precision(precision: int):
     return mpmath.workdps(check_precision(precision))
 
 
+@functools.lru_cache(maxsize=None)
 def eps_for(precision: int) -> mpf:
-    """Comparison slack 10**-(precision-10) at the given precision."""
+    """Comparison slack 10**-(precision-10) at the given precision.
+
+    Computed once per precision; mpf values are immutable.
+    """
     check_precision(precision)
     with mpmath.workdps(precision):
         return mpf(10) ** (-(precision - 10))

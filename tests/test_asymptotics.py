@@ -26,7 +26,7 @@ from discrete_epi.dist_core import (
     entropy,
 )
 from discrete_epi.epi_engine import _step_margin, sufficient_step_check
-from discrete_epi.errors import QuadratureError
+from discrete_epi.errors import BudgetExceededError, QuadratureError
 from discrete_epi.precision import eps_for, working_precision
 
 from conftest import assert_close
@@ -57,7 +57,7 @@ class TestIidPowers:
 
     def test_support_budget(self, dps50):
         base = binomial_pmf(1, "0.5")
-        with pytest.raises(ValueError):
+        with pytest.raises(BudgetExceededError, match="point budget"):
             iid_power_pmfs(base, [MAX_SUM_SUPPORT])
 
     def test_rejects_zero_folds(self, dps50):

@@ -9,6 +9,7 @@ import pytest
 from mpmath import mpf
 
 import discrete_epi.cli as cli
+from discrete_epi import dist_core
 from discrete_epi.errors import ConsistencyError
 
 
@@ -250,10 +251,18 @@ class TestWorkBudgets:
         assert err.startswith("computation budget exceeded: ")
         assert budget in err
 
-    def test_oversized_sum_stays_bad_args(self, capsys):
-        code, out, err = run(capsys, ["knessl", "--p", "0.5", "--n", "100000000"])
-        assert code == 2
+    @pytest.mark.parametrize("p, n", [("0.5", "100000000"), ("0.3", "5000000")])
+    def test_oversized_sum_is_refused_at_once(self, capsys, monkeypatch, p, n):
+        def refuse(a, b):
+            raise AssertionError("convolved before the budget check")
+
+        monkeypatch.setattr(dist_core, "convolve", refuse)
+        started = time.monotonic()
+        code, out, err = run(capsys, ["knessl", "--p", p, "--n", n])
+        assert time.monotonic() - started < 1
+        assert code == 3
         assert out == ""
+        assert err.startswith("computation budget exceeded: ")
         assert "point budget" in err
 
 

@@ -396,7 +396,7 @@ class TestIidSum:
             raise AssertionError("convolved before the budget check")
 
         monkeypatch.setattr(dist_core, "convolve", refuse)
-        with pytest.raises(ValueError, match="budget"):
+        with pytest.raises(BudgetExceededError, match="point budget"):
             iid_sum_pmf(binomial_pmf(1, "0.5"), MAX_SUM_SUPPORT)
 
 

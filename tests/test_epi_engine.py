@@ -20,6 +20,7 @@ from discrete_epi.epi_engine import (
     sufficient_step_check,
     zero_crossing_scan,
 )
+from discrete_epi.errors import BudgetExceededError
 from discrete_epi.precision import eps_for, working_precision
 
 from conftest import assert_close
@@ -94,7 +95,7 @@ class TestIidGap:
 
         monkeypatch.setattr(dist_core, "convolve", refuse)
         monkeypatch.setattr(epi_engine, "convolve", refuse)
-        with pytest.raises(ValueError, match="budget"):
+        with pytest.raises(BudgetExceededError, match="point budget"):
             iid_epi_gap(binomial_pmf(1, "0.5"), 10**9, 1)
 
 

@@ -9,6 +9,7 @@ import pytest
 from mpmath import mpf
 from mpmath.libmp import from_rational
 
+from discrete_epi import moments_bounds
 from discrete_epi.dist_core import IntegerPmf, binomial_pmf, entropy, iid_sum_pmf, shift
 from discrete_epi.moments_bounds import (
     _harmonic_cursor,
@@ -339,15 +340,23 @@ class TestLaurentTable:
             got = gamma_l(9, "0.3", 3, precision)
             assert got._mpf_ == rounded(oracle_gamma(9, pv, 3), precision)
 
-    def test_table_built_once_per_p_and_depth(self, dps50):
+    def test_table_built_once_per_p_and_depth(self, dps50, monkeypatch):
         _laurent_table.cache_clear()
         running = [gamma_l(j, "0.3", 2) for j in range(1, 61)]
         assert _laurent_table.cache_info().misses == 1
         with working_precision(50):
+            harmonic = {n: mpmath.fsum(c_coeff(w, "0.3") * harmonic_number(n, w) for w in (1, 2))
+                        for n in range(4, 40)}
+        reads = []
+        exact_p = moments_bounds._exact_p
+        monkeypatch.setattr(moments_bounds, "_exact_p", lambda *a, **k: reads.append(a) or exact_p(*a, **k))
+        with working_precision(50):
             assert cumulative_gamma_bound(60, "0.3", 2) == mpmath.fsum(running)
-        for n in range(4, 40):
-            harmonic_lower_bound(n, "0.3", 2)
-        # c(1) needs the depth-1 table; c(2) reads the depth-2 one
+            for n in range(4, 40):
+                assert harmonic_lower_bound(n, "0.3", 2) == harmonic[n]
+        # p is read once per call; c(1) needs the depth-1 table, and the
+        # harmonic sum reads both c(1) and c(2) off the depth-2 one
+        assert len(reads) == 1 + 36
         assert _laurent_table.cache_info().misses == 2
 
     def test_p_outside_the_open_interval_is_rejected(self, dps50):
