@@ -136,7 +136,8 @@ def _aligned(P: IntegerPmf, Q: IntegerPmf) -> Tuple[int, List[Tuple[tuple, tuple
     hi = max(P.last, Q.last)
 
     def padded(pmf: IntegerPmf) -> List[tuple]:
-        return [fzero] * (pmf.offset - lo) + [w._mpf_ for w in pmf.weights] + [fzero] * (hi - pmf.last)
+        weights = [w._mpf_ for w in pmf.weights]
+        return [fzero] * (pmf.offset - lo) + weights + [fzero] * (hi - pmf.last)
 
     return lo, list(zip(padded(P), padded(Q)))
 

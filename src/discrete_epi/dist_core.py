@@ -188,9 +188,7 @@ class IntegerPmf:
             raise ValueError(f"offset must be an integer, got {self.offset!r}")
         if len(self.weights) == 0:
             raise ValueError("pmf needs at least one weight")
-        # Each weight is read as its raw (sign, man, exp, bc): a sign bit
-        # on anything but zero, or NaN, is refused, and +inf makes the
-        # mass infinite.  The mass is the exact sum, rounded once.
+        # The checks on raw tuples of "Raw kernels" in the module docstring.
         raw = [w._mpf_ for w in self.weights]
         for w, x in zip(self.weights, raw):
             if x[0] and (x[1] or x[2]) or x == fnan:
