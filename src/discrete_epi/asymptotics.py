@@ -261,7 +261,6 @@ __all__ = [
     "TulinoRow",
     "gaussian_smoothed_entropy",
     "iid_power_pmfs",
-    "knessl_g",
     "knessl_profile",
     "leading_constant_fit",
     "tulino_verdu_compare",
@@ -295,21 +294,14 @@ def _gaussian_reference(n: int, sigma2: mpf) -> mpf:
     return mpmath.ln(2 * mpmath.pi * mpmath.e * n * sigma2) / 2
 
 
-def knessl_g(
-    base: IntegerPmf, n: int, precision: int = DEFAULT_PRECISION
-) -> mpf:
-    """Exact entropy of the n-fold sum minus the Gaussian reference.
+@dataclass(frozen=True)
+class KnesslProfile:
+    """Computed lattice corrections g(n) for one base distribution.
 
     g(n) = H(X^(n)) - (1/2) ln(2 pi e n sigma**2) with sigma**2 the base
     variance; negative once the sum is close enough to its Gaussian
     limit, and decaying at a cumulant-determined rate.
     """
-    return knessl_profile(base, [n], precision).g_values[n]
-
-
-@dataclass(frozen=True)
-class KnesslProfile:
-    """Computed lattice corrections g(n) for one base distribution."""
 
     base: IntegerPmf
     sigma2: mpf
@@ -328,12 +320,37 @@ class KnesslProfile:
                 onset = None
         return onset
 
+    def fit(self) -> LeadingFit:
+        """Fit g(n) ~ -C / n**k by least squares on (ln n, ln |g(n)|)."""
+        ns = sorted(self.g_values)
+        g_abs = [abs(float(self.g_values[n])) for n in ns]
+        if any(v == 0 for v in g_abs):
+            raise ValueError("g(n) vanished exactly; nothing to fit on a log scale")
+        xs = [math.log(n) for n in ns]
+        ys = [math.log(v) for v in g_abs]
+        mean_x = sum(xs) / len(xs)
+        mean_y = sum(ys) / len(ys)
+        sxx = sum((x - mean_x) ** 2 for x in xs)
+        sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
+        slope = sxy / sxx
+        intercept = mean_y - slope * mean_x
+        exponent = -slope
+        constant = math.exp(intercept)
+        monotone = all(a > b for a, b in zip(g_abs, g_abs[1:]))
+        residuals = {
+            n: float(self.g_values[n]) + constant / n**exponent for n in ns
+        }
+        return LeadingFit(
+            constant=constant, exponent=exponent, monotone=monotone,
+            residuals=residuals,
+        )
+
 
 def knessl_profile(
     base: IntegerPmf, n_values: Iterable[int], precision: int = DEFAULT_PRECISION
 ) -> KnesslProfile:
     """Lattice corrections g(n) over a family of fold counts."""
-    if sum(1 for _ in base.support()) < 2:
+    if sum(1 for w in base.weights if w) < 2:
         raise ValueError("the base distribution must have at least 2 support points")
     pmfs = iid_power_pmfs(base, n_values)
     if not pmfs:
@@ -380,33 +397,7 @@ def leading_constant_fit(
     ns = sorted(set(n_range))
     if len(ns) < 4:
         raise ValueError(f"need at least 4 fold counts for a fit, got {len(ns)}")
-    return _fit_profile(knessl_profile(base, ns, precision))
-
-
-def _fit_profile(profile: KnesslProfile) -> LeadingFit:
-    """``leading_constant_fit`` over every fold count of a computed profile."""
-    ns = sorted(profile.g_values)
-    g_abs = [abs(float(profile.g_values[n])) for n in ns]
-    if any(v == 0 for v in g_abs):
-        raise ValueError("g(n) vanished exactly; nothing to fit on a log scale")
-    xs = [math.log(n) for n in ns]
-    ys = [math.log(v) for v in g_abs]
-    mean_x = sum(xs) / len(xs)
-    mean_y = sum(ys) / len(ys)
-    sxx = sum((x - mean_x) ** 2 for x in xs)
-    sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    slope = sxy / sxx
-    intercept = mean_y - slope * mean_x
-    exponent = -slope
-    constant = math.exp(intercept)
-    monotone = all(a > b for a, b in zip(g_abs, g_abs[1:]))
-    residuals = {
-        n: float(profile.g_values[n]) + constant / n**exponent for n in ns
-    }
-    return LeadingFit(
-        constant=constant, exponent=exponent, monotone=monotone,
-        residuals=residuals,
-    )
+    return knessl_profile(base, ns, precision).fit()
 
 
 # ---------------------------------------------------------------------------
@@ -701,6 +692,8 @@ def gaussian_smoothed_entropy(
     with working_precision(precision):
         if not sig > 0:
             raise ValueError(f"sigma must be positive, got {mpmath.nstr(sig, 8)}")
+        if sig == mpmath.inf:
+            raise ValueError("sigma must be finite, got +inf")
         if not tolerance > 0:
             raise ValueError("tolerance must be positive")
         positions, weights = _mixture_peaks(pmf)

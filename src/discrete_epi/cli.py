@@ -27,7 +27,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import asdict, astuple, fields
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import mpmath
 from mpmath import mpf
@@ -50,28 +51,37 @@ EXIT_BAD_ARGS = 2
 EXIT_BUDGET = 3
 EXIT_INCONSISTENT = 4
 
+# What a handler returns: a JSON report, CSV rows (header first) or SVG text.
+Payload = Union[Dict[str, Any], List[Sequence[Any]], str]
+
 
 def _fmt(x: mpf, precision: int) -> str:
     """Decimal rendering of an mpf with precision-tagged digit count."""
     return mpmath.nstr(x, precision, strip_zeros=True)
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+def _render(value: Any, precision: int) -> Any:
+    """The value with every mpf in it rendered by ``_fmt``."""
+    if isinstance(value, mpf):
+        return _fmt(value, precision)
+    if isinstance(value, dict):
+        return {key: _render(item, precision) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_render(item, precision) for item in value]
+    return value
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def _csv_text(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _text(payload: Payload, precision: int) -> str:
+    """A dict as sorted JSON, a list of rows as CSV, and text as it is."""
+    if isinstance(payload, str):
+        return payload
+    payload = _render(payload, precision)
+    if isinstance(payload, dict):
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return "".join(
+        ",".join(cell if isinstance(cell, str) else json.dumps(cell) for cell in row) + "\n"
+        for row in payload
+    )
 
 
 def _svg_text(points: List[Tuple[float, float]], x_label: str, y_label: str) -> str:
@@ -150,84 +160,44 @@ def _p_grid(p_min: str, p_max: str, steps: int, precision: int) -> List[mpf]:
 # Subcommand handlers
 # ---------------------------------------------------------------------------
 
-def _cmd_gap(args: argparse.Namespace) -> int:
-    report = epi_engine.epi_gap(args.m, args.n, args.p, args.precision)
-    payload = {
-        "m": report.m,
-        "n": report.n,
-        "p": _fmt(report.p, args.precision),
-        "gap": _fmt(report.gap, args.precision),
-        "holds": report.holds,
-        "precision": report.precision,
-    }
-    _emit(_json_text(payload), args.out)
-    return EXIT_OK
+def _cmd_gap(args: argparse.Namespace) -> Payload:
+    return asdict(epi_engine.epi_gap(args.m, args.n, args.p, args.precision))
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    precision = args.precision
+def _cmd_sweep(args: argparse.Namespace) -> Payload:
     if args.p is not None:
-        grid = _p_grid(args.p, args.p, 1, precision)
+        grid = _p_grid(args.p, args.p, 1, args.precision)
     else:
-        grid = _p_grid(args.p_min, args.p_max, args.steps, precision)
-    rows: List[Tuple[mpf, mpf]] = []
-    for p in grid:
-        report = epi_engine.epi_gap(args.m, args.n, p, precision)
-        rows.append((p, report.gap))
+        grid = _p_grid(args.p_min, args.p_max, args.steps, args.precision)
+    rows = [(p, epi_engine.epi_gap(args.m, args.n, p, args.precision).gap) for p in grid]
     if args.format == "svg":
-        text = _svg_text(
-            [(float(p), float(g)) for p, g in rows], "p", "entropy power gap"
-        )
-    else:
-        text = _csv_text(
-            ["p", "gap"],
-            [[_fmt(p, precision), _fmt(g, precision)] for p, g in rows],
-        )
-    _emit(text, args.out)
-    return EXIT_OK
+        return _svg_text([(float(p), float(g)) for p, g in rows], "p", "entropy power gap")
+    return [("p", "gap"), *rows]
 
 
-def _cmd_threshold(args: argparse.Namespace) -> int:
-    report = epi_engine.empirical_threshold(args.p, args.cap, args.precision)
-    payload = {
-        "p": _fmt(report.p, args.precision),
-        "t": _fmt(report.t, args.precision),
-        "empirical_n0": report.empirical_n0,
-        "formula_a": report.formula_a,
-        "formula_b": report.formula_b,
-        "cap": report.cap,
-        "precision": report.precision,
-    }
-    _emit(_json_text(payload), args.out)
-    return EXIT_OK
+def _cmd_threshold(args: argparse.Namespace) -> Payload:
+    return asdict(epi_engine.empirical_threshold(args.p, args.cap, args.precision))
 
 
-def _cmd_grid(args: argparse.Namespace) -> int:
+def _cmd_grid(args: argparse.Namespace) -> Payload:
     cells = epi_engine.epi_grid_check(args.m, args.n, args.p, args.precision)
     worst = min(cells.values(), key=lambda rep: rep.gap)
-    payload = {
+    return {
         "m_max": args.m,
         "n_max": args.n,
         "p": args.p,
         "all_hold": all(rep.holds for rep in cells.values()),
         "worst_cell": {"m": worst.m, "n": worst.n},
-        "worst_gap": _fmt(worst.gap, args.precision),
+        "worst_gap": worst.gap,
         "cells": [
-            {
-                "m": rep.m,
-                "n": rep.n,
-                "gap": _fmt(rep.gap, args.precision),
-                "holds": rep.holds,
-            }
-            for (m, n), rep in sorted(cells.items())
+            {"m": rep.m, "n": rep.n, "gap": rep.gap, "holds": rep.holds}
+            for _, rep in sorted(cells.items())
         ],
         "precision": args.precision,
     }
-    _emit(_json_text(payload), args.out)
-    return EXIT_OK
 
 
-def _cmd_bound(args: argparse.Namespace) -> int:
+def _cmd_bound(args: argparse.Namespace) -> Payload:
     precision = args.precision
     with working_precision(precision):
         pmf = dist_core.binomial_pmf(args.n, args.p, precision)
@@ -240,22 +210,20 @@ def _cmd_bound(args: argparse.Namespace) -> int:
         harmonic = moments_bounds.harmonic_lower_bound(
             args.n, args.p, 2 * args.l, precision
         )
-        payload = {
-            "p": args.p,
-            "n": args.n,
-            "l": args.l,
-            "entropy": _fmt(exact, precision),
-            "cumulative_bound": _fmt(cumulative, precision),
-            "cumulative_holds": bool(cumulative <= exact),
-            "harmonic_bound": _fmt(harmonic, precision),
-            "harmonic_holds": bool(harmonic <= exact),
-            "precision": precision,
-        }
-    _emit(_json_text(payload), args.out)
-    return EXIT_OK
+    return {
+        "p": args.p,
+        "n": args.n,
+        "l": args.l,
+        "entropy": exact,
+        "cumulative_bound": cumulative,
+        "cumulative_holds": bool(cumulative <= exact),
+        "harmonic_bound": harmonic,
+        "harmonic_holds": bool(harmonic <= exact),
+        "precision": precision,
+    }
 
 
-def _cmd_discrimination(args: argparse.Namespace) -> int:
+def _cmd_discrimination(args: argparse.Namespace) -> Payload:
     precision = args.precision
     if args.n + 1 >= dist_core.MAX_CHAIN_ROWS:
         # The entropy step needs B(n + 1); refuse before B(n) is built.
@@ -266,33 +234,28 @@ def _cmd_discrimination(args: argparse.Namespace) -> int:
     with working_precision(precision):
         before = dist_core.binomial_pmf(args.n, args.p, precision)
         after = dist_core.shift(before, 1)
-        weight = args.p
-        direct = discrimination.cap_discrimination(after, before, weight)
-        series = discrimination.cap_via_series(after, before, weight, tol=args.tol)
+        direct = discrimination.cap_discrimination(after, before, args.p)
+        series = discrimination.cap_via_series(after, before, args.p, tol=args.tol)
         step = discrimination.binomial_step_c(args.n, args.p, precision)
-        payload = {
+        return {
             "n": args.n,
             "p": args.p,
-            "direct": _fmt(direct, precision),
-            "series_partial": _fmt(series.partial_sum, precision),
+            "direct": direct,
+            "series_partial": series.partial_sum,
             "series_terms": series.terms_used,
-            "series_tail_bound": _fmt(series.tail_bound, precision),
-            "series_vs_direct": _fmt(abs(series.partial_sum - direct), precision),
-            "entropy_step": _fmt(step, precision),
-            "step_vs_direct": _fmt(abs(step - direct), precision),
+            "series_tail_bound": series.tail_bound,
+            "series_vs_direct": abs(series.partial_sum - direct),
+            "entropy_step": step,
+            "step_vs_direct": abs(step - direct),
             "precision": precision,
         }
-    _emit(_json_text(payload), args.out)
-    return EXIT_OK
 
 
-def _cmd_certify(args: argparse.Namespace) -> int:
-    report = certify(args.sub)
-    _emit(_json_text(report.to_json_dict()), args.out)
-    return EXIT_OK
+def _cmd_certify(args: argparse.Namespace) -> Payload:
+    return certify(args.sub).to_json_dict()
 
 
-def _cmd_knessl(args: argparse.Namespace) -> int:
+def _cmd_knessl(args: argparse.Namespace) -> Payload:
     precision = args.precision
     if args.n < 8:
         raise ValueError("the decay scan needs --n >= 8")
@@ -300,7 +263,7 @@ def _cmd_knessl(args: argparse.Namespace) -> int:
     with working_precision(precision):
         base = dist_core.binomial_pmf(1, args.p, precision)
         profile = asymptotics.knessl_profile(base, family, precision)
-        fit = asymptotics._fit_profile(profile)
+        fit = profile.fit()
         kappa3 = profile.kappa.kappa(3)
         kappa4 = profile.kappa.kappa(4)
         sigma2 = profile.sigma2
@@ -310,27 +273,23 @@ def _cmd_knessl(args: argparse.Namespace) -> int:
         else:
             predicted = kappa4**2 / (48 * sigma2**4)
             predicted_exponent = 2
-        payload = {
-            "p": args.p,
-            "sigma2": _fmt(sigma2, precision),
-            "kappa3": _fmt(kappa3, precision),
-            "kappa4": _fmt(kappa4, precision),
-            "g": {
-                str(n): _fmt(profile.g_values[n], precision) for n in family
-            },
-            "negativity_onset": profile.negativity_onset(),
-            "fit_constant": fit.constant,
-            "fit_exponent": fit.exponent,
-            "fit_monotone": fit.monotone,
-            "predicted_constant": _fmt(predicted, precision),
-            "predicted_exponent": predicted_exponent,
-            "precision": precision,
-        }
-    _emit(_json_text(payload), args.out)
-    return EXIT_OK
+    return {
+        "p": args.p,
+        "sigma2": sigma2,
+        "kappa3": kappa3,
+        "kappa4": kappa4,
+        "g": {str(n): profile.g_values[n] for n in family},
+        "negativity_onset": profile.negativity_onset(),
+        "fit_constant": fit.constant,
+        "fit_exponent": fit.exponent,
+        "fit_monotone": fit.monotone,
+        "predicted_constant": predicted,
+        "predicted_exponent": predicted_exponent,
+        "precision": precision,
+    }
 
 
-def _cmd_smooth(args: argparse.Namespace) -> int:
+def _cmd_smooth(args: argparse.Namespace) -> Payload:
     precision = args.precision
     with working_precision(precision):
         pmf = dist_core.binomial_pmf(args.n, args.p, precision)
@@ -338,22 +297,19 @@ def _cmd_smooth(args: argparse.Namespace) -> int:
             pmf, args.sigma, args.tol, precision, n=args.n
         )
         floor = mpmath.ln(2 * mpmath.pi * mpmath.e * result.sigma**2) / 2
-        payload = {
+        return {
             "n": args.n,
             "p": args.p,
-            "sigma": _fmt(result.sigma, precision),
-            "h": _fmt(result.h_value, precision),
-            "quadrature_error": _fmt(result.quadrature_error, precision),
-            "gaussian_floor": _fmt(floor, precision),
-            "excess_over_floor": _fmt(result.h_value - floor, precision),
+            "sigma": result.sigma,
+            "h": result.h_value,
+            "quadrature_error": result.quadrature_error,
+            "gaussian_floor": floor,
+            "excess_over_floor": result.h_value - floor,
             "precision": precision,
         }
-    _emit(_json_text(payload), args.out)
-    return EXIT_OK
 
 
-def _cmd_tulino(args: argparse.Namespace) -> int:
-    precision = args.precision
+def _cmd_tulino(args: argparse.Namespace) -> Payload:
     if args.n_min < 2 or args.n_max < args.n_min:
         raise ValueError("need 2 <= n-min <= n-max")
     rows = asymptotics.tulino_verdu_compare(
@@ -361,22 +317,9 @@ def _cmd_tulino(args: argparse.Namespace) -> int:
         args.sigma,
         range(args.n_min, args.n_max + 1),
         tol=args.tol,
-        precision=precision,
+        precision=args.precision,
     )
-    header = ["n", "increment", "half_log", "full_log", "meets_half", "meets_full"]
-    body = [
-        [
-            str(r.n),
-            _fmt(r.increment, precision),
-            _fmt(r.half_log, precision),
-            _fmt(r.full_log, precision),
-            str(r.meets_half).lower(),
-            str(r.meets_full).lower(),
-        ]
-        for r in rows
-    ]
-    _emit(_csv_text(header, body), args.out)
-    return EXIT_OK
+    return [[f.name for f in fields(asymptotics.TulinoRow)], *map(astuple, rows)]
 
 
 PRESETS: Dict[str, List[str]] = {
@@ -395,15 +338,6 @@ PRESETS: Dict[str, List[str]] = {
         "--n-min", "8", "--n-max", "64", "--precision", "30",
     ],
 }
-
-
-def _cmd_preset(args: argparse.Namespace) -> int:
-    argv = list(PRESETS[args.name])
-    if args.out is not None:
-        argv.extend(["--out", args.out])
-    if args.format is not None:
-        argv.extend(["--format", args.format])
-    return main(argv)
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
     preset.add_argument("name", choices=sorted(PRESETS))
     preset.add_argument("--out", default=None)
     preset.add_argument("--format", choices=["csv", "svg"], default=None)
-    preset.set_defaults(handler=_cmd_preset, precision=DEFAULT_PRECISION)
 
     return parser
 
@@ -550,11 +483,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "preset":
+            recipe = list(PRESETS[args.name])
+            for flag, value in (("--out", args.out), ("--format", args.format)):
+                if value is not None:
+                    recipe.extend([flag, value])
+            args = parser.parse_args(recipe)
     except SystemExit as exc:
         return EXIT_BAD_ARGS if exc.code not in (0, None) else EXIT_OK
     try:
         check_precision(args.precision)
-        return args.handler(args)
+        text = _text(args.handler(args), args.precision)
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        return EXIT_OK
     except BudgetExceededError as exc:
         print(
             f"computation budget exceeded: {exc}{_partial_text(exc.partial, args.precision)}",

@@ -86,7 +86,6 @@ returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Tuple
 
 import mpmath
@@ -107,7 +106,6 @@ from .precision import DEFAULT_PRECISION, RealLike, _exact_weight, as_mpf, worki
 
 __all__ = [
     "SeriesEvaluation",
-    "binomial_ratio",
     "binomial_step_c",
     "cap_discrimination",
     "cap_via_series",
@@ -206,7 +204,10 @@ def cap_discrimination(P: IntegerPmf, Q: IntegerPmf, p: RealLike) -> mpf:
 def tri_discrimination(P: IntegerPmf, Q: IntegerPmf, p: RealLike, nu: int) -> mpf:
     """Weighted triangular discrimination of order nu (nu >= 1).
 
-    Lies in [0, 1]; for P = Q it collapses to |2p - 1|**(2 nu).
+    Delta_nu is the nu-th term of the series identity of C in the module
+    docstring, C = sum_nu Delta_nu / (2 nu (2 nu - 1)) - (ln 2 - H(p)),
+    which ``cap_via_series`` sums.  Lies in [0, 1] and is nonincreasing
+    in nu; for P = Q it collapses to |2p - 1|**(2 nu).
     """
     if not isinstance(nu, int) or nu < 1:
         raise ValueError(f"nu must be a positive integer, got {nu!r}")
@@ -350,16 +351,3 @@ def binomial_step_c(n: int, p: RealLike, precision: int = DEFAULT_PRECISION) -> 
             terms.append((hp - bernoulli_entropy(x, precision)) * w)
         return mpmath.fsum(terms)
 
-
-def binomial_ratio(i: int, n: int) -> Fraction:
-    """Pointwise mass ratio |2i - n - 1| / (n + 1) of the binomial pair.
-
-    For P = Binomial(n, p) shifted by one and Q = Binomial(n, p), the
-    ratio |pP_i - qQ_i| / (pP_i + qQ_i) at point i is exactly this
-    fraction, independent of p.
-    """
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-    if not isinstance(i, int):
-        raise ValueError(f"i must be an integer, got {i!r}")
-    return Fraction(abs(2 * i - n - 1), n + 1)

@@ -160,7 +160,6 @@ MAX_CHAIN_ROWS = 1 << 14
 
 __all__ = [
     "IntegerPmf",
-    "BernoulliParam",
     "bernoulli_entropy",
     "binomial_entropy_chain",
     "binomial_pmf",
@@ -237,33 +236,6 @@ class IntegerPmf:
             yield self.offset + i, w
 
 
-@dataclass(frozen=True)
-class BernoulliParam:
-    """Success probability together with its derived reparametrisations.
-
-    q = 1 - p, r = p - 1/2, and t solves r**2 = t / (4 (t + 4)); t
-    coincides with omega(p) = (2p-1)**2 / (p (1-p)) and maps (0, 1) onto
-    [0, inf) symmetrically in p <-> 1-p.
-    """
-
-    p: mpf
-    q: mpf
-    r: mpf
-    t: mpf
-    precision: int
-
-    @classmethod
-    def from_p(cls, p: RealLike, precision: int = DEFAULT_PRECISION) -> "BernoulliParam":
-        pv = as_mpf(p, precision)
-        with working_precision(precision):
-            if not (0 < pv < 1):
-                raise ValueError(f"p must lie strictly inside (0, 1), got {pv}")
-            q = 1 - pv
-            r = pv - mpf(1) / 2
-            t = (2 * pv - 1) ** 2 / (pv * q)
-        return cls(p=pv, q=q, r=r, t=t, precision=precision)
-
-
 @functools.lru_cache(maxsize=None)
 def _bits(precision: int) -> int:
     """Working precision in bits at ``precision`` decimal digits."""
@@ -331,9 +303,14 @@ def omega(p: RealLike, precision: int = DEFAULT_PRECISION) -> mpf:
 
     Zero exactly at p = 1/2, symmetric under p <-> 1-p, and strictly
     increasing in |p - 1/2|; diverges at the endpoints, which are
-    rejected.
+    rejected.  With r = p - 1/2 it is the t that solves
+    r**2 = t / (4 (t + 4)), and maps (0, 1) onto [0, inf).
     """
-    return BernoulliParam.from_p(p, precision).t
+    pv = as_mpf(p, precision)
+    with working_precision(precision):
+        if not (0 < pv < 1):
+            raise ValueError(f"p must lie strictly inside (0, 1), got {pv}")
+        return (2 * pv - 1) ** 2 / (pv * (1 - pv))
 
 
 def binomial_pmf(n: int, p: RealLike, precision: int = DEFAULT_PRECISION) -> IntegerPmf:

@@ -65,7 +65,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import mpmath
 from mpmath import mpf
@@ -150,13 +150,11 @@ def bernoulli_cumulants(
     return CumulantSet(kappas=tuple(kappas), precision=precision)
 
 
-def central_moment_brute(
-    pmf: IntegerPmf, k: int, mean: Optional[RealLike] = None
-) -> mpf:
+def central_moment_brute(pmf: IntegerPmf, k: int) -> mpf:
     """k-th central moment by direct summation over the support.
 
-    Summed exactly in integers and rounded once (module docstring); the
-    mean defaults to the exact sum of i w_i.
+    Summed exactly in integers and rounded once (module docstring),
+    about the exact mean sum of i w_i.
     """
     if not isinstance(k, int) or k < 0:
         raise ValueError(f"k must be a nonnegative integer, got {k!r}")
@@ -169,20 +167,14 @@ def central_moment_brute(
     for _ in range(max(k, 1)):
         column = [n * i for i, n in enumerate(column)]
         sums.append(sum(column))
-    # mu - offset = A / 2**D exactly
-    if mean is None:
-        A, D = pmf.offset * (sums[0] - (1 << E)) + sums[1], E
-    else:
-        sign, man, exp, _ = as_mpf(mean, pmf.precision)._mpf_
-        man = -man if sign else man
-        D = max(-exp, 0)
-        A = (man << (exp + D)) - (pmf.offset << D)
-    # sum_j C(k, j) S_j (-mu)**(k-j), over the common 2**(E + D k)
+    # mu - offset = A / 2**E exactly
+    A = pmf.offset * (sums[0] - (1 << E)) + sums[1]
+    # sum_j C(k, j) S_j (-mu)**(k-j), over the common 2**(E (k + 1))
     total = sum(
-        math.comb(k, j) * sums[j] * (-A) ** (k - j) << (D * j) for j in range(k + 1)
+        math.comb(k, j) * sums[j] * (-A) ** (k - j) << (E * j) for j in range(k + 1)
     )
     with working_precision(pmf.precision):
-        return mpf((total, -(E + D * k)))
+        return mpf((total, -E * (k + 1)))
 
 
 def central_moment_closed(
@@ -364,8 +356,15 @@ def taylor_lower_bound(
 ) -> mpf:
     """Odd-truncated Taylor polynomial of H(p) - H(x) around p.
 
-    sum_{k=1}^{2l+1} F_k(p) (x - p)**k; a pointwise lower bound for the
-    defect because the omitted even tail has nonnegative coefficients.
+    sum_{k=1}^{2l+1} F_k(p) (x - p)**k.  The paper's lemma: this odd
+    truncation is a pointwise lower bound on the defect.  With d = x - p
+    and phi(y) = (1 - y) ln(1 - y) + y, the defect is
+    F_1(p) d + q phi(d/q) + p phi(-d/p), so the omitted tail is two
+    Taylor remainders of phi of even order 2l + 2, each nonnegative
+    because every derivative of phi past the first is positive on y < 1.
+    Averaged over B(n + 1, p) it makes the Taylor sum behind the slack
+    f(n, t) a lower bound on H_(n+1) - H_n, which the certificates
+    trust; the tests check the lemma pointwise over x, p and l.
     """
     if not isinstance(l, int) or l < 0:
         raise ValueError(f"l must be a nonnegative integer, got {l!r}")

@@ -68,7 +68,6 @@ __all__ = [
     "THRESHOLD_SLOPE_REFINED",
     "build_g",
     "certify",
-    "f_exact",
     "quadratic_shift_expand",
     "rational_substitute_t",
     "shift_expand",
@@ -277,12 +276,6 @@ def build_g() -> BivarPoly:
     in_t = _relabel(in_u, ("v", "N"), lambda j, i: (6 - j, i)).compose_first(
         _affine(("t", "N"), 1, 4), ("t", "N"))
     return _relabel(in_t, ("N", "t"), lambda j, i: (i, j)).compose_first(_affine(_NT, 1, 1), _NT)
-
-
-def f_exact(n: FractionLike, t: FractionLike) -> Fraction:
-    """Exact rational value of the slack f at rational arguments."""
-    nv = _frac(n)
-    return build_g().evaluate(nv, t) / (420 * nv**3 * (nv + 1) ** 6)
 
 
 def shift_expand(

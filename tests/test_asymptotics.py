@@ -13,7 +13,6 @@ from discrete_epi.asymptotics import (
     MAX_SUM_SUPPORT,
     gaussian_smoothed_entropy,
     iid_power_pmfs,
-    knessl_g,
     knessl_profile,
     leading_constant_fit,
     tulino_verdu_compare,
@@ -68,7 +67,7 @@ class TestIidPowers:
 class TestLatticeCorrection:
     def test_symmetric_square_scaling(self, dps50):
         # n**2 g(n) settles near -1/12 for the symmetric Bernoulli sum.
-        g = knessl_g(binomial_pmf(1, "0.5"), 256)
+        g = knessl_profile(binomial_pmf(1, "0.5"), [256]).g_values[256]
         assert g < 0
         assert abs(256**2 * g + mpf(1) / 12) < mpf("0.002")
 
@@ -97,6 +96,12 @@ class TestLatticeCorrection:
     def test_rejects_single_point_base(self, dps50):
         with pytest.raises(ValueError):
             knessl_profile(delta_pmf(3), [4])
+
+    @pytest.mark.parametrize("weights", [["1", "0"], ["0", "1"]])
+    def test_rejects_point_mass_with_a_zero_weight(self, dps50, weights):
+        # Two positions but one nonzero weight: sigma**2 = 0.
+        with pytest.raises(ValueError, match="at least 2 support points"):
+            knessl_profile(IntegerPmf.from_weights(weights), [8])
 
 
 class TestLeadingFit:

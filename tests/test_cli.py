@@ -175,6 +175,87 @@ class TestCertifyCommand:
         assert "consistency" in err
 
 
+class TestOutputPins:
+    # sha256 of the stdout of one command per subcommand (certify is
+    # pinned above), byte for byte as the field-by-field payloads printed it
+    STDOUT_SHA256 = {
+        "gap --m 2 --n 3 --p 0.37":
+            "993136566ee2d0c8319953fecd8bced688125401d405d74d1194ddaabf73cfab",
+        "sweep --m 1 --n 2 --p-min 0.2 --p-max 0.8 --steps 7":
+            "bf6e8e092ff74e9a67291ab4898463dc4240e6522c3fb99a3fe4af4e89679664",
+        "sweep --m 1 --n 2 --steps 5 --format svg":
+            "9ff7e61a7c7c9eb3973e6bc137b5436d129e40a9dd95177867ddcbb87b9a361c",
+        "threshold --p 0.3 --cap 60":
+            "1fba1d741470a13a5c17d895056985882b3d0148a35e4c8653865e4773293f42",
+        "grid --m 3 --n 2 --p 0.3":
+            "3406dc3c15d7d68334b1e2987211a907ffa915581e9bcd285a3cd6f412243fb2",
+        "bound --p 0.3 --n 12 --l 2":
+            "ead124b3e1632752a3257676a0e39de38c8ff9b8bfdd1cec526a0dadd59ebaab",
+        "discrimination --n 5 --p 0.3":
+            "609bf5a698998845a4d1fd127c4bae5cbbceb9984a4ec2a376613915a016e71e",
+        "knessl --p 0.3 --n 64":
+            "00a1a4d8a8f9184d9f808119d3cdd3ab8255ba3aade5050e60356a326a9b2d96",
+        "smooth --p 0.3 --n 8 --sigma 1e-3":
+            "10edf76b0e0248c5b89b4a66317806d997ca4c11c8837b88ea54456eafe303a7",
+        "smooth --p 0.3 --n 8 --sigma 0.5":
+            "456d0511d590e023119779954008ab58a4dc55d0193a3cb5a415fbbf269f873d",
+        "tulino --p 0.3 --sigma 1e-3 --n-min 8 --n-max 11 --precision 30":
+            "1906856812d370d53618340d2444e1b326970fc889f4fea5fba5086cd7c2e164",
+        "preset fig1":
+            "6c0b38876e7984844e7fbe8d92c2bd41ca037e41b06376e1d577b2ecdd74334e",
+        "preset thresholds":
+            "73b6c080163562bb4973b664f0e96893d7a801af9a0ea9cd5f082dc2e441cdcd",
+    }
+
+    @pytest.mark.parametrize("command", sorted(STDOUT_SHA256))
+    def test_stdout_bytes_pinned(self, capsys, command):
+        code, out, err = run(capsys, command.split())
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == self.STDOUT_SHA256[command]
+
+    REFUSALS = {
+        "discrimination --n 3 --p 0.5 --tol 1e-30": (
+            3,
+            "computation budget exceeded: series tail bound 3.1249219e-6 still "
+            "above tol after 10000 terms; partial evaluation: terms_used=10000, "
+            "partial_sum=0.15204629061868664314409866878741217102650822215292, "
+            "tail_bound=0.0000031249218750000976562495117187551879881866455107826\n",
+        ),
+        "bound --p 0 --n 4": (2, "error: x must lie strictly in (0, 1), got 0.0\n"),
+    }
+
+    @pytest.mark.parametrize("command", sorted(REFUSALS))
+    def test_refusal_pinned(self, capsys, command):
+        code, err = self.REFUSALS[command]
+        assert run(capsys, command.split()) == (code, "", err)
+
+
+class TestDegenerateProbabilities:
+    ARGS = {
+        "gap": ["--m", "2", "--n", "3"],
+        "sweep": ["--m", "1", "--n", "2"],
+        "threshold": ["--cap", "40"],
+        "grid": ["--m", "2", "--n", "2"],
+        "bound": ["--n", "4"],
+        "discrimination": ["--n", "3"],
+        "knessl": ["--n", "8"],
+        "smooth": ["--n", "4", "--sigma", "0.5"],
+        "tulino": ["--sigma", "1e-3", "--n-min", "2", "--n-max", "3"],
+    }
+
+    @pytest.mark.parametrize("p", ["0", "1"])
+    @pytest.mark.parametrize("command", sorted(ARGS))
+    def test_every_exit_code_is_documented(self, capsys, command, p):
+        code, _, _ = run(capsys, [command, "--p", p] + self.ARGS[command])
+        assert code in (0, 2, 3, 4)
+
+    @pytest.mark.parametrize("p", ["0", "1"])
+    def test_knessl_point_mass_is_bad_args(self, capsys, p):
+        code, out, err = run(capsys, ["knessl", "--p", p, "--n", "8"])
+        assert (code, out) == (2, "")
+        assert "at least 2 support points" in err
+
+
 class TestKnesslCommand:
     def test_skewed_decay_report(self, capsys):
         code, out, _ = run(capsys, ["knessl", "--p", "0.3", "--n", "64"])
@@ -214,6 +295,11 @@ class TestSmoothCommand:
         )
         assert code == 3
         assert "budget" in err
+
+    def test_infinite_sigma_is_bad_args(self, capsys):
+        code, out, err = run(capsys, ["smooth", "--p", "0.3", "--n", "4", "--sigma", "inf"])
+        assert (code, out) == (2, "")
+        assert "sigma" in err
 
 
 class TestWorkBudgets:
@@ -280,6 +366,14 @@ class TestTulinoCommand:
         for line in lines[1:]:
             fields = line.split(",")
             assert fields[4] == "true" and fields[5] == "true"
+
+    def test_infinite_sigma_is_bad_args(self, capsys):
+        code, out, err = run(
+            capsys,
+            ["tulino", "--p", "0.3", "--sigma", "inf", "--n-min", "2", "--n-max", "3"],
+        )
+        assert (code, out) == (2, "")
+        assert "sigma" in err
 
 
 class TestOutputFile:

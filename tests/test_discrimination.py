@@ -12,7 +12,6 @@ from mpmath import mpf
 
 from discrete_epi.discrimination import (
     SERIES_TERM_CAP,
-    binomial_ratio,
     binomial_step_c,
     cap_discrimination,
     cap_via_series,
@@ -163,10 +162,20 @@ class TestBinomialStep:
 
 
 class TestBinomialRatio:
-    def test_closed_form(self):
-        for n in range(0, 8):
-            for i in range(0, n + 2):
-                assert binomial_ratio(i, n) == Fraction(abs(2 * i - n - 1), n + 1)
+    # For P = Binomial(n, p) shifted by one and Q = Binomial(n, p), the
+    # ratio |p P_i - q Q_i| / (p P_i + q Q_i) is |2i - n - 1| / (n + 1) at
+    # every point i, whatever p.
+
+    def test_closed_form(self, dps50):
+        # on the rounded weights of binomial_pmf and shift
+        for p in ("0.3", "0.5", "0.77"):
+            pv = mpf(p)
+            for n in range(0, 8):
+                before = binomial_pmf(n, p)
+                after = shift(before, 1)
+                for i in range(0, n + 2):
+                    x, y = pv * after.weight_at(i), (1 - pv) * before.weight_at(i)
+                    assert_close(abs(x - y) / (x + y), mpf(abs(2 * i - n - 1)) / (n + 1))
 
     def test_matches_exact_pointwise_ratio(self):
         # |p P(i) - q Q(i)| / (p P(i) + q Q(i)) for the shifted/unshifted
@@ -182,7 +191,7 @@ class TestBinomialRatio:
             for i in range(0, n + 2):
                 num = abs(p * at(i - 1) - q * at(i))
                 den = p * at(i - 1) + q * at(i)
-                assert num / den == binomial_ratio(i, n)
+                assert num / den == Fraction(abs(2 * i - n - 1), n + 1)
 
 
 open_weight = st.fractions(min_value=0, max_value=1, max_denominator=1000).filter(lambda w: 0 < w < 1)

@@ -16,7 +16,6 @@ from discrete_epi.asymptotics import iid_power_pmfs
 from discrete_epi.dist_core import (
     MAX_CHAIN_ROWS,
     MAX_SUM_SUPPORT,
-    BernoulliParam,
     IntegerPmf,
     bernoulli_entropy,
     binomial_entropy_chain,
@@ -139,9 +138,9 @@ class TestBernoulli:
 
     def test_param_rejects_degenerate(self, dps50):
         with pytest.raises(ValueError):
-            BernoulliParam.from_p(0)
+            omega(0)
         with pytest.raises(ValueError):
-            BernoulliParam.from_p(1)
+            omega(1)
 
     def test_omega_values(self, dps50):
         assert omega("0.5") == 0

@@ -14,7 +14,6 @@ from discrete_epi.polycert import (
     BivarPoly,
     build_g,
     certify,
-    f_exact,
     quadratic_shift_expand,
     rational_substitute_t,
     shift_expand,
@@ -102,8 +101,10 @@ class TestBivarPoly:
 
 
 class TestSlackExpression:
+    # The slack is f(n, t) = g(n, t) / (420 n**3 (n+1)**6).
+
     def test_known_exact_value(self):
-        assert f_exact(7, 0) == Fraction(179, 10536960)
+        assert build_g().evaluate(7, 0) / (420 * 7**3 * 8**6) == Fraction(179, 10536960)
 
     def test_numeric_route_agrees(self, dps50):
         # Independent numeric route: Taylor coefficients times central
@@ -116,7 +117,7 @@ class TestSlackExpression:
         nn = mpf(n)
         total -= 1 / (2 * nn) - 1 / (4 * nn**2) + 1 / (6 * nn**3)
         t = skew_parameter(Fraction(3, 10))
-        exact = f_exact(n, t)
+        exact = build_g().evaluate(n, t) / (420 * n**3 * (n + 1) ** 6)
         assert abs(total - mpf(exact.numerator) / exact.denominator) < mpf("1e-40")
 
 
