@@ -7,168 +7,27 @@ condition and its thresholds, discrimination-series identities behind
 the step increments, moment/cumulant machinery for entropy lower
 bounds, exact polynomial positivity certificates for the thresholds,
 and large-n asymptotics including Gaussian-smoothed comparisons.
+
+Each module's ``__all__`` is the one list of its public names, and the
+package exports their union.
 """
 
-from .dist_core import (
-    IntegerPmf,
-    bernoulli_entropy,
-    binomial_entropy_chain,
-    binomial_pmf,
-    convolve,
-    delta_pmf,
-    entropy,
-    iid_sum_pmf,
-    mean,
-    omega,
-    shift,
-)
-from .discrimination import (
-    SeriesEvaluation,
-    binomial_step_c,
-    cap_discrimination,
-    cap_via_series,
-    kl_divergence,
-    mixture,
-    tri_discrimination,
-)
-from .epi_engine import (
-    EpiReport,
-    StepCheck,
-    ThresholdReport,
-    empirical_threshold,
-    epi_gap,
-    epi_grid_check,
-    formula_thresholds,
-    iid_epi_gap,
-    semi_asymptotic_condition,
-    sufficient_step_check,
-    zero_crossing_scan,
-)
-from .errors import (
-    BudgetExceededError,
-    ConsistencyError,
-    MassConservationError,
-    PrecisionMismatchError,
-    QuadratureError,
-    SeriesTruncationError,
-)
-from .moments_bounds import (
-    CumulantSet,
-    MomentPolynomial,
-    bernoulli_cumulants,
-    c_coeff,
-    central_moment_brute,
-    central_moment_closed,
-    cumulants_from_raw_moments,
-    cumulative_gamma_bound,
-    faa_di_bruno_poly,
-    gamma_l,
-    harmonic_bound_violations,
-    harmonic_lower_bound,
-    harmonic_number,
-    taylor_coeff,
-    taylor_lower_bound,
-)
-from .asymptotics import (
-    KnesslProfile,
-    LeadingFit,
-    SmoothedEntropy,
-    TulinoRow,
-    gaussian_smoothed_entropy,
-    iid_power_pmfs,
-    knessl_profile,
-    leading_constant_fit,
-    tulino_verdu_compare,
-)
-from .polycert import (
-    BivarPoly,
-    CertificateReport,
-    build_g,
-    certify,
-    quadratic_shift_expand,
-    rational_substitute_t,
-    shift_expand,
-)
-from .precision import (
-    DEFAULT_PRECISION,
-    MIN_PRECISION,
-    as_mpf,
-    eps_for,
-    working_precision,
-)
+from . import (asymptotics, discrimination, dist_core, epi_engine, errors,
+               moments_bounds, polycert, precision)
+from .asymptotics import *
+from .discrimination import *
+from .dist_core import *
+from .epi_engine import *
+from .errors import *
+from .moments_bounds import *
+from .polycert import *
+from .precision import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BivarPoly",
-    "BudgetExceededError",
-    "CertificateReport",
-    "ConsistencyError",
-    "CumulantSet",
-    "DEFAULT_PRECISION",
-    "EpiReport",
-    "IntegerPmf",
-    "KnesslProfile",
-    "LeadingFit",
-    "MIN_PRECISION",
-    "MassConservationError",
-    "MomentPolynomial",
-    "PrecisionMismatchError",
-    "QuadratureError",
-    "SeriesEvaluation",
-    "SeriesTruncationError",
-    "SmoothedEntropy",
-    "StepCheck",
-    "ThresholdReport",
-    "TulinoRow",
-    "as_mpf",
-    "bernoulli_cumulants",
-    "bernoulli_entropy",
-    "binomial_entropy_chain",
-    "binomial_pmf",
-    "binomial_step_c",
-    "build_g",
-    "c_coeff",
-    "cap_discrimination",
-    "cap_via_series",
-    "central_moment_brute",
-    "central_moment_closed",
-    "certify",
-    "convolve",
-    "cumulants_from_raw_moments",
-    "cumulative_gamma_bound",
-    "delta_pmf",
-    "empirical_threshold",
-    "entropy",
-    "epi_gap",
-    "epi_grid_check",
-    "eps_for",
-    "faa_di_bruno_poly",
-    "formula_thresholds",
-    "gamma_l",
-    "gaussian_smoothed_entropy",
-    "harmonic_bound_violations",
-    "harmonic_lower_bound",
-    "harmonic_number",
-    "iid_epi_gap",
-    "iid_power_pmfs",
-    "iid_sum_pmf",
-    "kl_divergence",
-    "knessl_profile",
-    "leading_constant_fit",
-    "mean",
-    "mixture",
-    "omega",
-    "quadratic_shift_expand",
-    "rational_substitute_t",
-    "semi_asymptotic_condition",
-    "shift",
-    "shift_expand",
-    "sufficient_step_check",
-    "taylor_coeff",
-    "taylor_lower_bound",
-    "tri_discrimination",
-    "tulino_verdu_compare",
-    "working_precision",
-    "zero_crossing_scan",
-]
+__all__ = sorted(
+    name
+    for module in (asymptotics, discrimination, dist_core, epi_engine, errors,
+                   moments_bounds, polycert, precision)
+    for name in module.__all__
+)

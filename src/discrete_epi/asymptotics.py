@@ -323,6 +323,8 @@ class KnesslProfile:
     def fit(self) -> LeadingFit:
         """Fit g(n) ~ -C / n**k by least squares on (ln n, ln |g(n)|)."""
         ns = sorted(self.g_values)
+        if len(ns) < 2:
+            raise ValueError(f"need at least 2 fold counts for a fit, got {len(ns)}")
         g_abs = [abs(float(self.g_values[n])) for n in ns]
         if any(v == 0 for v in g_abs):
             raise ValueError("g(n) vanished exactly; nothing to fit on a log scale")
@@ -356,11 +358,14 @@ def knessl_profile(
     if not pmfs:
         raise ValueError("no fold counts supplied")
     with working_precision(precision):
+        # Moments about the offset: about 0 they would cancel every digit
+        # of the higher cumulants once the base sits far from 0.
         raw = [
-            mpmath.fsum(w * mpf(k) ** j for k, w in base.items())
+            mpmath.fsum(w * mpf(k - base.offset) ** j for k, w in base.items())
             for j in range(1, _CUMULANT_ORDERS + 1)
         ]
-        kappa = cumulants_from_raw_moments(raw, precision)
+        kappas = cumulants_from_raw_moments(raw, precision).kappas
+        kappa = CumulantSet((kappas[0] + base.offset,) + kappas[1:], precision)
         sigma2 = kappa.kappa(2)
         g_values = {
             n: entropy(pmf) - _gaussian_reference(n, sigma2)

@@ -259,6 +259,8 @@ def cap_via_series(
         tolv = as_mpf(tol, precision)
         if not tolv > 0:
             raise ValueError(f"tol must be positive, got {tolv}")
+        if tolv == mpmath.inf:
+            raise ValueError("tol must be finite, got +inf")
         prec = mpmath.mp.prec
     B = (10 ** (2 * precision)).bit_length() + prec + 32
     floor = (1 << B) // 10 ** (2 * precision)

@@ -8,6 +8,14 @@ algebra that should cancel but does not) exit 4.
 
 from __future__ import annotations
 
+__all__ = [
+    "BudgetExceededError",
+    "ConsistencyError",
+    "MassConservationError",
+    "PrecisionMismatchError",
+    "QuadratureError",
+    "SeriesTruncationError",
+]
 
 class PrecisionMismatchError(ValueError):
     """Two precision-carrying values were combined at different precisions."""

@@ -40,12 +40,11 @@ half an ulp.  Routes independent of the table are
 
 Error model of ``central_moment_brute``.  Every weight is exactly
 N_i / 2**E over one common power of two, so the power sums
-S_j = sum_i N_i (i - offset)**j are integers, and so is the default
-mean: mu - offset = A / 2**E with A = offset (S_0 - 2**E) + S_1.  A
-given mean is rounded to the working precision and then read exactly as
-man * 2**exp.  With mu - offset = A / 2**D,
+S_j = sum_i N_i (i - offset)**j are integers, and so is the numerator
+of the mean: mu - offset = A / 2**E with A = offset (S_0 - 2**E) + S_1.
+Hence
 
-    mu_k = sum_j C(k, j) S_j (-A)**(k-j) 2**(D j) / 2**(E + D k)
+    mu_k = sum_j C(k, j) S_j (-A)**(k-j) 2**(E j) / 2**(E (k + 1))
 
 is the exact central moment of the given weights, rounded once to
 nearest: within half an ulp.
@@ -201,8 +200,7 @@ def _exact_p(p: RealLike, precision: int, strict: bool = True) -> Fraction:
     pv = as_mpf(p, precision)
     with working_precision(precision):
         if strict and not 0 < pv < 1:
-            # The message taylor_coeff gives for the same p.
-            raise ValueError(f"x must lie strictly in (0, 1), got {pv}")
+            raise ValueError(f"p must lie strictly in (0, 1), got {pv}")
         if not 0 <= pv <= 1:
             raise ValueError(f"p must lie in [0, 1], got {pv}")
     a, _, e = _exact_weight(pv)

@@ -282,10 +282,7 @@ def shift_expand(
     g: BivarPoly, slope: FractionLike, intercept: FractionLike
 ) -> BivarPoly:
     """Substitute n = slope * t + intercept + m and expand in (m, t)."""
-    repl = BivarPoly.from_terms(
-        ("m", "t"), {(1, 0): 1, (0, 1): _frac(slope), (0, 0): _frac(intercept)}
-    )
-    return g.compose_first(repl, ("m", "t"))
+    return quadratic_shift_expand(g, 0, slope, intercept)
 
 
 def quadratic_shift_expand(
@@ -296,8 +293,7 @@ def quadratic_shift_expand(
 ) -> BivarPoly:
     """Substitute n = quad t**2 + slope t + intercept + m and expand."""
     repl = BivarPoly.from_terms(
-        ("m", "t"),
-        {(1, 0): 1, (0, 2): _frac(quad), (0, 1): _frac(slope), (0, 0): _frac(intercept)},
+        ("m", "t"), {(1, 0): 1, (0, 2): quad, (0, 1): slope, (0, 0): intercept}
     )
     return g.compose_first(repl, ("m", "t"))
 
@@ -354,12 +350,13 @@ class CertificateReport:
         }
 
 
+# Each shipped substitution, as the polynomial in (m, t) it certifies.
 CERT_SUBSTITUTIONS = {
-    "A": ("linear", THRESHOLD_SLOPE, Fraction(7)),
-    "Aprime": ("linear", THRESHOLD_SLOPE_REFINED, Fraction(7)),
-    "B": ("quadratic", Fraction(1), QUAD_LINEAR_COEFF, Fraction(7)),
-    "C": ("rational", 7),
-    "control": ("linear", Fraction(1), Fraction(1)),
+    "A": lambda: shift_expand(build_g(), THRESHOLD_SLOPE, 7),
+    "Aprime": lambda: shift_expand(build_g(), THRESHOLD_SLOPE_REFINED, 7),
+    "B": lambda: quadratic_shift_expand(build_g(), 1, QUAD_LINEAR_COEFF, 7),
+    "C": lambda: rational_substitute_t(7),
+    "control": lambda: shift_expand(build_g(), 1, 1),
 }
 
 
@@ -374,13 +371,7 @@ def certify(sub_id: str) -> CertificateReport:
         raise ValueError(
             f"unknown substitution {sub_id!r}; choose from {sorted(CERT_SUBSTITUTIONS)}"
         )
-    spec = CERT_SUBSTITUTIONS[sub_id]
-    if spec[0] == "linear":
-        poly = shift_expand(build_g(), spec[1], spec[2])
-    elif spec[0] == "quadratic":
-        poly = quadratic_shift_expand(build_g(), spec[1], spec[2], spec[3])
-    else:
-        poly = rational_substitute_t(spec[1])
+    poly = CERT_SUBSTITUTIONS[sub_id]()
     if poly.is_zero():
         raise ConsistencyError("certificate polynomial collapsed to zero")
     min_c = min(poly.coeffs.values())

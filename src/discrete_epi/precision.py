@@ -25,6 +25,13 @@ from typing import Tuple, Union
 import mpmath
 from mpmath import mpf
 
+__all__ = [
+    "DEFAULT_PRECISION",
+    "MIN_PRECISION",
+    "as_mpf",
+    "eps_for",
+    "working_precision",
+]
 DEFAULT_PRECISION = 50
 MIN_PRECISION = 20
 

@@ -103,6 +103,16 @@ class TestLatticeCorrection:
         with pytest.raises(ValueError, match="at least 2 support points"):
             knessl_profile(IntegerPmf.from_weights(weights), [8])
 
+    def test_cumulants_do_not_depend_on_the_offset(self):
+        # (1/4, 1/2, 1/4) is B(2, 1/2): kappa_2..kappa_8 are exact at any
+        # precision, and moments about 0 would lose them far from 0.
+        exact = [mpf(v) for v in ("0.5", "0", "-0.25", "0", "0.5", "0", "-2.125")]
+        for offset in (0, 1000, 10**6):
+            base = IntegerPmf.from_weights(["1/4", "1/2", "1/4"], offset, 20)
+            kappas = knessl_profile(base, [2], 20).kappa.kappas
+            assert kappas[0] == offset + 1
+            assert list(kappas[1:]) == exact
+
 
 class TestLeadingFit:
     def test_symmetric_flat_base(self, dps50):
@@ -117,6 +127,11 @@ class TestLeadingFit:
     def test_needs_four_points(self, dps50):
         with pytest.raises(ValueError):
             leading_constant_fit(binomial_pmf(1, "0.5"), [8, 16, 32])
+
+    def test_profile_fit_needs_two_points(self, dps50):
+        profile = knessl_profile(binomial_pmf(1, "0.3"), [4096])
+        with pytest.raises(ValueError, match="at least 2 fold counts"):
+            profile.fit()
 
 
 class TestSmoothedEntropy:

@@ -133,6 +133,12 @@ class TestDiscriminationCommand:
         assert 0 < mpf(fields["partial_sum"]) < mpf("0.7")
         assert mpf("1e-25") < mpf(fields["tail_bound"]) < mpf("1e-4")
 
+    def test_infinite_tolerance_is_bad_args(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["discrimination", "--n", "3", "--p", "0.3", "--tol", "inf"])
+        assert time.perf_counter() - start < 1
+        assert (code, out, err) == (2, "", "error: tol must be finite, got +inf\n")
+
 
 class TestCertifyCommand:
     # sha256 of the stdout of `certify --sub X`: every coefficient, byte
@@ -221,7 +227,7 @@ class TestOutputPins:
             "partial_sum=0.15204629061868664314409866878741217102650822215292, "
             "tail_bound=0.0000031249218750000976562495117187551879881866455107826\n",
         ),
-        "bound --p 0 --n 4": (2, "error: x must lie strictly in (0, 1), got 0.0\n"),
+        "bound --p 0 --n 4": (2, "error: p must lie strictly in (0, 1), got 0.0\n"),
     }
 
     @pytest.mark.parametrize("command", sorted(REFUSALS))

@@ -137,6 +137,17 @@ class TestTriangularSeries:
         direct = cap_discrimination(after, before, "0.5")
         assert abs(partial.partial_sum - direct) <= partial.tail_bound
 
+    @pytest.mark.parametrize("tol, message", [
+        ("inf", "tol must be finite, got \\+inf"),
+        ("0", "tol must be positive"),
+        ("-inf", "tol must be positive"),
+    ])
+    def test_refuses_a_tolerance_not_positive_and_finite(self, dps50, tol, message):
+        # +inf would floor to 0 fixed-point units, a tolerance no tail meets.
+        pmf = binomial_pmf(3, "0.3")
+        with pytest.raises(ValueError, match=message):
+            cap_via_series(pmf, shift(pmf, 1), "0.3", tol=tol)
+
 
 class TestBinomialStep:
     def test_equals_entropy_difference(self, dps50):
