@@ -252,7 +252,7 @@ from .dist_core import (  # MAX_SUM_SUPPORT is re-exported
 )
 from .errors import QuadratureError
 from .moments_bounds import CumulantSet, cumulants_from_raw_moments
-from .precision import DEFAULT_PRECISION, RealLike, as_mpf, working_precision
+from .precision import DEFAULT_PRECISION, RealLike, _slack_sign, as_mpf, working_precision
 
 __all__ = [
     "KnesslProfile",
@@ -701,6 +701,8 @@ def gaussian_smoothed_entropy(
             raise ValueError("sigma must be finite, got +inf")
         if not tolerance > 0:
             raise ValueError("tolerance must be positive")
+        if tolerance == mpmath.inf:
+            raise ValueError("tolerance must be finite, got +inf")
         positions, weights = _mixture_peaks(pmf)
         spacing = min((b - a for a, b in zip(positions, positions[1:])), default=1)
         answer = _disjoint_peaks(weights, sig, spacing)
@@ -771,8 +773,8 @@ def tulino_verdu_compare(
                     increment=inc,
                     half_log=half,
                     full_log=2 * half,
-                    meets_half=bool(inc >= half - slack),
-                    meets_full=bool(inc >= 2 * half - slack),
+                    meets_half=_slack_sign(inc - half, precision, slack) >= 0,
+                    meets_full=_slack_sign(inc - 2 * half, precision, slack) >= 0,
                 )
             )
     return rows

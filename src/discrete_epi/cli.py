@@ -25,6 +25,7 @@ Presets bundle the recipes behind the shipped figures and tables:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict, astuple, fields
@@ -39,7 +40,8 @@ from .polycert import CERT_SUBSTITUTIONS, certify
 from .precision import (
     DEFAULT_PRECISION,
     MIN_PRECISION,
-    as_mpf,
+    _probability,
+    _slack_sign,
     check_precision,
     working_precision,
 )
@@ -143,10 +145,8 @@ def _svg_text(points: List[Tuple[float, float]], x_label: str, y_label: str) -> 
 def _p_grid(p_min: str, p_max: str, steps: int, precision: int) -> List[mpf]:
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    lo = as_mpf(p_min, precision)
-    hi = as_mpf(p_max, precision)
-    if not (0 < lo < 1 and 0 < hi < 1):
-        raise ValueError("the p grid must lie strictly inside (0, 1)")
+    lo = _probability(p_min, precision, strict=True)
+    hi = _probability(p_max, precision, strict=True)
     if lo > hi:
         raise ValueError(f"p-min must not exceed p-max, got {p_min} > {p_max}")
     if steps == 1:
@@ -210,17 +210,18 @@ def _cmd_bound(args: argparse.Namespace) -> Payload:
         harmonic = moments_bounds.harmonic_lower_bound(
             args.n, args.p, 2 * args.l, precision
         )
-    return {
-        "p": args.p,
-        "n": args.n,
-        "l": args.l,
-        "entropy": exact,
-        "cumulative_bound": cumulative,
-        "cumulative_holds": bool(cumulative <= exact),
-        "harmonic_bound": harmonic,
-        "harmonic_holds": bool(harmonic <= exact),
-        "precision": precision,
-    }
+        # Slack 0: a rounded nonzero difference keeps its sign.
+        return {
+            "p": args.p,
+            "n": args.n,
+            "l": args.l,
+            "entropy": exact,
+            "cumulative_bound": cumulative,
+            "cumulative_holds": _slack_sign(exact - cumulative, precision, 0) >= 0,
+            "harmonic_bound": harmonic,
+            "harmonic_holds": _slack_sign(exact - harmonic, precision, 0) >= 0,
+            "precision": precision,
+        }
 
 
 def _cmd_discrimination(args: argparse.Namespace) -> Payload:
@@ -353,7 +354,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", default=None, help="output path (default: stdout)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built at the first call and reused."""
     parser = argparse.ArgumentParser(
         prog="discrete-epi",
         description="Verification toolkit for the entropy power inequality "

@@ -90,7 +90,7 @@ from typing import List, Tuple
 
 import mpmath
 from mpmath import mp, mpf
-from mpmath.libmp import finf, fzero, mpf_add, mpf_mul
+from mpmath.libmp import finf, fone, fzero, mpf_add, mpf_mul, mpf_sub
 
 from .dist_core import (
     IntegerPmf,
@@ -102,7 +102,14 @@ from .dist_core import (
     binomial_pmf,
 )
 from .errors import SeriesTruncationError
-from .precision import DEFAULT_PRECISION, RealLike, _exact_weight, as_mpf, working_precision
+from .precision import (
+    DEFAULT_PRECISION,
+    RealLike,
+    _exact_weight,
+    _probability,
+    as_mpf,
+    working_precision,
+)
 
 __all__ = [
     "SeriesEvaluation",
@@ -111,7 +118,6 @@ __all__ = [
     "cap_via_series",
     "kl_divergence",
     "mixture",
-    "tri_discrimination",
 ]
 
 SERIES_TERM_CAP = 10000
@@ -140,14 +146,6 @@ def _aligned(P: IntegerPmf, Q: IntegerPmf) -> Tuple[int, List[Tuple[tuple, tuple
     return lo, list(zip(padded(P), padded(Q)))
 
 
-def _check_weight(p: RealLike, precision: int) -> Tuple[mpf, mpf]:
-    pv = as_mpf(p, precision)
-    with working_precision(precision):
-        if not (0 < pv < 1):
-            raise ValueError(f"mixing weight must lie strictly in (0, 1), got {pv}")
-        return pv, 1 - pv
-
-
 def kl_divergence(P: IntegerPmf, Q: IntegerPmf) -> mpf:
     """Relative entropy D(P || Q) in nats.
 
@@ -169,8 +167,9 @@ def kl_divergence(P: IntegerPmf, Q: IntegerPmf) -> mpf:
 def mixture(P: IntegerPmf, Q: IntegerPmf, p: RealLike) -> IntegerPmf:
     """The mixture pP + (1-p)Q on the union support."""
     lo, pairs = _aligned(P, Q)
-    pv, qv = _check_weight(p, P.precision)
-    a, b, prec, make = pv._mpf_, qv._mpf_, _bits(P.precision), mp.make_mpf
+    prec, make = _bits(P.precision), mp.make_mpf
+    a = _probability(p, P.precision, strict=True)._mpf_
+    b = mpf_sub(fone, a, prec, "n")
     weights = tuple(
         make(mpf_add(mpf_mul(a, x, prec, "n"), mpf_mul(b, y, prec, "n"), prec, "n"))
         for x, y in pairs
@@ -186,8 +185,9 @@ def cap_discrimination(P: IntegerPmf, Q: IntegerPmf, p: RealLike) -> mpf:
     1 - p changes the value.
     """
     _, pairs = _aligned(P, Q)
-    pv, qv = _check_weight(p, P.precision)
-    a, b, prec = pv._mpf_, qv._mpf_, _bits(P.precision)
+    prec = _bits(P.precision)
+    a = _probability(p, P.precision, strict=True)._mpf_
+    b = mpf_sub(fone, a, prec, "n")
     terms = []
     for x, y in pairs:
         if x == y:
@@ -199,29 +199,6 @@ def cap_discrimination(P: IntegerPmf, Q: IntegerPmf, p: RealLike) -> mpf:
         if y[1]:
             terms.append((qy, y, m))
     return _rounded(_log_sum(terms, prec), prec)
-
-
-def tri_discrimination(P: IntegerPmf, Q: IntegerPmf, p: RealLike, nu: int) -> mpf:
-    """Weighted triangular discrimination of order nu (nu >= 1).
-
-    Delta_nu is the nu-th term of the series identity of C in the module
-    docstring, C = sum_nu Delta_nu / (2 nu (2 nu - 1)) - (ln 2 - H(p)),
-    which ``cap_via_series`` sums.  Lies in [0, 1] and is nonincreasing
-    in nu; for P = Q it collapses to |2p - 1|**(2 nu).
-    """
-    if not isinstance(nu, int) or nu < 1:
-        raise ValueError(f"nu must be a positive integer, got {nu!r}")
-    _, pairs = _aligned(P, Q)
-    pv, qv = _check_weight(p, P.precision)
-    with working_precision(P.precision):
-        terms = []
-        for pw, qw in ((mp.make_mpf(x), mp.make_mpf(y)) for x, y in pairs):
-            m = pv * pw + qv * qw
-            if m == 0:
-                continue
-            d = abs(pv * pw - qv * qw)
-            terms.append(d ** (2 * nu) / m ** (2 * nu - 1))
-        return mpmath.fsum(terms)
 
 
 def _floor_fixed(x: mpf, bits: int) -> int:
@@ -254,7 +231,7 @@ def cap_via_series(
     """
     precision = P.precision
     _, pairs = _aligned(P, Q)
-    pv, _ = _check_weight(p, precision)
+    pv = _probability(p, precision, strict=True)
     with working_precision(precision):
         tolv = as_mpf(tol, precision)
         if not tolv > 0:
@@ -341,7 +318,7 @@ def binomial_step_c(n: int, p: RealLike, precision: int = DEFAULT_PRECISION) -> 
     """
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-    pv, _ = _check_weight(p, precision)
+    pv = _probability(p, precision, strict=True)
     nxt = binomial_pmf(n + 1, pv, precision)
     with working_precision(precision):
         hp = bernoulli_entropy(pv, precision)

@@ -149,6 +149,7 @@ from .precision import (
     DEFAULT_PRECISION,
     RealLike,
     _exact_weight,
+    _probability,
     as_mpf,
     check_precision,
     eps_for,
@@ -288,10 +289,8 @@ def delta_pmf(k: int = 0, precision: int = DEFAULT_PRECISION) -> IntegerPmf:
 
 def bernoulli_entropy(p: RealLike, precision: int = DEFAULT_PRECISION) -> mpf:
     """Binary entropy H(p) = -p ln p - (1-p) ln(1-p) in nats."""
-    pv = as_mpf(p, precision)
+    pv = _probability(p, precision)
     with working_precision(precision):
-        if not (0 <= pv <= 1):
-            raise ValueError(f"p must lie in [0, 1], got {pv}")
         if pv == 0 or pv == 1:
             return mpf(0)
         q = 1 - pv
@@ -306,10 +305,8 @@ def omega(p: RealLike, precision: int = DEFAULT_PRECISION) -> mpf:
     rejected.  With r = p - 1/2 it is the t that solves
     r**2 = t / (4 (t + 4)), and maps (0, 1) onto [0, inf).
     """
-    pv = as_mpf(p, precision)
+    pv = _probability(p, precision, strict=True)
     with working_precision(precision):
-        if not (0 < pv < 1):
-            raise ValueError(f"p must lie strictly inside (0, 1), got {pv}")
         return (2 * pv - 1) ** 2 / (pv * (1 - pv))
 
 
@@ -326,10 +323,8 @@ def binomial_pmf(n: int, p: RealLike, precision: int = DEFAULT_PRECISION) -> Int
         raise BudgetExceededError(
             f"n={n} puts the binomial pmf past the {MAX_CHAIN_ROWS}-weight budget"
         )
-    pv = as_mpf(p, precision)
+    pv = _probability(p, precision)
     with working_precision(precision):
-        if not (0 <= pv <= 1):
-            raise ValueError(f"p must lie in [0, 1], got {pv}")
         if pv == 0 or pv == 1:
             w = [mpf(0)] * (n + 1)
             w[n if pv == 1 else 0] = mpf(1)
@@ -542,10 +537,8 @@ def binomial_entropy_chain(
         raise BudgetExceededError(
             f"n_max={n_max} puts the entropy chain past the {MAX_CHAIN_ROWS}-row budget"
         )
-    pv = as_mpf(p, precision)
+    pv = _probability(p, precision)
     with working_precision(precision):
-        if not (0 <= pv <= 1):
-            raise ValueError(f"p must lie in [0, 1], got {pv}")
         if pv == 0 or pv == 1:
             return [mpf(0)] * (n_max + 1)
         # min(p, q) >= 2**(e - 1), so max(|ln p|, |ln q|) < log_bits + 1.

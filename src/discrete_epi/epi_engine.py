@@ -42,7 +42,14 @@ from .dist_core import (
 )
 from .errors import BudgetExceededError
 from .polycert import QUAD_LINEAR_COEFF, THRESHOLD_SLOPE
-from .precision import DEFAULT_PRECISION, RealLike, as_mpf, eps_for, working_precision
+from .precision import (
+    DEFAULT_PRECISION,
+    RealLike,
+    _probability,
+    _slack_sign,
+    as_mpf,
+    working_precision,
+)
 
 __all__ = [
     "EpiReport",
@@ -121,8 +128,8 @@ def epi_gap(m: int, n: int, p: RealLike, precision: int = DEFAULT_PRECISION) -> 
     chain = binomial_entropy_chain(pv, m + n, precision)
     with working_precision(precision):
         gap = _epi_gap_from_entropies(chain[m + n], chain[m], chain[n])
-        holds = gap >= -eps_for(precision)
-    return EpiReport(m=m, n=n, p=pv, gap=gap, holds=bool(holds), precision=precision)
+        holds = _slack_sign(gap, precision) >= 0
+    return EpiReport(m=m, n=n, p=pv, gap=gap, holds=holds, precision=precision)
 
 
 def iid_epi_gap(base: IntegerPmf, m: int, n: int) -> EpiReport:
@@ -140,8 +147,8 @@ def iid_epi_gap(base: IntegerPmf, m: int, n: int) -> EpiReport:
     total = convolve(sum_m, sum_n)
     with working_precision(precision):
         gap = _epi_gap_from_entropies(entropy(total), entropy(sum_m), entropy(sum_n))
-        holds = gap >= -eps_for(precision)
-    return EpiReport(m=m, n=n, p=None, gap=gap, holds=bool(holds), precision=precision)
+        holds = _slack_sign(gap, precision) >= 0
+    return EpiReport(m=m, n=n, p=None, gap=gap, holds=holds, precision=precision)
 
 
 def _step_margin(h_next: mpf, h_cur: mpf, n: int) -> mpf:
@@ -157,7 +164,7 @@ def sufficient_step_check(
     chain = binomial_entropy_chain(p, n + 1, precision)
     with working_precision(precision):
         margin = _step_margin(chain[n + 1], chain[n], n)
-        return StepCheck(holds=bool(margin >= -eps_for(precision)), margin=margin)
+        return StepCheck(holds=_slack_sign(margin, precision) >= 0, margin=margin)
 
 
 def _step_margins(p: RealLike, cap: int, precision: int) -> List[mpf]:
@@ -200,10 +207,9 @@ def empirical_threshold(
     margins = _step_margins(pv, cap, precision)
     fa, fb = formula_thresholds(t, precision)
     with working_precision(precision):
-        eps = eps_for(precision)
         last_bad = 0
         for n, margin in enumerate(margins, start=1):
-            if margin < -eps:
+            if _slack_sign(margin, precision) < 0:
                 last_bad = n
         n0: Optional[int] = last_bad + 1 if last_bad < cap else None
     return ThresholdReport(
@@ -225,11 +231,10 @@ def zero_crossing_scan(
         raise ValueError(f"cap must be a positive integer, got {cap!r}")
     margins = _step_margins(p, cap, precision)
     with working_precision(precision):
-        eps = eps_for(precision)
         crossings = []
         last_sign = 0
         for n, margin in enumerate(margins, start=1):
-            sign = 1 if margin > eps else (-1 if margin < -eps else 0)
+            sign = _slack_sign(margin, precision)
             if sign != 0:
                 if last_sign != 0 and sign != last_sign:
                     crossings.append(n)
@@ -258,13 +263,12 @@ def epi_grid_check(
     chain = binomial_entropy_chain(pv, m_max + n_max, precision)
     out: Dict[Tuple[int, int], EpiReport] = {}
     with working_precision(precision):
-        eps = eps_for(precision)
         powers = [mpmath.exp(2 * h) for h in chain]
         for m in range(1, m_max + 1):
             for n in range(1, n_max + 1):
                 gap = powers[m + n] - powers[m] - powers[n]
                 out[(m, n)] = EpiReport(
-                    m=m, n=n, p=pv, gap=gap, holds=bool(gap >= -eps),
+                    m=m, n=n, p=pv, gap=gap, holds=_slack_sign(gap, precision) >= 0,
                     precision=precision,
                 )
     return out
@@ -281,10 +285,8 @@ def semi_asymptotic_condition(
     """
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"m must be a positive integer, got {m!r}")
-    pv = as_mpf(p, precision)
+    pv = _probability(p, precision, strict=True)
     with working_precision(precision):
-        if not (0 < pv < 1):
-            raise ValueError(f"p must lie strictly in (0, 1), got {pv}")
         lhs = entropy(binomial_pmf(m, pv, precision))
         rhs = mpmath.ln(2 * mpmath.pi * mpmath.e * m * pv * (1 - pv)) / 2
-        return SemiAsymptoticCheck(holds=bool(lhs <= rhs + eps_for(precision)), lhs=lhs, rhs=rhs)
+        return SemiAsymptoticCheck(holds=_slack_sign(rhs - lhs, precision) >= 0, lhs=lhs, rhs=rhs)

@@ -75,8 +75,9 @@ from .precision import (
     DEFAULT_PRECISION,
     RealLike,
     _exact_weight,
+    _probability,
+    _slack_sign,
     as_mpf,
-    eps_for,
     working_precision,
 )
 
@@ -197,13 +198,7 @@ def central_moment_closed(
 
 def _exact_p(p: RealLike, precision: int, strict: bool = True) -> Fraction:
     """p at the working precision as an exact fraction, in (0, 1) if strict."""
-    pv = as_mpf(p, precision)
-    with working_precision(precision):
-        if strict and not 0 < pv < 1:
-            raise ValueError(f"p must lie strictly in (0, 1), got {pv}")
-        if not 0 <= pv <= 1:
-            raise ValueError(f"p must lie in [0, 1], got {pv}")
-    a, _, e = _exact_weight(pv)
+    a, _, e = _exact_weight(_probability(p, precision, strict))
     return Fraction(a, 1 << e)
 
 
@@ -367,7 +362,7 @@ def taylor_lower_bound(
     if not isinstance(l, int) or l < 0:
         raise ValueError(f"l must be a nonnegative integer, got {l!r}")
     xv = as_mpf(x, precision)
-    pv = as_mpf(p, precision)
+    pv = _probability(p, precision, strict=True)
     with working_precision(precision):
         d = xv - pv
         acc = mpf(0)
@@ -526,11 +521,12 @@ def harmonic_bound_violations(
     Comparison uses the standard eps slack, so only genuine overshoots
     are reported.
     """
+    p = _probability(p, precision, strict=True)
     chain = binomial_entropy_chain(p, n_max, precision)
-    eps = eps_for(precision)
     out = []
     with working_precision(precision):
         for n in range(1, n_max + 1):
-            if harmonic_lower_bound(n, p, bound_order, precision) > chain[n] + eps:
+            bound = harmonic_lower_bound(n, p, bound_order, precision)
+            if _slack_sign(chain[n] - bound, precision) < 0:
                 out.append(n)
     return out

@@ -2,12 +2,22 @@
 
 Every quantitative routine in this package computes with mpmath
 arbitrary-precision floats at an explicit number of decimal digits,
-passed down as a ``precision`` argument (default 50).  Two conventions
+passed down as a ``precision`` argument (default 50).  Three conventions
 are fixed here so all modules agree:
 
-* comparison slack: ``eps_for(P) = 10**-(P-10)``.  The same slack is
-  used for probability-mass conservation checks and for "holds up to
-  rounding" decisions on inequalities.
+* verdicts: ``_slack_sign`` is the only place where a margin is
+  compared with its slack.  Every ``holds`` and ``meets_*`` flag, and
+  every sign a scan reads off a margin, comes from it.  The slack is
+  ``eps_for(P) = 10**-(P-10)`` unless the caller passes its own: the
+  smoothed increments pass their two reported errors, and the
+  command line's bound flags pass 0.  Error model: a margin within
+  the slack of 0 reads as 0, and a flag counts it as holding.  The
+  eps slack is neither rigorous nor reported: it is not derived from
+  the error of the margin it is compared with, and no output shows
+  it.  The same eps bounds the mass check of ``IntegerPmf``.
+* probabilities: ``_probability`` is the only place where the range
+  of a p is checked.  It raises one of two messages, "p must lie in
+  [0, 1], got ..." or "p must lie strictly in (0, 1), got ...".
 * determinism: evaluating the same operation twice at the same
   precision yields bit-identical values (mpmath round-to-nearest at a
   fixed working precision, no hidden global state left behind).
@@ -20,7 +30,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from typing import Tuple, Union
+from typing import Optional, Tuple, Union
 
 import mpmath
 from mpmath import mpf
@@ -75,6 +85,32 @@ def as_mpf(value: RealLike, precision: int) -> mpf:
         if isinstance(value, (int, str)):
             return mpf(value)
         return mpf(value) * 1  # round mpf/float inputs to working precision
+
+
+def _probability(p: RealLike, precision: int, strict: bool = False) -> mpf:
+    """p at the given precision, refused unless it lies in [0, 1].
+
+    With ``strict`` the endpoints are refused too.  Raises ValueError
+    with one of the two messages in the module docstring.
+    """
+    pv = as_mpf(p, precision)
+    with working_precision(precision):
+        if strict and not 0 < pv < 1:
+            raise ValueError(f"p must lie strictly in (0, 1), got {pv}")
+        if not 0 <= pv <= 1:
+            raise ValueError(f"p must lie in [0, 1], got {pv}")
+    return pv
+
+
+def _slack_sign(margin: mpf, precision: int, slack: Optional[RealLike] = None) -> int:
+    """1 if margin > slack, -1 if margin < -slack, else 0.
+
+    ``slack`` defaults to ``eps_for(precision)``; pass 0 to read the
+    sign of a margin exactly.  Call it inside
+    ``working_precision(precision)``, where -slack is exact.
+    """
+    bound = eps_for(precision) if slack is None else slack
+    return (margin > bound) - (margin < -bound)
 
 
 def _exact_weight(pv: mpf) -> Tuple[int, int, int]:

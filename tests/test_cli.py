@@ -228,6 +228,15 @@ class TestOutputPins:
             "tail_bound=0.0000031249218750000976562495117187551879881866455107826\n",
         ),
         "bound --p 0 --n 4": (2, "error: p must lie strictly in (0, 1), got 0.0\n"),
+        "threshold --p 0": (2, "error: p must lie strictly in (0, 1), got 0.0\n"),
+        "discrimination --n 3 --p 0": (2, "error: p must lie strictly in (0, 1), got 0.0\n"),
+        "sweep --m 1 --n 1 --p 0": (2, "error: p must lie strictly in (0, 1), got 0.0\n"),
+        "smooth --p 0.5 --n 8 --sigma 0.3 --tol inf": (
+            2, "error: tolerance must be finite, got +inf\n",
+        ),
+        "tulino --p 0.5 --sigma 0.3 --n-min 2 --n-max 3 --tol inf": (
+            2, "error: tolerance must be finite, got +inf\n",
+        ),
     }
 
     @pytest.mark.parametrize("command", sorted(REFUSALS))

@@ -17,7 +17,6 @@ from discrete_epi.discrimination import (
     cap_via_series,
     kl_divergence,
     mixture,
-    tri_discrimination,
 )
 from discrete_epi.dist_core import (
     IntegerPmf,
@@ -99,24 +98,6 @@ class TestCapDiscrimination:
 
 
 class TestTriangularSeries:
-    def test_identical_pair_powers(self, dps50):
-        pmf = binomial_pmf(2, "0.3")
-        for nu in (1, 2, 3):
-            assert_close(
-                tri_discrimination(pmf, pmf, "0.3", nu),
-                abs(2 * mpf("0.3") - 1) ** (2 * nu),
-            )
-
-    def test_nonincreasing_in_order(self, dps50):
-        rng = random.Random(3)
-        for _ in range(15):
-            p_dist, q_dist = random_pair(rng, rng.randint(2, 8))
-            w = mpf(rng.randint(2, 8)) / 10
-            values = [
-                tri_discrimination(p_dist, q_dist, w, nu) for nu in range(1, 5)
-            ]
-            assert all(a >= b - eps_for(50) for a, b in zip(values, values[1:]))
-
     def test_series_matches_direct(self, dps50):
         rng = random.Random(41)
         for _ in range(30):
