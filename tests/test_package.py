@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import discrete_epi
-from discrete_epi import cli, precision
+from discrete_epi import cli, epi_engine, precision
 from discrete_epi.asymptotics import tulino_verdu_compare
 from discrete_epi.discrimination import (
     binomial_step_c,
@@ -79,15 +79,13 @@ def test_package_exports_the_union_of_module_lists():
     exec(re.search(r"```python\n(.*?)```", library, re.S).group(1), {})
 
 
-def _slack_sign_binders():
-    names = [info.name for info in pkgutil.iter_modules(discrete_epi.__path__)]
-    modules = [importlib.import_module(f"discrete_epi.{name}") for name in names]
-    return [m for m in modules if m is not precision and "_slack_sign" in vars(m)]
-
-
 @pytest.mark.parametrize("sign", [1, -1])
 def test_every_flag_follows_the_slack_sign(monkeypatch, capsys, sign):
-    binders = _slack_sign_binders()
+    modules = [
+        importlib.import_module(f"discrete_epi.{info.name}")
+        for info in pkgutil.iter_modules(discrete_epi.__path__)
+    ]
+    binders = [m for m in modules if m is not precision and "_slack_sign" in vars(m)]
     assert sorted(m.__name__ for m in binders) == [
         "discrete_epi.asymptotics",
         "discrete_epi.cli",
@@ -118,11 +116,11 @@ def test_zero_crossings_follow_the_slack_sign(monkeypatch):
     # At p = 0.3 only the n = 1 margin is negative: one crossing, at 2.
     assert zero_crossing_scan("0.3", 5) == [2]
     signs = iter([1, 0, -1, -1, 1])
-    monkeypatch.setattr(
-        importlib.import_module("discrete_epi.epi_engine"),
-        "_slack_sign",
-        lambda margin, precision, slack=None: next(signs),
-    )
+
+    def scripted(margin, precision, slack=None):
+        return next(signs)
+
+    monkeypatch.setattr(epi_engine, "_slack_sign", scripted)
     assert zero_crossing_scan("0.3", 5) == [3, 5]
 
 
@@ -214,7 +212,7 @@ def test_flags_and_p_checks_are_written_once():
     # mass check of IntegerPmf; a range message only by
     # precision._probability and by taylor_coeff, whose x is a point of
     # the expansion rather than an input p.
-    strings = {tokenize.STRING} | {getattr(tokenize, "FSTRING_MIDDLE", tokenize.STRING)}
+    strings = {tokenize.STRING, getattr(tokenize, "FSTRING_MIDDLE", tokenize.STRING)}
     found = []
     for path in sorted(LIBRARY.glob("*.py")):
         if path.name == "precision.py":
