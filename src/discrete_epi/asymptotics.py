@@ -252,7 +252,15 @@ from .dist_core import (  # MAX_SUM_SUPPORT is re-exported
 )
 from .errors import QuadratureError
 from .moments_bounds import CumulantSet, cumulants_from_raw_moments
-from .precision import DEFAULT_PRECISION, RealLike, _slack_sign, as_mpf, working_precision
+from .precision import (
+    DEFAULT_PRECISION,
+    RealLike,
+    _count,
+    _positive,
+    _slack_sign,
+    as_mpf,
+    working_precision,
+)
 
 __all__ = [
     "KnesslProfile",
@@ -284,9 +292,7 @@ def iid_power_pmfs(
     Binary decomposition over a shared ladder of repeated squarings, so
     a geometric family like {512, 1024, 2048, 4096} costs one chain.
     """
-    targets = sorted(set(n_values))
-    if targets and targets[0] < 1:
-        raise ValueError(f"fold counts must be >= 1, got {targets[0]}")
+    targets = [_count(n, "fold count", 1) for n in sorted(set(n_values))]
     return _iid_ladder(base, targets)
 
 
@@ -692,17 +698,9 @@ def gaussian_smoothed_entropy(
     form's bound does not fit it, and it is at or below the trapezoid's
     truncation floor or needs a grid past ``MAX_TRAPEZOID_STEPS``.
     """
-    sig = as_mpf(sigma, precision)
-    tolerance = as_mpf(tol, precision)
+    sig = _positive(sigma, "sigma", precision)
+    tolerance = _positive(tol, "tolerance", precision)
     with working_precision(precision):
-        if not sig > 0:
-            raise ValueError(f"sigma must be positive, got {mpmath.nstr(sig, 8)}")
-        if sig == mpmath.inf:
-            raise ValueError("sigma must be finite, got +inf")
-        if not tolerance > 0:
-            raise ValueError("tolerance must be positive")
-        if tolerance == mpmath.inf:
-            raise ValueError("tolerance must be finite, got +inf")
         positions, weights = _mixture_peaks(pmf)
         spacing = min((b - a for a, b in zip(positions, positions[1:])), default=1)
         answer = _disjoint_peaks(weights, sig, spacing)
@@ -748,11 +746,9 @@ def tulino_verdu_compare(
     step condition that ``epi_engine.sufficient_step_check(n - 1, p)``
     decides, and criterion 9 tests the same inequality as criterion 2.
     """
-    ns = sorted(set(n_values))
+    ns = [_count(n, "n", 2) for n in sorted(set(n_values))]
     if not ns:
         return []
-    if ns[0] < 2:
-        raise ValueError("increments need n >= 2")
     sig = as_mpf(sigma, precision)
     needed = sorted(set(ns) | {n - 1 for n in ns})
     results: Dict[int, SmoothedEntropy] = {}

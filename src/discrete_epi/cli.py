@@ -40,6 +40,7 @@ from .polycert import CERT_SUBSTITUTIONS, certify
 from .precision import (
     DEFAULT_PRECISION,
     MIN_PRECISION,
+    _count,
     _probability,
     _slack_sign,
     check_precision,
@@ -143,8 +144,7 @@ def _svg_text(points: List[Tuple[float, float]], x_label: str, y_label: str) -> 
 
 
 def _p_grid(p_min: str, p_max: str, steps: int, precision: int) -> List[mpf]:
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+    _count(steps, "steps", 1)
     lo = _probability(p_min, precision, strict=True)
     hi = _probability(p_max, precision, strict=True)
     if lo > hi:

@@ -105,9 +105,10 @@ from .errors import SeriesTruncationError
 from .precision import (
     DEFAULT_PRECISION,
     RealLike,
+    _count,
     _exact_weight,
+    _positive,
     _probability,
-    as_mpf,
     working_precision,
 )
 
@@ -231,13 +232,10 @@ def cap_via_series(
     """
     precision = P.precision
     _, pairs = _aligned(P, Q)
+    _count(nu_max, "nu_max", 1)
     pv = _probability(p, precision, strict=True)
+    tolv = _positive(tol, "tol", precision)
     with working_precision(precision):
-        tolv = as_mpf(tol, precision)
-        if not tolv > 0:
-            raise ValueError(f"tol must be positive, got {tolv}")
-        if tolv == mpmath.inf:
-            raise ValueError("tol must be finite, got +inf")
         prec = mpmath.mp.prec
     B = (10 ** (2 * precision)).bit_length() + prec + 32
     floor = (1 << B) // 10 ** (2 * precision)
@@ -316,8 +314,7 @@ def binomial_step_c(n: int, p: RealLike, precision: int = DEFAULT_PRECISION) -> 
     capacitory discrimination of the shifted/unshifted binomial pair
     weighted by p.  For n = 1 this reduces to H(p) - 2 p (1-p) ln 2.
     """
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+    _count(n, "n")
     pv = _probability(p, precision, strict=True)
     nxt = binomial_pmf(n + 1, pv, precision)
     with working_precision(precision):

@@ -148,6 +148,7 @@ from .errors import BudgetExceededError, MassConservationError, PrecisionMismatc
 from .precision import (
     DEFAULT_PRECISION,
     RealLike,
+    _count,
     _exact_weight,
     _probability,
     as_mpf,
@@ -317,8 +318,7 @@ def binomial_pmf(n: int, p: RealLike, precision: int = DEFAULT_PRECISION) -> Int
     of that value.  The error model and the ``MAX_CHAIN_ROWS`` weight
     budget are in the module docstring.
     """
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+    _count(n, "n")
     if n + 1 > MAX_CHAIN_ROWS:
         raise BudgetExceededError(
             f"n={n} puts the binomial pmf past the {MAX_CHAIN_ROWS}-weight budget"
@@ -517,8 +517,7 @@ def iid_sum_pmf(base: IntegerPmf, n: int) -> IntegerPmf:
 
     n = 0 gives the point mass at zero (the empty sum).
     """
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+    _count(n, "n")
     return _iid_ladder(base, [n])[n]
 
 
@@ -531,8 +530,7 @@ def binomial_entropy_chain(
     quadratic in n_max in integer operations, with n_max + 1
     logarithms in all; the error model is in the module docstring.
     """
-    if not isinstance(n_max, int) or n_max < 0:
-        raise ValueError(f"n_max must be a nonnegative integer, got {n_max!r}")
+    _count(n_max, "n_max")
     if n_max + 1 > MAX_CHAIN_ROWS:
         raise BudgetExceededError(
             f"n_max={n_max} puts the entropy chain past the {MAX_CHAIN_ROWS}-row budget"

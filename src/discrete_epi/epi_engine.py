@@ -45,6 +45,7 @@ from .polycert import QUAD_LINEAR_COEFF, THRESHOLD_SLOPE
 from .precision import (
     DEFAULT_PRECISION,
     RealLike,
+    _count,
     _probability,
     _slack_sign,
     as_mpf,
@@ -122,8 +123,8 @@ def _epi_gap_from_entropies(h_sum: mpf, h_x: mpf, h_y: mpf) -> mpf:
 
 def epi_gap(m: int, n: int, p: RealLike, precision: int = DEFAULT_PRECISION) -> EpiReport:
     """Entropy power gap for Binomial(m, p) + Binomial(n, p)."""
-    if not isinstance(m, int) or m < 1 or not isinstance(n, int) or n < 1:
-        raise ValueError(f"m and n must be positive integers, got {m!r}, {n!r}")
+    _count(m, "m", 1)
+    _count(n, "n", 1)
     pv = as_mpf(p, precision)
     chain = binomial_entropy_chain(pv, m + n, precision)
     with working_precision(precision):
@@ -138,8 +139,8 @@ def iid_epi_gap(base: IntegerPmf, m: int, n: int) -> EpiReport:
     A single-point base yields entropies zero and gap exactly -1, which
     is reported rather than rejected: it is the honest degenerate case.
     """
-    if not isinstance(m, int) or m < 1 or not isinstance(n, int) or n < 1:
-        raise ValueError(f"m and n must be positive integers, got {m!r}, {n!r}")
+    _count(m, "m", 1)
+    _count(n, "n", 1)
     precision = base.precision
     _check_sum_support(base, m + n)
     sums = _iid_ladder(base, (m, n))
@@ -159,8 +160,7 @@ def sufficient_step_check(
     n: int, p: RealLike, precision: int = DEFAULT_PRECISION
 ) -> StepCheck:
     """Half-log step condition at size n; margin is the slack in nats."""
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    _count(n, "n", 1)
     chain = binomial_entropy_chain(p, n + 1, precision)
     with working_precision(precision):
         margin = _step_margin(chain[n + 1], chain[n], n)
@@ -200,8 +200,7 @@ def empirical_threshold(
     scan horizon: a later re-failure beyond cap would be caught only by
     a larger cap.
     """
-    if not isinstance(cap, int) or cap < 1:
-        raise ValueError(f"cap must be a positive integer, got {cap!r}")
+    _count(cap, "cap", 1)
     pv = as_mpf(p, precision)
     t = omega(pv, precision)
     margins = _step_margins(pv, cap, precision)
@@ -227,8 +226,7 @@ def zero_crossing_scan(
     crossing by themselves; the returned n is the first size carrying
     the new sign.
     """
-    if not isinstance(cap, int) or cap < 1:
-        raise ValueError(f"cap must be a positive integer, got {cap!r}")
+    _count(cap, "cap", 1)
     margins = _step_margins(p, cap, precision)
     with working_precision(precision):
         crossings = []
@@ -253,8 +251,8 @@ def epi_grid_check(
     512 x 512 took 3.3 s and 146 MB, on a 2-core Xeon (Python 3.11.7,
     pure-Python mpmath 1.3.0).
     """
-    if not isinstance(m_max, int) or m_max < 1 or not isinstance(n_max, int) or n_max < 1:
-        raise ValueError(f"grid bounds must be positive integers, got {m_max!r}, {n_max!r}")
+    _count(m_max, "m_max", 1)
+    _count(n_max, "n_max", 1)
     if m_max * n_max > MAX_GRID_CELLS:
         raise BudgetExceededError(
             f"a {m_max} x {n_max} grid is past the {MAX_GRID_CELLS}-cell budget"
@@ -283,8 +281,7 @@ def semi_asymptotic_condition(
     Gaussian; once it dominates, half-log step growth from m onward is
     enough to give the inequality against any larger partner size.
     """
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"m must be a positive integer, got {m!r}")
+    _count(m, "m", 1)
     pv = _probability(p, precision, strict=True)
     with working_precision(precision):
         lhs = entropy(binomial_pmf(m, pv, precision))

@@ -74,6 +74,7 @@ from .dist_core import IntegerPmf, binomial_entropy_chain
 from .precision import (
     DEFAULT_PRECISION,
     RealLike,
+    _count,
     _exact_weight,
     _probability,
     _slack_sign,
@@ -139,8 +140,7 @@ def bernoulli_cumulants(
     p: RealLike, max_order: int, precision: int = DEFAULT_PRECISION
 ) -> CumulantSet:
     """Cumulants of a single Bernoulli(p) draw, correctly rounded (module docstring)."""
-    if not isinstance(max_order, int) or max_order < 1:
-        raise ValueError(f"max_order must be a positive integer, got {max_order!r}")
+    _count(max_order, "max_order", 1)
     r = _exact_p(p, precision, strict=False) - Fraction(1, 2)
     kappas = []
     with working_precision(precision):
@@ -156,8 +156,7 @@ def central_moment_brute(pmf: IntegerPmf, k: int) -> mpf:
     Summed exactly in integers and rounded once (module docstring),
     about the exact mean sum of i w_i.
     """
-    if not isinstance(k, int) or k < 0:
-        raise ValueError(f"k must be a nonnegative integer, got {k!r}")
+    _count(k, "k")
     # w_i = N_i / 2**E exactly; power sums S_j = sum_i N_i i**j count i
     # from the first point of the support, which shifts mu by `offset`.
     parts = [w._mpf_ for w in pmf.weights]  # (sign, man, exp, bits), w >= 0
@@ -184,9 +183,8 @@ def central_moment_closed(
 
     Row k of the moment table, summed in integers (module docstring).
     """
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-    if not isinstance(k, int) or not 0 <= k <= 7:
+    _count(n, "n")
+    if _count(k, "k") > 7:
         raise ValueError(f"closed forms cover k in 0..7, got {k!r}")
     nums, den = _moment_coeffs(_exact_p(p, precision, strict=False), k)
     acc = 0
@@ -307,8 +305,7 @@ def faa_di_bruno_poly(k: int, cumulants: CumulantSet) -> MomentPolynomial:
         mu_k(j) = sum_partitions  k! / prod_a (i_a! (g_a!)**i_a)
                                   * prod_a kappa_{g_a}**i_a * j**(sum_a i_a).
     """
-    if not isinstance(k, int) or k < 0:
-        raise ValueError(f"k must be a nonnegative integer, got {k!r}")
+    _count(k, "k")
     if k >= 2 and cumulants.order < k:
         raise ValueError(
             f"need cumulants up to order {k}, got only {cumulants.order}"
@@ -331,8 +328,7 @@ def taylor_coeff(k: int, x: RealLike, precision: int = DEFAULT_PRECISION) -> mpf
     F_k(x) = [ (1-x)**-(k-1) + (-1)**k x**-(k-1) ] / (k (k-1)).
     Even orders are nonnegative on (0, 1).
     """
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
+    _count(k, "k", 1)
     xv = as_mpf(x, precision)
     with working_precision(precision):
         if not (0 < xv < 1):
@@ -359,8 +355,7 @@ def taylor_lower_bound(
     f(n, t) a lower bound on H_(n+1) - H_n, which the certificates
     trust; the tests check the lemma pointwise over x, p and l.
     """
-    if not isinstance(l, int) or l < 0:
-        raise ValueError(f"l must be a nonnegative integer, got {l!r}")
+    _count(l, "l")
     xv = as_mpf(x, precision)
     pv = _probability(p, precision, strict=True)
     with working_precision(precision):
@@ -399,18 +394,11 @@ def gamma_l(j: int, p: RealLike, l: int, precision: int = DEFAULT_PRECISION) -> 
     the first central moment.  Summed exactly in j from the Laurent
     table of (p, l) and rounded once.
     """
-    if not isinstance(j, int) or j < 1:
-        raise ValueError(f"j must be a positive integer, got {j!r}")
-    table = _checked_table(p, l, precision)
+    _count(j, "j", 1)
+    _count(l, "l", 1)
+    table = _laurent_table(_exact_p(p, precision), l)
     with working_precision(precision):
         return _gamma_from(table, j)
-
-
-def _checked_table(p: RealLike, l: int, precision: int) -> Tuple[Tuple[int, ...], int]:
-    """The Laurent table of Gamma_l at p, after the check on l."""
-    if not isinstance(l, int) or l < 1:
-        raise ValueError(f"l must be a positive integer, got {l!r}")
-    return _laurent_table(_exact_p(p, precision), l)
 
 
 def _gamma_from(table: Tuple[Tuple[int, ...], int], j: int) -> mpf:
@@ -441,8 +429,7 @@ def c_coeff(w: int, p: RealLike, precision: int = DEFAULT_PRECISION) -> mpf:
     F_k(p).  That is D_w of the Laurent table at depth w, rounded once.
     c(1) = 1/2 for every p; c(2) = (1 - p(1-p))/(12 p(1-p)).
     """
-    if not isinstance(w, int) or w < 1:
-        raise ValueError(f"w must be a positive integer, got {w!r}")
+    _count(w, "w", 1)
     table = _laurent_table(_exact_p(p, precision), w)
     with working_precision(precision):
         return _coeff_from(table, w)
@@ -460,10 +447,8 @@ def harmonic_number(n: int, w: int, precision: int = DEFAULT_PRECISION) -> mpf:
     Summed in fixed point from a running prefix sum, so scans over
     increasing n take linear time; rounded once (module docstring).
     """
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-    if not isinstance(w, int) or w < 1:
-        raise ValueError(f"w must be a positive integer, got {w!r}")
+    _count(n, "n")
+    _count(w, "w", 1)
     with working_precision(precision):
         bits = mpmath.mp.prec + 64
         cursor = _harmonic_cursor(w, bits)
@@ -486,8 +471,7 @@ def harmonic_lower_bound(
     terms, and at p = 1/2 it overshoots the exact entropy for n <= 3.
     Use ``harmonic_bound_violations`` to map the trustworthy region.
     """
-    if not isinstance(bound_order, int) or bound_order < 1:
-        raise ValueError(f"bound_order must be a positive integer, got {bound_order!r}")
+    _count(bound_order, "bound_order", 1)
     table = _laurent_table(_exact_p(p, precision), bound_order)
     with working_precision(precision):
         return mpmath.fsum(
@@ -503,9 +487,9 @@ def cumulative_gamma_bound(
 
     Valid for every n and l because each increment bound is valid.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    table = _checked_table(p, l, precision)
+    _count(n, "n", 1)
+    _count(l, "l", 1)
+    table = _laurent_table(_exact_p(p, precision), l)
     with working_precision(precision):
         return mpmath.fsum(_gamma_from(table, j) for j in range(1, n + 1))
 
@@ -522,6 +506,7 @@ def harmonic_bound_violations(
     are reported.
     """
     p = _probability(p, precision, strict=True)
+    _count(bound_order, "bound_order", 1)
     chain = binomial_entropy_chain(p, n_max, precision)
     out = []
     with working_precision(precision):

@@ -2,7 +2,7 @@
 
 Every quantitative routine in this package computes with mpmath
 arbitrary-precision floats at an explicit number of decimal digits,
-passed down as a ``precision`` argument (default 50).  Three conventions
+passed down as a ``precision`` argument (default 50).  Four conventions
 are fixed here so all modules agree:
 
 * verdicts: ``_slack_sign`` is the only place where a margin is
@@ -18,6 +18,13 @@ are fixed here so all modules agree:
 * probabilities: ``_probability`` is the only place where the range
   of a p is checked.  It raises one of two messages, "p must lie in
   [0, 1], got ..." or "p must lie strictly in (0, 1), got ...".
+* arguments: ``_count`` and ``_positive`` are the only places where a
+  count or a positive real is checked.  A count is an int of at least
+  its least value: "<name> must be a nonnegative integer, got ...",
+  "... a positive integer, got ..." or "... an integer >= <least>,
+  got ...".  A positive real such as sigma or a tolerance is refused
+  with "<name> must be positive, got ..." or "<name> must be finite,
+  got +inf".
 * determinism: evaluating the same operation twice at the same
   precision yields bit-identical values (mpmath round-to-nearest at a
   fixed working precision, no hidden global state left behind).
@@ -48,12 +55,21 @@ MIN_PRECISION = 20
 RealLike = Union[int, float, str, Fraction, mpf]
 
 
-def check_precision(precision: int) -> int:
-    if not isinstance(precision, int) or precision < MIN_PRECISION:
+def _count(value: int, name: str, least: int = 0) -> int:
+    """value, refused unless it is an int of at least ``least``.
+
+    Raises ValueError with the count message of the module docstring.
+    """
+    if not isinstance(value, int) or value < least:
+        kind = {0: "a nonnegative integer", 1: "a positive integer"}
         raise ValueError(
-            f"precision must be an integer >= {MIN_PRECISION}, got {precision!r}"
+            f"{name} must be {kind.get(least, f'an integer >= {least}')}, got {value!r}"
         )
-    return precision
+    return value
+
+
+def check_precision(precision: int) -> int:
+    return _count(precision, "precision", MIN_PRECISION)
 
 
 def working_precision(precision: int):
@@ -100,6 +116,21 @@ def _probability(p: RealLike, precision: int, strict: bool = False) -> mpf:
         if not 0 <= pv <= 1:
             raise ValueError(f"p must lie in [0, 1], got {pv}")
     return pv
+
+
+def _positive(value: RealLike, name: str, precision: int) -> mpf:
+    """value at the given precision, refused unless it is positive and finite.
+
+    Raises ValueError with one of the two messages in the module
+    docstring.
+    """
+    v = as_mpf(value, precision)
+    with working_precision(precision):
+        if not v > 0:
+            raise ValueError(f"{name} must be positive, got {v}")
+        if v == mpmath.inf:
+            raise ValueError(f"{name} must be finite, got +inf")
+    return v
 
 
 def _slack_sign(margin: mpf, precision: int, slack: Optional[RealLike] = None) -> int:

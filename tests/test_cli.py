@@ -237,6 +237,12 @@ class TestOutputPins:
         "tulino --p 0.5 --sigma 0.3 --n-min 2 --n-max 3 --tol inf": (
             2, "error: tolerance must be finite, got +inf\n",
         ),
+        "gap --m 0 --n 1 --p 0.3": (2, "error: m must be a positive integer, got 0\n"),
+        "grid --m 0 --n 3 --p 0.3": (2, "error: m_max must be a positive integer, got 0\n"),
+        "smooth --p 0.5 --n 8 --sigma 0.3 --tol 0": (
+            2, "error: tolerance must be positive, got 0.0\n",
+        ),
+        "sweep --m 1 --n 1 --steps 0": (2, "error: steps must be a positive integer, got 0\n"),
     }
 
     @pytest.mark.parametrize("command", sorted(REFUSALS))
