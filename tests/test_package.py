@@ -344,7 +344,7 @@ def test_flags_and_p_checks_are_written_once():
                     depth += {"(": 1, ")": -1}.get(later.string, 0)
                     if depth == 0:
                         break
-                    args.append((later.type, later.string))
-                if (tokenize.NAME, "int") in args and scope not in ("IntegerPmf.__post_init__", "shift"):
+                    args.append(later.string)
+                if "int" in args and scope not in ("IntegerPmf.__post_init__", "shift"):
                     found.append(f"isinstance(..., int) at {where}")
     assert found == []
