@@ -258,7 +258,6 @@ from .precision import (
     _count,
     _positive,
     _slack_sign,
-    as_mpf,
     working_precision,
 )
 
@@ -749,7 +748,7 @@ def tulino_verdu_compare(
     ns = [_count(n, "n", 2) for n in sorted(set(n_values))]
     if not ns:
         return []
-    sig = as_mpf(sigma, precision)
+    sig = _positive(sigma, "sigma", precision)
     needed = sorted(set(ns) | {n - 1 for n in ns})
     results: Dict[int, SmoothedEntropy] = {}
     with working_precision(precision):

@@ -48,6 +48,18 @@ Summed exactly and rounded once, |kl - D| <= 3.01 u sum |t| + 1.03 u
 mass at most 1 + 1e-10 (the eps slack at 20 digits, the least
 precision).
 
+Roundings of ``binomial_step_c``.  It is the mpf expression
+sum_i (H(p) - H(i / (n + 1))) w_i over the weights w_i of B(n + 1, p),
+evaluated on raw tuples with that expression's roundings, bit for bit:
+x = i / (n + 1) is one rounded division; H(x) = -x ln x - q ln q takes
+q = 1 - x, two logarithms, two products and the difference, each
+rounded (``dist_core._binary_entropy``, which ``bernoulli_entropy``
+also uses); H(p) - H(x) and its product with w_i are rounded once
+each; and ``mpf_sum`` adds the terms as ``mpmath.fsum`` does, exactly
+but for terms more than 2 prec bits below the running sum, with one
+final rounding.  p is checked and H(p) computed once per call, not per
+point.
+
 Error model of ``cap_via_series``.  p rounded to the working precision
 is exactly a / 2**e and q is the exact b / 2**e, b = 2**e - a; every
 weight is exactly man * 2**exp.  So at each point X = p P_i and
@@ -90,21 +102,21 @@ from typing import List, Tuple
 
 import mpmath
 from mpmath import mp, mpf
-from mpmath.libmp import finf, fone, fzero, mpf_add, mpf_mul, mpf_sub
+from mpmath.libmp import finf, fone, from_int, fzero, mpf_add, mpf_div, mpf_mul, mpf_sub, mpf_sum
 
 from .dist_core import (
     IntegerPmf,
-    _bits,
+    _binary_entropy,
     _check_same_precision,
     _log_sum,
     _rounded,
-    bernoulli_entropy,
     binomial_pmf,
 )
 from .errors import SeriesTruncationError
 from .precision import (
     DEFAULT_PRECISION,
     RealLike,
+    _bits,
     _count,
     _exact_weight,
     _positive,
@@ -317,13 +329,11 @@ def binomial_step_c(n: int, p: RealLike, precision: int = DEFAULT_PRECISION) -> 
     _count(n, "n")
     pv = _probability(p, precision, strict=True)
     nxt = binomial_pmf(n + 1, pv, precision)
-    with working_precision(precision):
-        hp = bernoulli_entropy(pv, precision)
-        terms = []
-        for i, w in nxt.items():
-            if w == 0:
-                continue
-            x = mpf(i) / (n + 1)
-            terms.append((hp - bernoulli_entropy(x, precision)) * w)
-        return mpmath.fsum(terms)
+    prec = _bits(precision)
+    hp, size = _binary_entropy(pv._mpf_, prec), from_int(n + 1)
+    terms = []
+    for i, w in enumerate(nxt.weights):
+        x = mpf_div(from_int(i), size, prec, "n")
+        terms.append(mpf_mul(mpf_sub(hp, _binary_entropy(x, prec), prec, "n"), w._mpf_, prec, "n"))
+    return mp.make_mpf(mpf_sum(terms, prec, "n"))
 

@@ -16,11 +16,12 @@ support would pass ``MAX_SUM_SUPPORT`` points is refused before any
 convolution (BudgetExceededError).  The entropy chain costs O(n_max**2) integer
 steps, so a chain of more than ``MAX_CHAIN_ROWS`` rows is refused
 before any work (BudgetExceededError): at 50 digits and p = 0.3 it took
-3.1 s for 4,001 rows and 42 s for the largest allowed, 16,384, on a
+3.7 s for 4,001 rows and 49 s for the largest allowed, 16,384, on a
 2-core Xeon (Python 3.11.7, pure-Python mpmath 1.3.0).  ``binomial_pmf``
-is also quadratic, through numerators that grow to about e n bits, and
-refuses more than ``MAX_CHAIN_ROWS`` weights the same way: the largest
-allowed, n = 16,383, took 59 s on the same machine.
+takes n steps on integers of prec + 64 + bit_length(n) bits and one
+exact power of about e n bits (error model below), and refuses more
+than ``MAX_CHAIN_ROWS`` weights the same way: the largest allowed,
+n = 16,383, took 0.4 s on the same machine.
 
 Error model of ``convolve``.  Every mpf weight is exactly man * 2**exp,
 so the product needs no rounding until the end:
@@ -55,13 +56,17 @@ Error model of ``binomial_entropy_chain``.  The chain mixes in fixed
 point: weights are integers scaled by 2**B, with B = prec + g, where
 prec is the working precision in bits and g the guard bits below, and
 one step is ``(Q*w[k] + P*w[k-1]) >> B`` with P = round(p 2**B) and
-Q = 2**B - P.  Row n's entropy is
+Q = 2**B - P, computed as the same integer w[k] + (P (w[k-1] - w[k]) >>
+B) with one product.  Row n's entropy is
 
     H_n = -sum_k w_k (ln C(n,k) + k ln p + (n-k) ln q),
 
-read off an integer table of log-factorials and the two logs ln p and
-ln q, all evaluated at B + 16 bits and rounded to 2**-B: O(n_max)
-logarithms per chain.  The error is absolute, in units of 2**-B:
+read off an integer table of log-factorials lf_j and the two logs lp
+and lq, all evaluated at B + 16 bits and rounded to the nearest unit of
+2**-B, ties to even: O(n_max) logarithms per chain.  The row sum is
+lf_n sum_k w_k + sum_k w_k (D_k + E_(n-k)), with D_k = k lp - lf_k and
+E_j = j lq - lf_j, an exact integer identity.  The error is absolute,
+in units of 2**-B:
 
 * weights: the operator ``w -> (q w_k + p w_{k-1})`` is an l1
   contraction; replacing p by P/2**B costs at most 1 unit in l1 per
@@ -78,27 +83,48 @@ logarithms per chain.  The error is absolute, in units of 2**-B:
 Together |H_n - H[B(n, p)]| < 2**-B (n + 1)**3 (L + 1).  The guard is
 g = bit_length((n_max + 1)**3 (Lb + 2)), where Lb = 1 - e and e is the
 smaller ``frexp`` exponent of p and q, so min(p, q) >= 2**(e - 1),
-L < Lb + 1, and the fixed-point error stays below 2**-prec.  Rounding a row to an mpf adds at most
-2**-prec H_n.
+L < Lb + 1, and the fixed-point error stays below 2**-prec.  Rounding a
+row to an mpf, once to nearest, adds at most 2**-prec H_n.
 
 Error model of ``binomial_pmf``.  p rounded to the working precision
 is exactly a / 2**e; q is taken as the exact 1 - p = b / 2**e, with
 b = 2**e - a, not as a rounded difference.  Weight k is then exactly
 
-    C(n, k) a**k b**(n-k) / 2**(e n),
+    w_k = C(n, k) a**k b**(n-k) / 2**(e n),
 
-and its numerator t_k is rolled in integers, t_k = t_{k-1} (n - k + 1)
-a / (k b), a division that is always exact.  Each weight is rounded
-once to nearest, so it is within half an ulp, at most 2**-prec
-relative, of the exact Binomial(n, p) weight, however small it is.
+and each weight is rounded once to nearest, so it is within half an
+ulp, at most 2**-prec relative, of the exact Binomial(n, p) weight,
+however small it is.  The rounding is found without the exact
+numerators, which grow to about e n bits, by Ziv's strategy (A. Ziv,
+ACM TOMS 17(3), 1991): a cheap bracket, and the exact value only where
+the bracket cannot decide.
+
+* bracket: with W = prec + 64 + bit_length(n), b**n is floored to a
+  W-bit mantissa m of w_0, and each next mantissa is the floored
+  quotient m (n - k + 1) a / (k b), scaled by a power of two that keeps
+  it at W or W + 1 bits; w_k / w_(k-1) = (n - k + 1) a / (k b) is exact.
+  Each floor loses less than one unit, at most 2**(1 - W) relative, so
+  the exact w_k lies in [m, m (1 + 2**(1 - W))**(k + 1)], which is
+  inside [m, m + 4 (k + 2)] units: m < 2**(W + 1) and (k + 1) 2**(1 - W)
+  < 2**-60.
+* decision: rounding to nearest is monotone, so when m and m + 4 (k +
+  2) round to the same prec-bit value, so does everything between
+  them, w_k included, and that value is the weight.
+* fallback: otherwise C(n, k) a**k b**(n-k) is formed exactly and
+  rounded.  A bracket of 4 (k + 2) units among 2**(W - prec) decides
+  unless w_k lies within it of a rounding boundary, which in practice
+  means an exact tie: p = 1/2, n = 75, k = 34 at 20 digits, where
+  C(75, 34) / 2**75 lies halfway between two 70-bit values.
+
 Consumers of weight ratios (``kl_divergence``, ``cap_via_series``, the
 tails of ``IntegerPmf``) need exactly that relative accuracy, which
 the fixed-point chain does not give.  The chain is the only Bernoulli
 mixing left, so ``entropy(binomial_pmf(n, p))`` and the chain are
 independent routes to the same entropies.
 
-Raw kernels.  The pmf checks, ``convolve``'s outputs, ``entropy`` and
-the divergences of ``discrimination`` compute on raw mpf tuples
+Raw kernels.  The pmf checks, ``convolve``'s outputs, ``entropy``, the
+binary entropy, the chain's logarithms and rows, and the divergences
+and ``binomial_step_c`` of ``discrimination`` compute on raw mpf tuples
 (sign, man, exp, bc) through mpmath's ``libmp``, with the rounding of
 every mpf operation they stand for, so they give the same bits as the
 mpf expressions without building an mpf per intermediate.  The weight
@@ -124,30 +150,37 @@ their f ln f terms from the same kernel, ``_log_sum``.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
+from math import comb
+from operator import add, mul
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mp, mpf
 from mpmath.libmp import (
-    dps_to_prec,
     finf,
     fnan,
     fone,
+    from_int,
     from_man_exp,
+    fzero,
     mpf_abs,
     mpf_div,
     mpf_gt,
     mpf_log,
     mpf_mul,
+    mpf_neg,
+    mpf_nint,
+    mpf_shift,
     mpf_sub,
+    to_int,
 )
 
 from .errors import BudgetExceededError, MassConservationError, PrecisionMismatchError
 from .precision import (
     DEFAULT_PRECISION,
     RealLike,
+    _bits,
     _count,
     _exact_weight,
     _probability,
@@ -238,12 +271,6 @@ class IntegerPmf:
             yield self.offset + i, w
 
 
-@functools.lru_cache(maxsize=None)
-def _bits(precision: int) -> int:
-    """Working precision in bits at ``precision`` decimal digits."""
-    return dps_to_prec(check_precision(precision))
-
-
 def _rounded(pair: Tuple[int, int], prec: int) -> mpf:
     """The mpf nearest man * 2**exp at prec bits, as ``mpf(pair)`` rounds it."""
     return mp.make_mpf(from_man_exp(pair[0], pair[1], prec, "n"))
@@ -288,14 +315,26 @@ def delta_pmf(k: int = 0, precision: int = DEFAULT_PRECISION) -> IntegerPmf:
         return IntegerPmf(offset=k, weights=(mpf(1),), precision=precision)
 
 
+def _binary_entropy(x: tuple, prec: int) -> tuple:
+    """H(x) of a raw x in [0, 1], rounded as ``-x * ln(x) - q * ln(q)``, q = 1 - x.
+
+    Every operation rounds to nearest at prec bits, as the mpf
+    expression does; H(0) = H(1) = 0 exactly.
+    """
+    if x == fzero or x == fone:
+        return fzero
+    q = mpf_sub(fone, x, prec, "n")
+    return mpf_sub(
+        mpf_mul(mpf_neg(x), mpf_log(x, prec, "n"), prec, "n"),
+        mpf_mul(q, mpf_log(q, prec, "n"), prec, "n"),
+        prec,
+        "n",
+    )
+
+
 def bernoulli_entropy(p: RealLike, precision: int = DEFAULT_PRECISION) -> mpf:
     """Binary entropy H(p) = -p ln p - (1-p) ln(1-p) in nats."""
-    pv = _probability(p, precision)
-    with working_precision(precision):
-        if pv == 0 or pv == 1:
-            return mpf(0)
-        q = 1 - pv
-        return -pv * mpmath.ln(pv) - q * mpmath.ln(q)
+    return mp.make_mpf(_binary_entropy(_probability(p, precision)._mpf_, _bits(precision)))
 
 
 def omega(p: RealLike, precision: int = DEFAULT_PRECISION) -> mpf:
@@ -324,20 +363,37 @@ def binomial_pmf(n: int, p: RealLike, precision: int = DEFAULT_PRECISION) -> Int
             f"n={n} puts the binomial pmf past the {MAX_CHAIN_ROWS}-weight budget"
         )
     pv = _probability(p, precision)
-    with working_precision(precision):
-        if pv == 0 or pv == 1:
-            w = [mpf(0)] * (n + 1)
-            w[n if pv == 1 else 0] = mpf(1)
-            return IntegerPmf(offset=0, weights=tuple(w), precision=precision)
-        # p = a / 2**e exactly, q = b / 2**e; weight k is t_k / 2**(e n)
-        # with t_k = C(n, k) a**k b**(n-k), and each division is exact.
-        a, b, e = _exact_weight(pv)
-        t = b**n
-        w = [mpf((t, -e * n))]
-        for k in range(1, n + 1):
-            t = t * (n - k + 1) * a // (k * b)
-            w.append(mpf((t, -e * n)))
-    return IntegerPmf(offset=0, weights=tuple(w), precision=precision)
+    if pv._mpf_ in (fzero, fone):
+        w = [fzero] * (n + 1)
+        w[n if pv._mpf_ == fone else 0] = fone
+    else:
+        w = _binomial_weights(n, *_exact_weight(pv), _bits(precision))
+    return IntegerPmf(offset=0, weights=tuple(map(mp.make_mpf, w)), precision=precision)
+
+
+def _binomial_weights(n: int, a: int, b: int, e: int, prec: int) -> List[tuple]:
+    """Raw weights C(n, k) a**k b**(n-k) / 2**(e n), each rounded once to prec bits.
+
+    A ratio walk on floored mantissas of W bits brackets every weight;
+    the exact numerator is formed only for a bracket that straddles a
+    rounding boundary (error model in the module docstring).
+    """
+    W = prec + 64 + n.bit_length()
+    t = b**n
+    cut = max(t.bit_length() - W, 0)
+    m, s = t >> cut, cut - e * n  # weight k lies in [m, m + 4 (k + 2)] * 2**s
+    out = []
+    for k in range(n + 1):
+        if k:
+            num, den = m * (n - k + 1) * a, k * b
+            cut = num.bit_length() - den.bit_length() - W
+            m = num // (den << cut) if cut >= 0 else (num << -cut) // den
+            s += cut
+        w = from_man_exp(m, s, prec, "n")
+        if w != from_man_exp(m + 4 * (k + 2), s, prec, "n"):
+            w = from_man_exp(comb(n, k) * a**k * b ** (n - k), -e * n, prec, "n")
+        out.append(w)
+    return out
 
 
 def _runs(weights: Sequence[mpf], span: int) -> List[Tuple[int, List[int], int, int]]:
@@ -535,32 +591,35 @@ def binomial_entropy_chain(
         raise BudgetExceededError(
             f"n_max={n_max} puts the entropy chain past the {MAX_CHAIN_ROWS}-row budget"
         )
-    pv = _probability(p, precision)
-    with working_precision(precision):
-        if pv == 0 or pv == 1:
-            return [mpf(0)] * (n_max + 1)
-        # min(p, q) >= 2**(e - 1), so max(|ln p|, |ln q|) < log_bits + 1.
-        log_bits = 1 - min(mpmath.frexp(pv)[1], mpmath.frexp(1 - pv)[1])
-        B = mpmath.mp.prec + ((n_max + 1) ** 3 * (log_bits + 2)).bit_length()
-        with mpmath.workprec(B + 16):
+    x = _probability(p, precision)._mpf_
+    if x in (fzero, fone):
+        return [mp.make_mpf(fzero)] * (n_max + 1)
+    prec = _bits(precision)
+    # min(p, q) >= 2**(e - 1), so max(|ln p|, |ln q|) < log_bits + 1.
+    q = mpf_sub(fone, x, prec, "n")
+    log_bits = 1 - min(x[2] + x[3], q[2] + q[3])
+    B = prec + ((n_max + 1) ** 3 * (log_bits + 2)).bit_length()
+    wp = B + 16
 
-            def fixed(x):
-                return int(mpmath.nint(mpmath.ldexp(x, B)))
+    def fixed(y: tuple) -> int:
+        """The integer nearest y * 2**B, ties to even."""
+        return to_int(mpf_nint(mpf_shift(y, B), wp, "n"))
 
-            P = fixed(pv)
-            lp, lq = fixed(mpmath.ln(pv)), fixed(mpmath.ln(1 - pv))
-            log_fact = [0, 0]
-            for j in range(2, n_max + 1):
-                log_fact.append(log_fact[-1] + fixed(mpmath.ln(j)))
-        Q = (1 << B) - P
-        w = [1 << B]
-        out = [mpf(0)]
-        for n in range(1, n_max + 1):
-            w = [(Q * a + P * b) >> B for a, b in zip(w + [0], [0] + w)]
-            lf_n = log_fact[n]
-            acc = sum(
-                wk * (lf_n - log_fact[k] - log_fact[n - k] + k * lp + (n - k) * lq)
-                for k, wk in enumerate(w)
-            )
-            out.append(-mpmath.ldexp(mpf(acc), -2 * B))
+    P = fixed(x)
+    lp = fixed(mpf_log(x, wp, "n"))
+    lq = fixed(mpf_log(mpf_sub(fone, x, wp, "n"), wp, "n"))
+    log_fact = [0, 0]
+    for j in range(2, n_max + 1):
+        log_fact.append(log_fact[-1] + fixed(mpf_log(from_int(j), wp, "n")))
+    # Row n is sum_k w_k (lf_n + D_k + E_(n-k)) with D_k = k lp - lf_k
+    # and E_j = j lq - lf_j: ln of weight k of B(n, p) in units of 2**-B.
+    D = [k * lp - f for k, f in enumerate(log_fact)]
+    E = [j * lq - f for j, f in enumerate(log_fact)]
+    w = [1 << B]
+    out = [mp.make_mpf(fzero)]
+    for n in range(1, n_max + 1):
+        # (Q a + P b) >> B with Q = 2**B - P, one product per weight.
+        w = [a + (P * (b - a) >> B) for a, b in zip(w + [0], [0] + w)]
+        acc = log_fact[n] * sum(w) + sum(map(mul, w, map(add, D, E[n::-1])))
+        out.append(mp.make_mpf(from_man_exp(-acc, -2 * B, prec, "n")))
     return out

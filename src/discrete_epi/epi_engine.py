@@ -28,7 +28,8 @@ from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import mpmath
-from mpmath import mpf
+from mpmath import mp, mpf
+from mpmath.libmp import from_int, mpf_div, mpf_log, mpf_shift, mpf_sub
 
 from .dist_core import (
     IntegerPmf,
@@ -45,6 +46,7 @@ from .polycert import QUAD_LINEAR_COEFF, THRESHOLD_SLOPE
 from .precision import (
     DEFAULT_PRECISION,
     RealLike,
+    _bits,
     _count,
     _probability,
     _slack_sign,
@@ -152,8 +154,12 @@ def iid_epi_gap(base: IntegerPmf, m: int, n: int) -> EpiReport:
     return EpiReport(m=m, n=n, p=None, gap=gap, holds=holds, precision=precision)
 
 
-def _step_margin(h_next: mpf, h_cur: mpf, n: int) -> mpf:
-    return h_next - h_cur - mpmath.ln(mpf(n + 1) / n) / 2
+def _step_margin(h_next: mpf, h_cur: mpf, n: int, precision: int) -> mpf:
+    """h_next - h_cur - ln((n + 1) / n) / 2, rounded as that mpf expression."""
+    prec = _bits(precision)
+    ratio = mpf_div(from_int(n + 1), from_int(n), prec, "n")
+    half_log = mpf_shift(mpf_log(ratio, prec, "n"), -1)
+    return mp.make_mpf(mpf_sub(mpf_sub(h_next._mpf_, h_cur._mpf_, prec, "n"), half_log, prec, "n"))
 
 
 def sufficient_step_check(
@@ -162,16 +168,15 @@ def sufficient_step_check(
     """Half-log step condition at size n; margin is the slack in nats."""
     _count(n, "n", 1)
     chain = binomial_entropy_chain(p, n + 1, precision)
+    margin = _step_margin(chain[n + 1], chain[n], n, precision)
     with working_precision(precision):
-        margin = _step_margin(chain[n + 1], chain[n], n)
         return StepCheck(holds=_slack_sign(margin, precision) >= 0, margin=margin)
 
 
 def _step_margins(p: RealLike, cap: int, precision: int) -> List[mpf]:
     """Margins for n = 1 .. cap, as one entropy-chain pass."""
     chain = binomial_entropy_chain(p, cap + 1, precision)
-    with working_precision(precision):
-        return [_step_margin(chain[n + 1], chain[n], n) for n in range(1, cap + 1)]
+    return [_step_margin(chain[n + 1], chain[n], n, precision) for n in range(1, cap + 1)]
 
 
 def formula_thresholds(

@@ -2,8 +2,9 @@
 
 Every quantitative routine in this package computes with mpmath
 arbitrary-precision floats at an explicit number of decimal digits,
-passed down as a ``precision`` argument (default 50).  Four conventions
-are fixed here so all modules agree:
+passed down as a ``precision`` argument (default 50), which is
+``_bits(precision)`` bits of mantissa.  Five conventions are fixed here
+so all modules agree:
 
 * verdicts: ``_slack_sign`` is the only place where a margin is
   compared with its slack.  Every ``holds`` and ``meets_*`` flag, and
@@ -15,9 +16,18 @@ are fixed here so all modules agree:
   eps slack is neither rigorous nor reported: it is not derived from
   the error of the margin it is compared with, and no output shows
   it.  The same eps bounds the mass check of ``IntegerPmf``.
+* conversion: ``as_mpf`` rounds an int or an mpf once to nearest at
+  ``_bits(precision)`` bits, on mpmath's raw ``libmp`` tuples (sign,
+  man, exp, bc), with no change of the global working precision.  A
+  Fraction is its numerator over its denominator, each rounded so and
+  then divided with one more rounding: the roundings of the mpf
+  expression ``mpf(num) / mpf(den)``.  Strings and floats go through
+  mpmath's own constructor at the working precision.
 * probabilities: ``_probability`` is the only place where the range
-  of a p is checked.  It raises one of two messages, "p must lie in
-  [0, 1], got ..." or "p must lie strictly in (0, 1), got ...".
+  of a p is checked, on the raw tuple; it enters
+  ``working_precision`` only to format a refusal.  It raises one of
+  two messages, "p must lie in [0, 1], got ..." or "p must lie
+  strictly in (0, 1), got ...".
 * arguments: ``_count`` and ``_positive`` are the only places where a
   count or a positive real is checked.  A count is an int of at least
   its least value: "<name> must be a nonnegative integer, got ...",
@@ -40,7 +50,8 @@ from fractions import Fraction
 from typing import Optional, Tuple, Union
 
 import mpmath
-from mpmath import mpf
+from mpmath import mp, mpf
+from mpmath.libmp import dps_to_prec, fnan, fone, fzero, from_int, mpf_div, mpf_gt, mpf_pos
 
 __all__ = [
     "DEFAULT_PRECISION",
@@ -72,6 +83,12 @@ def check_precision(precision: int) -> int:
     return _count(precision, "precision", MIN_PRECISION)
 
 
+@functools.lru_cache(maxsize=None)
+def _bits(precision: int) -> int:
+    """Working precision in bits at ``precision`` decimal digits."""
+    return dps_to_prec(check_precision(precision))
+
+
 def working_precision(precision: int):
     """Context manager setting the mpmath working precision in digits."""
     return mpmath.workdps(check_precision(precision))
@@ -91,16 +108,23 @@ def eps_for(precision: int) -> mpf:
 def as_mpf(value: RealLike, precision: int) -> mpf:
     """Convert a number-like value to an mpf at the given precision.
 
-    Fractions are converted by one exact division at working precision.
-    Strings go through mpmath's decimal parser.  Floats keep their exact
-    binary value.
+    Ints and mpfs are rounded once to the working precision; a Fraction
+    is its numerator over its denominator, each rounded so, divided with
+    one more rounding.  Strings go through mpmath's decimal parser.
+    Floats keep their exact binary value.
     """
+    if isinstance(value, (int, mpf, Fraction)):
+        prec = _bits(precision)
+        if isinstance(value, int):
+            return mp.make_mpf(from_int(value, prec, "n"))
+        if isinstance(value, mpf):
+            return mp.make_mpf(mpf_pos(value._mpf_, prec, "n"))
+        num, den = from_int(value.numerator, prec, "n"), from_int(value.denominator, prec, "n")
+        return mp.make_mpf(mpf_div(num, den, prec, "n"))
     with working_precision(precision):
-        if isinstance(value, Fraction):
-            return mpf(value.numerator) / mpf(value.denominator)
-        if isinstance(value, (int, str)):
+        if isinstance(value, str):
             return mpf(value)
-        return mpf(value) * 1  # round mpf/float inputs to working precision
+        return mpf(value) * 1  # round float inputs to working precision
 
 
 def _probability(p: RealLike, precision: int, strict: bool = False) -> mpf:
@@ -110,10 +134,11 @@ def _probability(p: RealLike, precision: int, strict: bool = False) -> mpf:
     with one of the two messages in the module docstring.
     """
     pv = as_mpf(p, precision)
-    with working_precision(precision):
-        if strict and not 0 < pv < 1:
-            raise ValueError(f"p must lie strictly in (0, 1), got {pv}")
-        if not 0 <= pv <= 1:
+    x = pv._mpf_
+    if x[0] or x == fnan or mpf_gt(x, fone) or strict and x in (fzero, fone):
+        with working_precision(precision):
+            if strict:
+                raise ValueError(f"p must lie strictly in (0, 1), got {pv}")
             raise ValueError(f"p must lie in [0, 1], got {pv}")
     return pv
 

@@ -1,14 +1,18 @@
 """The pmf kernels written in mpf arithmetic: oracles for the raw kernels.
 
-``dist_core`` and ``discrimination`` compute on raw mpf tuples and sum
-their logarithmic terms exactly.  The functions here are the same
-computations spelled with mpf objects, term by term as the package once
-ran them: the pmf checks with one mpf comparison per weight and an
-``fsum``, ``mpf(c)`` for every convolution output, and the entropy and
-divergences summed by ``fsum``.  The tests assert that the raw kernels
-give the same bits.
+``precision``, ``dist_core``, ``discrimination`` and ``epi_engine``
+compute on raw mpf tuples and Python integers.  The functions here are
+the same computations spelled with mpf objects, term by term as the
+package once ran them: the conversions and the p check in working
+precision, the pmf checks with one mpf comparison per weight and an
+``fsum``, ``mpf(c)`` for every convolution output, the entropy and
+divergences summed by ``fsum``, the binomial weights by exact integer
+division, ``binomial_step_c`` as an ``fsum`` of mpf expressions, and
+the entropy chain and its step margins in mpf.  The tests assert that
+the raw kernels give the same bits.
 """
 
+from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 import mpmath
@@ -17,6 +21,104 @@ from mpmath import mpf
 from discrete_epi.dist_core import IntegerPmf, _runs
 from discrete_epi.errors import MassConservationError
 from discrete_epi.precision import eps_for, working_precision
+
+
+def as_mpf(value, precision: int) -> mpf:
+    with working_precision(precision):
+        if isinstance(value, Fraction):
+            return mpf(value.numerator) / mpf(value.denominator)
+        if isinstance(value, (int, str)):
+            return mpf(value)
+        return mpf(value) * 1  # round mpf/float inputs to working precision
+
+
+def probability(p, precision: int, strict: bool = False) -> mpf:
+    pv = as_mpf(p, precision)
+    with working_precision(precision):
+        if strict and not 0 < pv < 1:
+            raise ValueError(f"p must lie strictly in (0, 1), got {pv}")
+        if not 0 <= pv <= 1:
+            raise ValueError(f"p must lie in [0, 1], got {pv}")
+    return pv
+
+
+def bernoulli_entropy(p, precision: int) -> mpf:
+    pv = probability(p, precision)
+    with working_precision(precision):
+        if pv == 0 or pv == 1:
+            return mpf(0)
+        q = 1 - pv
+        return -pv * mpmath.ln(pv) - q * mpmath.ln(q)
+
+
+def binomial_pmf(n: int, p, precision: int) -> Tuple[mpf, ...]:
+    """Weights of B(n, p): exact numerators C(n, k) a**k b**(n-k) rolled by
+    exact division, each rounded by ``mpf((t, -e n))``."""
+    pv = probability(p, precision)
+    with working_precision(precision):
+        if pv == 0 or pv == 1:
+            w = [mpf(0)] * (n + 1)
+            w[n if pv == 1 else 0] = mpf(1)
+            return tuple(w)
+        a, exp = pv.man_exp
+        e = -exp
+        b = (1 << e) - a
+        t = b**n
+        w = [mpf((t, -e * n))]
+        for k in range(1, n + 1):
+            t = t * (n - k + 1) * a // (k * b)
+            w.append(mpf((t, -e * n)))
+    return tuple(w)
+
+
+def binomial_step_c(n: int, p, precision: int) -> mpf:
+    pv = probability(p, precision, strict=True)
+    weights = binomial_pmf(n + 1, pv, precision)
+    with working_precision(precision):
+        hp = bernoulli_entropy(pv, precision)
+        terms = []
+        for i, w in enumerate(weights):
+            if w == 0:
+                continue
+            x = mpf(i) / (n + 1)
+            terms.append((hp - bernoulli_entropy(x, precision)) * w)
+        return mpmath.fsum(terms)
+
+
+def binomial_entropy_chain(p, n_max: int, precision: int) -> List[mpf]:
+    pv = probability(p, precision)
+    with working_precision(precision):
+        if pv == 0 or pv == 1:
+            return [mpf(0)] * (n_max + 1)
+        log_bits = 1 - min(mpmath.frexp(pv)[1], mpmath.frexp(1 - pv)[1])
+        B = mpmath.mp.prec + ((n_max + 1) ** 3 * (log_bits + 2)).bit_length()
+        with mpmath.workprec(B + 16):
+
+            def fixed(x):
+                return int(mpmath.nint(mpmath.ldexp(x, B)))
+
+            P = fixed(pv)
+            lp, lq = fixed(mpmath.ln(pv)), fixed(mpmath.ln(1 - pv))
+            log_fact = [0, 0]
+            for j in range(2, n_max + 1):
+                log_fact.append(log_fact[-1] + fixed(mpmath.ln(j)))
+        Q = (1 << B) - P
+        w = [1 << B]
+        out = [mpf(0)]
+        for n in range(1, n_max + 1):
+            w = [(Q * a + P * b) >> B for a, b in zip(w + [0], [0] + w)]
+            lf_n = log_fact[n]
+            acc = sum(
+                wk * (lf_n - log_fact[k] - log_fact[n - k] + k * lp + (n - k) * lq)
+                for k, wk in enumerate(w)
+            )
+            out.append(-mpmath.ldexp(mpf(acc), -2 * B))
+    return out
+
+
+def step_margin(h_next: mpf, h_cur: mpf, n: int, precision: int) -> mpf:
+    with working_precision(precision):
+        return h_next - h_cur - mpmath.ln(mpf(n + 1) / n) / 2
 
 
 def check_weights(weights: Sequence[mpf], precision: int) -> None:

@@ -376,7 +376,7 @@ class TestPeakedIncrementsAreStepMargins:
         with working_precision(precision):
             for row in rows:
                 n = row.n
-                margin = _step_margin(chain[n], chain[n - 1], n - 1)
+                margin = _step_margin(chain[n], chain[n - 1], n - 1, precision)
                 slack = errors[n] + errors[n - 1] + eps_for(precision)
                 assert abs((row.increment - row.full_log) - margin) <= slack
                 step = sufficient_step_check(n - 1, p, precision)

@@ -243,6 +243,9 @@ class TestOutputPins:
             2, "error: tolerance must be positive, got 0.0\n",
         ),
         "sweep --m 1 --n 1 --steps 0": (2, "error: steps must be a positive integer, got 0\n"),
+        "tulino --p 0.5 --sigma -0.5 --n-min 3 --n-max 4": (
+            2, "error: sigma must be positive, got -0.5\n",
+        ),
     }
 
     @pytest.mark.parametrize("command", sorted(REFUSALS))

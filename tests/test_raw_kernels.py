@@ -1,24 +1,43 @@
 """The raw-tuple pmf kernels against their mpf oracles and a 90-digit reference."""
 
+import random
 from fractions import Fraction
+from math import comb
 
 import mpmath
 import pytest
 from mpmath import mpf
+from mpmath.libmp import from_man_exp
 
 import kernel_oracle as oracle
-from discrete_epi.discrimination import cap_discrimination, kl_divergence, mixture
+from discrete_epi import dist_core
+from discrete_epi.discrimination import (
+    binomial_step_c,
+    cap_discrimination,
+    kl_divergence,
+    mixture,
+)
 from discrete_epi.dist_core import (
     IntegerPmf,
-    _bits,
     _log_sum,
+    bernoulli_entropy,
+    binomial_entropy_chain,
+    binomial_pmf,
     convolve,
     entropy,
     iid_sum_pmf,
     shift,
 )
+from discrete_epi.epi_engine import _step_margin
 from discrete_epi.errors import MassConservationError
-from discrete_epi.precision import as_mpf, eps_for, working_precision
+from discrete_epi.precision import (
+    _bits,
+    _exact_weight,
+    _probability,
+    as_mpf,
+    eps_for,
+    working_precision,
+)
 
 from conftest import exact_value
 
@@ -175,6 +194,87 @@ class TestEntropyErrorModel:
         man, exp = _log_sum(((x, x, None) for x in raw(weights)), prec)
         assert Fraction(man) * Fraction(2) ** exp == sum(exact_value(t) for t in terms)
         self.assert_within_model(pmf)
+
+
+# The Bernoulli kernels on the grid of p, n and precision: dyadic p, a
+# p whose 1 - p rounds, two skewed p and a p whose ln is near -690.
+BERNOULLI_PS = (
+    Fraction(1, 2), Fraction(1, 4), Fraction(3, 8), "0.3", Fraction(7, 40),
+    Fraction(1, 1000), Fraction(999, 1000), "1e-300",
+)
+BERNOULLI_NS = (0, 1, 2, 3, 33, 75, 121, 300)
+BERNOULLI_PRECISIONS = (20, 30, 50, 80)
+
+
+@pytest.mark.parametrize("precision", BERNOULLI_PRECISIONS)
+@pytest.mark.parametrize("p", BERNOULLI_PS, ids=str)
+class TestBernoulliKernelsMatchMpfOracle:
+    def test_binomial_pmf(self, p, precision):
+        for n in BERNOULLI_NS:
+            got = binomial_pmf(n, p, precision).weights
+            assert raw(got) == raw(oracle.binomial_pmf(n, p, precision))
+
+    def test_binomial_step_c_and_bernoulli_entropy(self, p, precision):
+        assert bernoulli_entropy(p, precision)._mpf_ == oracle.bernoulli_entropy(p, precision)._mpf_
+        for n in BERNOULLI_NS:
+            got = binomial_step_c(n, p, precision)
+            assert got._mpf_ == oracle.binomial_step_c(n, p, precision)._mpf_
+
+    def test_chain_and_step_margins(self, p, precision):
+        for n_max in BERNOULLI_NS:
+            chain = binomial_entropy_chain(p, n_max, precision)
+            assert raw(chain) == raw(oracle.binomial_entropy_chain(p, n_max, precision))
+        margins = [_step_margin(chain[n + 1], chain[n], n, precision) for n in range(1, n_max)]
+        expected = [oracle.step_margin(chain[n + 1], chain[n], n, precision) for n in range(1, n_max)]
+        assert raw(margins) == raw(expected)
+
+
+def test_binomial_pmf_falls_back_to_the_exact_weight_at_a_midpoint(monkeypatch):
+    # C(75, 34) / 2**75 has 71 significant bits, so at 20 digits (70 bits)
+    # it is exactly halfway between two neighbours: no bracket can decide it.
+    n, k, precision = 75, 34, 20
+    odd = comb(n, k) >> (comb(n, k) & -comb(n, k)).bit_length() - 1
+    assert odd.bit_length() == _bits(precision) + 1
+    exact = []
+    monkeypatch.setattr(dist_core, "comb", lambda n, k: exact.append(k) or comb(n, k))
+    weights = binomial_pmf(n, Fraction(1, 2), precision).weights
+    assert k in exact
+    assert raw(weights) == raw(oracle.binomial_pmf(n, Fraction(1, 2), precision))
+
+
+def test_binomial_pmf_4000_weights_are_the_exact_weights_rounded():
+    n, precision = 4000, 50
+    a, b, e = _exact_weight(as_mpf("0.3", precision))
+    prec = _bits(precision)
+    weights = binomial_pmf(n, "0.3", precision).weights
+    for k in random.Random(4000).sample(range(n + 1), 20):
+        exact = from_man_exp(comb(n, k) * a**k * b ** (n - k), -e * n, prec, "n")
+        assert weights[k]._mpf_ == exact
+
+
+CONVERTED = (
+    0, 1, 3, -5, True, 2**300 + 1,
+    Fraction(1, 3), Fraction(-1, 7), Fraction(2**300 + 1, 3**250), Fraction(3**250, 2**300 + 1),
+    0.1, 1e-300, float("inf"), float("nan"),
+    "0.3", "1e-300", "-inf", "nan",
+)
+
+
+@pytest.mark.parametrize("precision", BERNOULLI_PRECISIONS)
+def test_conversions_match_the_mpf_oracle(precision):
+    with mpmath.workdps(100):
+        values = CONVERTED + (mpmath.pi * 1, mpf("-0.3"), mpf("1.5"), mpf(0))
+    for value in values:
+        assert as_mpf(value, precision)._mpf_ == oracle.as_mpf(value, precision)._mpf_
+        for strict in (False, True):
+            try:
+                expected = oracle.probability(value, precision, strict)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    _probability(value, precision, strict)
+                assert str(got.value) == str(exc)
+            else:
+                assert _probability(value, precision, strict)._mpf_ == expected._mpf_
 
 
 class TestDivergenceErrorModel:
