@@ -447,7 +447,7 @@ class TestEntropyChain:
     def test_logarithm_count_is_linear(self, dps50, ln_calls):
         n_max = 150
         binomial_entropy_chain(Fraction(2, 7), n_max)
-        assert 0 < len(ln_calls) <= n_max + 3
+        assert len(ln_calls) == n_max + 1  # ln p, ln q and ln j for j = 2 .. n_max
 
     def test_row_budget_fails_before_any_work(self, dps50, ln_calls, monkeypatch):
         def refuse(*args):
