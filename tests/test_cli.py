@@ -228,6 +228,10 @@ class TestOutputPins:
             "tail_bound=0.0000031249218750000976562495117187551879881866455107826\n",
         ),
         "bound --p 0 --n 4": (2, "error: p must lie strictly in (0, 1), got 0.0\n"),
+        # harmonic order 2l = 34 needs moments to order 4l + 1 = 69
+        "bound --p 0.3 --n 4 --l 17": (
+            3, "computation budget exceeded: moment order 69 is past the 65-order budget\n",
+        ),
         "threshold --p 0": (2, "error: p must lie strictly in (0, 1), got 0.0\n"),
         "discrimination --n 3 --p 0": (2, "error: p must lie strictly in (0, 1), got 0.0\n"),
         "sweep --m 1 --n 1 --p 0": (2, "error: p must lie strictly in (0, 1), got 0.0\n"),

@@ -9,9 +9,12 @@ import pytest
 from mpmath import mpf
 from mpmath.libmp import from_rational
 
+import kernel_oracle
 from discrete_epi import moments_bounds
 from discrete_epi.dist_core import IntegerPmf, binomial_pmf, entropy, iid_sum_pmf, shift
+from discrete_epi.errors import BudgetExceededError
 from discrete_epi.moments_bounds import (
+    MAX_MOMENT_ORDER,
     _harmonic_cursor,
     _laurent_table,
     _moment_poly,
@@ -42,6 +45,8 @@ from conftest import (
 P_GRID = ("0.1", "0.25", "0.4", "0.5", "0.63", "0.8", "0.9")
 ORACLE_PS = ("0.2", Fraction(1, 3), Fraction(1, 2), "0.77")
 ROUNDING_PS = (Fraction(3, 10), Fraction(1, 3), Fraction(1, 2), "0.77", "1e-300", 0, 1)
+# the least depth l whose Laurent table, to order 2l + 1, is past the budget
+DEPTH_PAST_BUDGET = MAX_MOMENT_ORDER // 2 + 1
 
 
 def exact_p(p, precision: int = 50) -> Fraction:
@@ -132,9 +137,9 @@ class TestCumulants:
     @pytest.mark.parametrize("precision", [20, 50, 80])
     @pytest.mark.parametrize("p", ROUNDING_PS)
     def test_bernoulli_cumulants_are_correctly_rounded(self, p, precision):
-        exact = exact_bernoulli_cumulants(exact_p(p, precision), 12)
-        got = bernoulli_cumulants(p, 12, precision)
-        for g in range(1, 13):
+        exact = exact_bernoulli_cumulants(exact_p(p, precision), 20)
+        got = bernoulli_cumulants(p, 20, precision)
+        for g in range(1, 21):
             assert got.kappa(g)._mpf_ == rounded(exact[g - 1], precision), g
 
     def test_order_bounds_enforced(self, dps50):
@@ -149,7 +154,7 @@ class TestCentralMoments:
     def test_closed_matches_exact_rational(self, dps50):
         p = Fraction(3, 10)
         for n in (1, 2, 5, 17):
-            for k in range(0, 8):
+            for k in range(0, 13):
                 exact = exact_central_moment(n, p, k)
                 got = central_moment_closed(n, p, k)
                 assert_close(got, mpf(exact.numerator) / exact.denominator)
@@ -177,16 +182,39 @@ class TestCentralMoments:
                 got = central_moment_closed(n, p, k, precision)
                 assert got._mpf_ == rounded(oracle(n, pv, k), precision), (n, k)
 
-    def test_rejects_unsupported_order(self, dps50):
-        with pytest.raises(ValueError):
-            central_moment_closed(3, "0.5", 8)
+    @pytest.mark.parametrize(
+        "call, order",
+        [
+            (lambda: central_moment_closed(3, "0.5", MAX_MOMENT_ORDER + 1), MAX_MOMENT_ORDER + 1),
+            (lambda: bernoulli_cumulants("0.3", MAX_MOMENT_ORDER + 1), MAX_MOMENT_ORDER + 1),
+            (lambda: gamma_l(1, "0.3", DEPTH_PAST_BUDGET), 2 * DEPTH_PAST_BUDGET + 1),
+            (lambda: c_coeff(DEPTH_PAST_BUDGET, "0.3"), 2 * DEPTH_PAST_BUDGET + 1),
+            (lambda: cumulative_gamma_bound(4, "0.3", DEPTH_PAST_BUDGET), 2 * DEPTH_PAST_BUDGET + 1),
+            (lambda: harmonic_lower_bound(4, "0.3", DEPTH_PAST_BUDGET), 2 * DEPTH_PAST_BUDGET + 1),
+        ],
+        ids=["closed", "cumulants", "gamma_l", "c_coeff", "cumulative", "harmonic"],
+    )
+    def test_order_budget_refuses_before_any_row(self, call, order):
+        # the top order is asked for first: the refused call is the only
+        # one, and no row is built or read
+        before = _moment_poly.cache_info()
+        with pytest.raises(
+            BudgetExceededError,
+            match=f"^moment order {order} is past the {MAX_MOMENT_ORDER}-order budget$",
+        ):
+            call()
+        after = _moment_poly.cache_info()
+        assert (after.hits, after.misses, after.currsize) == (
+            before.hits, before.misses + 1, before.currsize,
+        )
 
 
 class TestMomentTable:
-    @pytest.mark.parametrize("k", range(1, 8))
+    @pytest.mark.parametrize("k", range(21))
     def test_rows_match_exact(self, k):
         # mu_k(n) = sum_b n**b P_kb(r) at exact p = 1/2 + r; odd orders too
         rows = _moment_poly(k)
+        assert rows == kernel_oracle.moment_poly(k)
         for p in (Fraction(3, 10), Fraction(9, 10)):
             r = p - Fraction(1, 2)
             for n in (1, 2, 5, 17):
@@ -211,8 +239,8 @@ class TestFaaDiBruno:
 
     def test_evaluates_to_binomial_moments(self, dps50):
         for p_str in ("0.25", "0.5", "0.8"):
-            cums = bernoulli_cumulants(p_str, 8)
-            for k in range(2, 9):
+            cums = bernoulli_cumulants(p_str, 12)
+            for k in range(2, 13):
                 poly = faa_di_bruno_poly(k, cums)
                 for j in (1, 2, 5, 8):
                     pmf = binomial_pmf(j, p_str)
