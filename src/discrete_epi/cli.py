@@ -202,13 +202,17 @@ def _cmd_bound(args: argparse.Namespace) -> Payload:
     with working_precision(precision):
         pmf = dist_core.binomial_pmf(args.n, args.p, precision)
         exact = dist_core.entropy(pmf)
-        cumulative = moments_bounds.cumulative_gamma_bound(
-            args.n, args.p, args.l, precision
-        )
         # Taylor depth l feeds harmonic orders up to w = 2l (a single
         # partition block of size k = 2l+1 contributes excess k - 1).
+        # The telescoped bound's count checks come first, then the depth-2l
+        # table, so a depth past the moment budget is refused early.
+        _count(args.n, "n", 1)
+        _count(args.l, "l", 1)
         harmonic = moments_bounds.harmonic_lower_bound(
             args.n, args.p, 2 * args.l, precision
+        )
+        cumulative = moments_bounds.cumulative_gamma_bound(
+            args.n, args.p, args.l, precision
         )
         # Slack 0: a rounded nonzero difference keeps its sign.
         return {

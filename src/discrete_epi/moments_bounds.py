@@ -263,9 +263,6 @@ def _moment_poly(k: int) -> Tuple[Tuple[Fraction, ...], ...]:
         )
     if k < 2:
         return ((Fraction(1 - k),) * (k + 1),)  # mu_0 = 1, mu_1 = 0
-    # built in ascending order, so the cache fills without deep recursion
-    for j in range(2, k):
-        _moment_poly(j)
     lower, prev = _moment_poly(k - 2), _moment_poly(k - 1)
     zero = (Fraction(0),) * k
     pad = [Fraction(0)] * 2

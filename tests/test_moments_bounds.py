@@ -1,5 +1,6 @@
 """Moment, cumulant, and entropy-lower-bound tests with exact oracles."""
 
+import argparse
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -10,7 +11,7 @@ from mpmath import mpf
 from mpmath.libmp import from_rational
 
 import kernel_oracle
-from discrete_epi import moments_bounds
+from discrete_epi import cli, moments_bounds
 from discrete_epi.dist_core import IntegerPmf, binomial_pmf, entropy, iid_sum_pmf, shift
 from discrete_epi.errors import BudgetExceededError
 from discrete_epi.moments_bounds import (
@@ -191,8 +192,10 @@ class TestCentralMoments:
             (lambda: c_coeff(DEPTH_PAST_BUDGET, "0.3"), 2 * DEPTH_PAST_BUDGET + 1),
             (lambda: cumulative_gamma_bound(4, "0.3", DEPTH_PAST_BUDGET), 2 * DEPTH_PAST_BUDGET + 1),
             (lambda: harmonic_lower_bound(4, "0.3", DEPTH_PAST_BUDGET), 2 * DEPTH_PAST_BUDGET + 1),
+            # bound --l asks for the depth-2l table before the depth-l one
+            (lambda: cli._cmd_bound(argparse.Namespace(p="0.3", n=4, l=17, precision=50)), 69),
         ],
-        ids=["closed", "cumulants", "gamma_l", "c_coeff", "cumulative", "harmonic"],
+        ids=["closed", "cumulants", "gamma_l", "c_coeff", "cumulative", "harmonic", "cli_bound"],
     )
     def test_order_budget_refuses_before_any_row(self, call, order):
         # the top order is asked for first: the refused call is the only
