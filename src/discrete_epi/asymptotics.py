@@ -239,6 +239,7 @@ from mpmath import mpf
 from mpmath.libmp import from_man_exp
 
 from .dist_core import (  # MAX_SUM_SUPPORT is re-exported
+    MAX_CHAIN_ROWS,
     MAX_SUM_SUPPORT,
     IntegerPmf,
     _convolve_runs,
@@ -250,7 +251,7 @@ from .dist_core import (  # MAX_SUM_SUPPORT is re-exported
     binomial_pmf,
     entropy,
 )
-from .errors import QuadratureError
+from .errors import BudgetExceededError, QuadratureError
 from .moments_bounds import CumulantSet, cumulants_from_raw_moments
 from .precision import (
     DEFAULT_PRECISION,
@@ -744,11 +745,17 @@ def tulino_verdu_compare(
     at size n - 1, up to the two reported errors: meets_full is then the
     step condition that ``epi_engine.sufficient_step_check(n - 1, p)``
     decides, and criterion 9 tests the same inequality as criterion 2.
+
+    An n whose B(n) is past the ``MAX_CHAIN_ROWS`` weight budget is
+    refused (BudgetExceededError) before any smoothed entropy is computed.
     """
     ns = [_count(n, "n", 2) for n in sorted(set(n_values))]
     if not ns:
         return []
     sig = _positive(sigma, "sigma", precision)
+    if ns[-1] >= MAX_CHAIN_ROWS:
+        # B(n_max) is the largest pmf the rows read: refuse it before any row.
+        raise BudgetExceededError(f"n={ns[-1]}: B(n) is past the {MAX_CHAIN_ROWS}-weight budget")
     needed = sorted(set(ns) | {n - 1 for n in ns})
     results: Dict[int, SmoothedEntropy] = {}
     with working_precision(precision):

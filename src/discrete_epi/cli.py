@@ -143,19 +143,6 @@ def _svg_text(points: List[Tuple[float, float]], x_label: str, y_label: str) -> 
     return "\n".join(parts) + "\n"
 
 
-def _p_grid(p_min: str, p_max: str, steps: int, precision: int) -> List[mpf]:
-    _count(steps, "steps", 1)
-    lo = _probability(p_min, precision, strict=True)
-    hi = _probability(p_max, precision, strict=True)
-    if lo > hi:
-        raise ValueError(f"p-min must not exceed p-max, got {p_min} > {p_max}")
-    if steps == 1:
-        return [lo]
-    with working_precision(precision):
-        step = (hi - lo) / (steps - 1)
-        return [lo + i * step for i in range(steps)]
-
-
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 # ---------------------------------------------------------------------------
@@ -165,11 +152,25 @@ def _cmd_gap(args: argparse.Namespace) -> Payload:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> Payload:
-    if args.p is not None:
-        grid = _p_grid(args.p, args.p, 1, args.precision)
-    else:
-        grid = _p_grid(args.p_min, args.p_max, args.steps, args.precision)
-    rows = [(p, epi_engine.epi_gap(args.m, args.n, p, args.precision).gap) for p in grid]
+    precision, budget = args.precision, dist_core.MAX_CHAIN_ROWS
+    p_min, p_max = (args.p, args.p) if args.p is not None else (args.p_min, args.p_max)
+    steps = 1 if args.p is not None else _count(args.steps, "steps", 1)
+    lo = _probability(p_min, precision, strict=True)
+    hi = _probability(p_max, precision, strict=True)
+    if lo > hi:
+        raise ValueError(f"p-min must not exceed p-max, got {p_min} > {p_max}")
+    # A chain of r rows costs about r**2, so a sweep may cost no more than
+    # the largest single chain; it is refused before the first chain.  A
+    # chain past the row budget refuses itself at once.
+    chain_rows = _count(args.m, "m", 1) + _count(args.n, "n", 1) + 1
+    if chain_rows <= budget and steps * chain_rows**2 > budget**2:
+        raise BudgetExceededError(
+            f"{steps} chains of {chain_rows} rows cost more than one {budget}-row chain"
+        )
+    with working_precision(precision):
+        step = (hi - lo) / max(steps - 1, 1)
+        grid = [lo + i * step for i in range(steps)]
+    rows = [(p, epi_engine.epi_gap(args.m, args.n, p, precision).gap) for p in grid]
     if args.format == "svg":
         return _svg_text([(float(p), float(g)) for p, g in rows], "p", "entropy power gap")
     return [("p", "gap"), *rows]

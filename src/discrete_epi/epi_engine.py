@@ -1,4 +1,4 @@
-"""Entropy power checks for sums of iid Bernoulli-type variables.
+"""Entropy power checks for binomial sums and for sums of iid copies of any pmf.
 
 For independent X and Y, the entropy power inequality asks whether
 
@@ -12,20 +12,38 @@ half-log step growth of the entropy along the iid-sum process:
     H[Binomial(n+1, p)] - H[Binomial(n, p)]  >=  (1/2) ln((n+1)/n),
 
 because exp(2 H[Binomial(n, p)]) / n nondecreasing in n turns
-super-additivity over sizes into the inequality itself.  This module
-evaluates gaps, step margins, empirical thresholds, and the closed-form
-threshold candidates
+super-additivity over sizes into the inequality itself.
 
-    ceil(111/25 t + 7)   and   ceil(t**2 + 117/50 t + 7),
+Each check is written once, over an entropy table: anything indexed by
+size n that gives H_n.  ``_gaps`` turns a table into gaps
+exp(2 H_(m+n)) - exp(2 H_m) - exp(2 H_n), taking each exp once, and
+``_step_signs`` into half-log step margins and their signs.  The public
+functions differ only in the table they build:
 
-both in the skew parameter t = omega(p); the exact rationals live in
+    epi_gap                 binomial chain to m + n
+    epi_grid_check          binomial chain to m_max + n_max
+    iid_epi_gap             {m: H[S_m], n: H[S_n], m + n: H[S_m * S_n]},
+                            S_k the k-fold sum from one squaring ladder
+    sufficient_step_check   binomial chain to n + 1
+    empirical_threshold,
+    zero_crossing_scan      binomial chain to cap + 1
+
+A chain's last bit depends on its length (see ``binomial_entropy_chain``),
+so each keeps its own length rather than reading a longer shared chain.
+``semi_asymptotic_condition`` reads entropy(binomial_pmf(m)), a route
+independent of the chain.  The closed-form threshold candidates
+
+    ceil(111/25 t + 7)   and   ceil(t**2 + 117/50 t + 7)
+
+are both in the skew parameter t = omega(p); the exact rationals live in
 :mod:`discrete_epi.polycert` next to the certificates that justify them.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import mpmath
 from mpmath import mp, mpf
@@ -119,8 +137,25 @@ class ThresholdReport:
     precision: int
 
 
-def _epi_gap_from_entropies(h_sum: mpf, h_x: mpf, h_y: mpf) -> mpf:
-    return mpmath.exp(2 * h_sum) - mpmath.exp(2 * h_x) - mpmath.exp(2 * h_y)
+def _gaps(
+    h, pairs: Iterable[Tuple[int, int]], p: Optional[mpf], precision: int
+) -> Dict[Tuple[int, int], EpiReport]:
+    """Reports for each (m, n), gap = e[m + n] - e[m] - e[n] with e = exp(2 h).
+
+    h is an entropy table, indexed by size; each exp is taken once.
+    """
+    pairs = list(pairs)
+    sizes = {k for m, n in pairs for k in (m, n, m + n)}
+    with working_precision(precision):
+        e = {k: mpmath.exp(2 * h[k]) for k in sizes}
+        out = {}
+        for m, n in pairs:
+            gap = e[m + n] - e[m] - e[n]
+            out[(m, n)] = EpiReport(
+                m=m, n=n, p=p, gap=gap, holds=_slack_sign(gap, precision) >= 0,
+                precision=precision,
+            )
+    return out
 
 
 def epi_gap(m: int, n: int, p: RealLike, precision: int = DEFAULT_PRECISION) -> EpiReport:
@@ -128,11 +163,7 @@ def epi_gap(m: int, n: int, p: RealLike, precision: int = DEFAULT_PRECISION) -> 
     _count(m, "m", 1)
     _count(n, "n", 1)
     pv = as_mpf(p, precision)
-    chain = binomial_entropy_chain(pv, m + n, precision)
-    with working_precision(precision):
-        gap = _epi_gap_from_entropies(chain[m + n], chain[m], chain[n])
-        holds = _slack_sign(gap, precision) >= 0
-    return EpiReport(m=m, n=n, p=pv, gap=gap, holds=holds, precision=precision)
+    return _gaps(binomial_entropy_chain(pv, m + n, precision), [(m, n)], pv, precision)[(m, n)]
 
 
 def iid_epi_gap(base: IntegerPmf, m: int, n: int) -> EpiReport:
@@ -143,15 +174,11 @@ def iid_epi_gap(base: IntegerPmf, m: int, n: int) -> EpiReport:
     """
     _count(m, "m", 1)
     _count(n, "n", 1)
-    precision = base.precision
     _check_sum_support(base, m + n)
     sums = _iid_ladder(base, (m, n))
-    sum_m, sum_n = sums[m], sums[n]
-    total = convolve(sum_m, sum_n)
-    with working_precision(precision):
-        gap = _epi_gap_from_entropies(entropy(total), entropy(sum_m), entropy(sum_n))
-        holds = _slack_sign(gap, precision) >= 0
-    return EpiReport(m=m, n=n, p=None, gap=gap, holds=holds, precision=precision)
+    sums[m + n] = convolve(sums[m], sums[n])
+    h = {k: entropy(pmf) for k, pmf in sums.items()}
+    return _gaps(h, [(m, n)], None, base.precision)[(m, n)]
 
 
 def _step_margin(h_next: mpf, h_cur: mpf, n: int, precision: int) -> mpf:
@@ -162,21 +189,24 @@ def _step_margin(h_next: mpf, h_cur: mpf, n: int, precision: int) -> mpf:
     return mp.make_mpf(mpf_sub(mpf_sub(h_next._mpf_, h_cur._mpf_, prec, "n"), half_log, prec, "n"))
 
 
+def _step_signs(h, ns: Iterable[int], precision: int) -> List[Tuple[int, mpf, int]]:
+    """(n, margin, sign) of the half-log step at each n, in order.
+
+    h is an entropy table, indexed by size, holding n and n + 1.
+    """
+    margins = [(n, _step_margin(h[n + 1], h[n], n, precision)) for n in ns]
+    with working_precision(precision):
+        return [(n, margin, _slack_sign(margin, precision)) for n, margin in margins]
+
+
 def sufficient_step_check(
     n: int, p: RealLike, precision: int = DEFAULT_PRECISION
 ) -> StepCheck:
     """Half-log step condition at size n; margin is the slack in nats."""
     _count(n, "n", 1)
     chain = binomial_entropy_chain(p, n + 1, precision)
-    margin = _step_margin(chain[n + 1], chain[n], n, precision)
-    with working_precision(precision):
-        return StepCheck(holds=_slack_sign(margin, precision) >= 0, margin=margin)
-
-
-def _step_margins(p: RealLike, cap: int, precision: int) -> List[mpf]:
-    """Margins for n = 1 .. cap, as one entropy-chain pass."""
-    chain = binomial_entropy_chain(p, cap + 1, precision)
-    return [_step_margin(chain[n + 1], chain[n], n, precision) for n in range(1, cap + 1)]
+    [(_, margin, sign)] = _step_signs(chain, [n], precision)
+    return StepCheck(holds=sign >= 0, margin=margin)
 
 
 def formula_thresholds(
@@ -208,14 +238,11 @@ def empirical_threshold(
     _count(cap, "cap", 1)
     pv = as_mpf(p, precision)
     t = omega(pv, precision)
-    margins = _step_margins(pv, cap, precision)
+    chain = binomial_entropy_chain(pv, cap + 1, precision)
+    signs = _step_signs(chain, range(1, cap + 1), precision)
     fa, fb = formula_thresholds(t, precision)
-    with working_precision(precision):
-        last_bad = 0
-        for n, margin in enumerate(margins, start=1):
-            if _slack_sign(margin, precision) < 0:
-                last_bad = n
-        n0: Optional[int] = last_bad + 1 if last_bad < cap else None
+    last_bad = max((n for n, _, sign in signs if sign < 0), default=0)
+    n0: Optional[int] = last_bad + 1 if last_bad < cap else None
     return ThresholdReport(
         p=pv, t=t, empirical_n0=n0, formula_a=fa, formula_b=fb, cap=cap,
         precision=precision,
@@ -232,16 +259,14 @@ def zero_crossing_scan(
     the new sign.
     """
     _count(cap, "cap", 1)
-    margins = _step_margins(p, cap, precision)
-    with working_precision(precision):
-        crossings = []
-        last_sign = 0
-        for n, margin in enumerate(margins, start=1):
-            sign = _slack_sign(margin, precision)
-            if sign != 0:
-                if last_sign != 0 and sign != last_sign:
-                    crossings.append(n)
-                last_sign = sign
+    chain = binomial_entropy_chain(p, cap + 1, precision)
+    crossings = []
+    last_sign = 0
+    for n, _, sign in _step_signs(chain, range(1, cap + 1), precision):
+        if sign != 0:
+            if last_sign != 0 and sign != last_sign:
+                crossings.append(n)
+            last_sign = sign
     return crossings
 
 
@@ -264,17 +289,8 @@ def epi_grid_check(
         )
     pv = as_mpf(p, precision)
     chain = binomial_entropy_chain(pv, m_max + n_max, precision)
-    out: Dict[Tuple[int, int], EpiReport] = {}
-    with working_precision(precision):
-        powers = [mpmath.exp(2 * h) for h in chain]
-        for m in range(1, m_max + 1):
-            for n in range(1, n_max + 1):
-                gap = powers[m + n] - powers[m] - powers[n]
-                out[(m, n)] = EpiReport(
-                    m=m, n=n, p=pv, gap=gap, holds=_slack_sign(gap, precision) >= 0,
-                    precision=precision,
-                )
-    return out
+    pairs = itertools.product(range(1, m_max + 1), range(1, n_max + 1))
+    return _gaps(chain, pairs, pv, precision)
 
 
 def semi_asymptotic_condition(

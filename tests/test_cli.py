@@ -9,7 +9,7 @@ import pytest
 from mpmath import mpf
 
 import discrete_epi.cli as cli
-from discrete_epi import dist_core
+from discrete_epi import asymptotics, dist_core, epi_engine
 from discrete_epi.errors import ConsistencyError
 
 
@@ -250,6 +250,15 @@ class TestOutputPins:
         "tulino --p 0.5 --sigma -0.5 --n-min 3 --n-max 4": (
             2, "error: sigma must be positive, got -0.5\n",
         ),
+        "tulino --p 0.3 --sigma 1e-3 --n-min 16380 --n-max 16384 --precision 20": (
+            3, "computation budget exceeded: n=16384: B(n) is past the 16384-weight budget\n",
+        ),
+        # 197 chains of 16,001 rows, about 2.7 h
+        "sweep --m 8000 --n 8000": (
+            3,
+            "computation budget exceeded: 197 chains of 16001 rows cost more than one "
+            "16384-row chain\n",
+        ),
     }
 
     @pytest.mark.parametrize("command", sorted(REFUSALS))
@@ -378,6 +387,41 @@ class TestWorkBudgets:
         assert out == ""
         assert err.startswith("computation budget exceeded: ")
         assert "point budget" in err
+
+    def test_oversized_tulino_computes_no_row(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a row was computed before the budget check")
+
+        monkeypatch.setattr(asymptotics, "binomial_pmf", refuse)
+        monkeypatch.setattr(asymptotics, "gaussian_smoothed_entropy", refuse)
+        argv = ["tulino", "--p", "0.3", "--sigma", "1e-3", "--n-min", "2", "--n-max", "16384"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (3, "")
+        assert "16384-weight budget" in err
+        # n-max 16,383 still fits: its first row is computed.
+        argv[-1] = "16383"
+        with pytest.raises(AssertionError, match="a row was computed"):
+            cli.main(argv)
+
+    def test_sweep_costs_at_most_the_largest_chain(self, capsys, monkeypatch):
+        # 128-row chains: 16,384 steps cost one 16,384-row chain, one more is refused.
+        calls = []
+
+        def gap(m, n, p, precision):
+            calls.append(p)
+            return epi_engine.EpiReport(m, n, p, mpf(0), True, precision)
+
+        monkeypatch.setattr(epi_engine, "epi_gap", gap)
+        argv = ["sweep", "--m", "100", "--n", "27", "--steps", "16385"]
+        code, out, err = run(capsys, argv)
+        assert (code, out, calls) == (3, "", [])
+        assert err == (
+            "computation budget exceeded: 16385 chains of 128 rows cost more than one "
+            "16384-row chain\n"
+        )
+        argv[-1] = "16384"
+        code, out, _ = run(capsys, argv)
+        assert (code, len(calls), out.count("\n")) == (0, 16384, 16385)
 
 
 class TestTulinoCommand:

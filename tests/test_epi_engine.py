@@ -1,5 +1,7 @@
 """Entropy-power gap, step-condition, and threshold tests."""
 
+import hashlib
+from dataclasses import astuple, is_dataclass
 from math import comb
 
 import mpmath
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from mpmath import mpf
 
 from discrete_epi import dist_core, epi_engine
-from discrete_epi.dist_core import IntegerPmf, binomial_pmf
+from discrete_epi.dist_core import IntegerPmf, binomial_pmf, delta_pmf
 from discrete_epi.epi_engine import (
     empirical_threshold,
     epi_gap,
@@ -172,6 +174,68 @@ class TestGrid:
         cells = epi_grid_check(3, 4, "0.3")
         single = epi_gap(2, 4, "0.3")
         assert_close(cells[(2, 4)].gap, single.gap, "1e-45")
+
+
+def raw_digest(value) -> str:
+    """sha256 of value with every mpf read as its raw (sign, man, exp, bc)."""
+
+    def raw(item):
+        if isinstance(item, mpf):
+            sign, man, exp, bc = item._mpf_
+            return (sign, int(man), exp, bc)
+        if is_dataclass(item):
+            item = astuple(item)
+        if isinstance(item, dict):
+            item = sorted(item.items())
+        if isinstance(item, (list, tuple)):
+            return tuple(raw(x) for x in item)
+        return item
+
+    return hashlib.sha256(repr(raw(value)).encode()).hexdigest()
+
+
+class TestBitPins:
+    # Every bit of the results, where the tests above compare to 1e-40.
+    # Each public function reads a chain of its own length, and the
+    # chain's last bit depends on that length, so these also pin it.
+    BASES = {
+        "bernoulli": lambda precision: binomial_pmf(1, "0.3", precision),
+        "uniform": lambda precision: IntegerPmf.from_weights(["1/3"] * 3, precision=precision),
+        "gapped": lambda precision: IntegerPmf.from_weights(["1/2", "0", "1/2"], precision=precision),
+        "delta": lambda precision: delta_pmf(0, precision),
+    }
+    IID_SHA256 = {
+        ("bernoulli", 30): "d80f6d219320c07fd4660eb91489aee5d8cd0978e88327040f05b28dd43d660a",
+        ("uniform", 30): "933d72eb58144185a97d69fd15980d8fe98bf9735b2237370eb1aafedfaf1f8b",
+        ("gapped", 30): "67df5edecb8cb01a16ca1070ac41dd58fec6f6676168e548c41edba51583cd1b",
+        ("delta", 30): "082b4d1ea09c757fe68579cab870ac5ec8239b63573a6e71273ff04382751cce",
+        ("bernoulli", 50): "5d13a232f8ef441e37ca776654a62ba3a149ac72df799ba3e61647ac448450f8",
+        ("uniform", 50): "dd6df5e1c4fafe0ab6abd7b658d0582dc686f09aa95e71fc2c150ed3337c4eec",
+        ("gapped", 50): "0cc81d924037961119f4c630cc428e4cc52ed6b03b0f3b3fc1bc044196921a5a",
+        ("delta", 50): "3a543d08e3ead45375840e5db724841b1aeed0d50994a19df42a991cdfe3f864",
+    }
+
+    @pytest.mark.parametrize("base, precision", sorted(IID_SHA256))
+    def test_iid_gaps(self, base, precision):
+        pmf = self.BASES[base](precision)
+        reports = [iid_epi_gap(pmf, m, n) for m, n in ((1, 1), (2, 3), (5, 4), (8, 8))]
+        assert raw_digest(reports) == self.IID_SHA256[(base, precision)]
+
+    BINOMIAL_SHA256 = {
+        ("0.05", 30): "d5645d6077b02bdcda7441225b3c9051d34f76d7df64258e13acaf33d935b57b",
+        ("0.3", 30): "37d31dea0ee65f149f8da838ba69973b50b53998511195d8957a901e1732a179",
+        ("0.5", 30): "5c70df9b2939963402affa4a6709ba410ec1fb0efa3f770c9a3ffcad38ce51a4",
+        ("0.05", 50): "144c7ea9961292084b346fed9d6dff911cb81f466318247afdbe2bc057573042",
+        ("0.3", 50): "b87e6ec822a85252b0071e7a81087661164c393305b5e1d9c6fc46eb99b449a2",
+        ("0.5", 50): "d79ad1904ecb23729e2e705528dee9a6dd8233f6b6d46b80423ebfe3fc831ad2",
+    }
+
+    @pytest.mark.parametrize("p, precision", sorted(BINOMIAL_SHA256))
+    def test_steps_crossings_and_grid(self, p, precision):
+        steps = [sufficient_step_check(n, p, precision) for n in (1, 2, 10, 24)]
+        crossings = zero_crossing_scan(p, 40, precision)
+        grid = epi_grid_check(5, 4, p, precision)
+        assert raw_digest((steps, crossings, grid)) == self.BINOMIAL_SHA256[(p, precision)]
 
 
 class TestSemiAsymptotic:
