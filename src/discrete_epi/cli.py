@@ -161,12 +161,15 @@ def _cmd_sweep(args: argparse.Namespace) -> Payload:
         raise ValueError(f"p-min must not exceed p-max, got {p_min} > {p_max}")
     # A chain of r rows costs about r**2, so a sweep may cost no more than
     # the largest single chain; it is refused before the first chain.  A
-    # chain past the row budget refuses itself at once.
+    # chain past the row budget refuses itself at once.  Small chains cost
+    # little each, so the p grid itself is held to the same budget.
     chain_rows = _count(args.m, "m", 1) + _count(args.n, "n", 1) + 1
     if chain_rows <= budget and steps * chain_rows**2 > budget**2:
         raise BudgetExceededError(
             f"{steps} chains of {chain_rows} rows cost more than one {budget}-row chain"
         )
+    if steps > budget:
+        raise BudgetExceededError(f"steps={steps} puts the sweep past the {budget}-step budget")
     with working_precision(precision):
         step = (hi - lo) / max(steps - 1, 1)
         grid = [lo + i * step for i in range(steps)]
@@ -203,8 +206,8 @@ def _cmd_bound(args: argparse.Namespace) -> Payload:
     with working_precision(precision):
         pmf = dist_core.binomial_pmf(args.n, args.p, precision)
         exact = dist_core.entropy(pmf)
-        # Taylor depth l feeds harmonic orders up to w = 2l (a single
-        # partition block of size k = 2l+1 contributes excess k - 1).
+        # Taylor depth l feeds harmonic orders up to w = 2l (Taylor order
+        # k = 2l+1 reaches j**-(k-1) through the n**1 row of mu_k).
         # The telescoped bound's count checks come first, then the depth-2l
         # table, so a depth past the moment budget is refused early.
         _count(args.n, "n", 1)

@@ -18,10 +18,13 @@ steps, so a chain of more than ``MAX_CHAIN_ROWS`` rows is refused
 before any work (BudgetExceededError): at 50 digits and p = 0.3 it took
 3.7 s for 4,001 rows and 49 s for the largest allowed, 16,384, on a
 2-core Xeon (Python 3.11.7, pure-Python mpmath 1.3.0).  ``binomial_pmf``
-takes n steps on integers of prec + 64 + bit_length(n) bits and one
-exact power of about e n bits (error model below), and refuses more
-than ``MAX_CHAIN_ROWS`` weights the same way: the largest allowed,
-n = 16,383, took 0.4 s on the same machine.
+takes n steps and about 2 log2(n) squarings on integers of
+W = prec + 64 + bit_length(n) bits, after one pass over the e bits of
+p's exact 1 - p (error model below), so its cost no longer grows with
+e n; it refuses more than ``MAX_CHAIN_ROWS`` weights the same way.  On
+the same machine the largest allowed, n = 16,383 at p = 0.3, took
+0.09 s, and ``smooth --p 1e-100000000 --n 2``, whose e is 332 M bits,
+0.6 s end to end.
 
 Error model of ``convolve``.  Every mpf weight is exactly man * 2**exp,
 so the product needs no rounding until the end:
@@ -99,19 +102,23 @@ numerators, which grow to about e n bits, by Ziv's strategy (A. Ziv,
 ACM TOMS 17(3), 1991): a cheap bracket, and the exact value only where
 the bracket cannot decide.
 
-* bracket: with W = prec + 64 + bit_length(n), b**n is floored to a
-  W-bit mantissa m of w_0, and each next mantissa is the floored
-  quotient m (n - k + 1) a / (k b), scaled by a power of two that keeps
-  it at W or W + 1 bits; w_k / w_(k-1) = (n - k + 1) a / (k b) is exact.
-  Each floor loses less than one unit, at most 2**(1 - W) relative, so
-  the exact w_k lies in [m, m (1 + 2**(1 - W))**(k + 1)], which is
-  inside [m, m + 4 (k + 2)] units: m < 2**(W + 1) and (k + 1) 2**(1 - W)
-  < 2**-60.
-* decision: rounding to nearest is monotone, so when m and m + 4 (k +
-  2) round to the same prec-bit value, so does everything between
+* bracket: every operand has O(W) bits.  Each floor to W (or W + 1)
+  bits loses less than one unit, at most d = 2**(1 - W) relative.
+  The mantissa m of w_0 is b**n by left-to-right repeated squaring,
+  from b floored to W bits and floored to W bits after every step
+  (``_floor_pow``); a loss at the power b**i is raised to the n / i,
+  which sums to m 2**s <= b**n < m 2**s (1 + d)**(2n).  Each next
+  mantissa is the floored quotient m (n - k + 1) a / (k b'), scaled by
+  a power of two that keeps it at W or W + 1 bits, with b' = b rounded
+  up to W + 2 bits: that ratio is at most the exact w_k / w_(k-1) =
+  (n - k + 1) a / (k b) and at least 1 / (1 + d / 4) of it.  So the
+  exact w_k lies in [m, m (1 + d)**(2n + 2k)], which is inside
+  [m, m + 8 (n + k + 1)] units: m < 2**(W + 1) and (2n + 2k) d < 2**-60.
+* decision: rounding to nearest is monotone, so when m and m + 8 (n +
+  k + 1) round to the same prec-bit value, so does everything between
   them, w_k included, and that value is the weight.
 * fallback: otherwise C(n, k) a**k b**(n-k) is formed exactly and
-  rounded.  A bracket of 4 (k + 2) units among 2**(W - prec) decides
+  rounded.  A bracket of 8 (n + k + 1) units among 2**(W - prec) decides
   unless w_k lies within it of a rounding boundary, which in practice
   means an exact tie: p = 1/2, n = 75, k = 34 at 20 digits, where
   C(75, 34) / 2**75 lies halfway between two 70-bit values.
@@ -379,21 +386,40 @@ def _binomial_weights(n: int, a: int, b: int, e: int, prec: int) -> List[tuple]:
     rounding boundary (error model in the module docstring).
     """
     W = prec + 64 + n.bit_length()
-    t = b**n
-    cut = max(t.bit_length() - W, 0)
-    m, s = t >> cut, cut - e * n  # weight k lies in [m, m + 4 (k + 2)] * 2**s
+    m, s = _floor_pow(b, n, W)
+    s -= e * n  # weight k lies in [m, m + 8 (n + k + 1)] * 2**s
+    # b rounded up to W + 2 bits, so each ratio below is a lower bound
+    c = max(b.bit_length() - W - 2, 0)
+    b_up = -(-b >> c)
     out = []
     for k in range(n + 1):
         if k:
-            num, den = m * (n - k + 1) * a, k * b
+            num, den = m * (n - k + 1) * a, k * b_up
             cut = num.bit_length() - den.bit_length() - W
             m = num // (den << cut) if cut >= 0 else (num << -cut) // den
-            s += cut
+            s += cut - c
         w = from_man_exp(m, s, prec, "n")
-        if w != from_man_exp(m + 4 * (k + 2), s, prec, "n"):
+        if w != from_man_exp(m + 8 * (n + k + 1), s, prec, "n"):
             w = from_man_exp(comb(n, k) * a**k * b ** (n - k), -e * n, prec, "n")
         out.append(w)
     return out
+
+
+def _floor_pow(x: int, n: int, W: int) -> Tuple[int, int]:
+    """(m, s) with m 2**s <= x**n < m 2**s (1 + 2**(1-W))**(2n), m below 2**W.
+
+    Left-to-right repeated squaring, floored to W bits after each step;
+    exact while the power fits in W bits (module docstring).
+    """
+    top = max(x.bit_length() - W, 0)
+    base, m, s = x >> top, 1, 0
+    for bit in bin(n)[2:]:
+        m, s = m * m, 2 * s
+        if bit == "1":
+            m, s = m * base, s + top
+        cut = max(m.bit_length() - W, 0)
+        m, s = m >> cut, s + cut
+    return m, s
 
 
 def _runs(weights: Sequence[mpf], span: int) -> List[Tuple[int, List[int], int, int]]:

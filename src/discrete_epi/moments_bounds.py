@@ -42,9 +42,9 @@ nearest, and ``gamma_l`` and ``c_coeff`` read the exact Laurent table
 Gamma_l(j) = sum_{w=1}^{2l} D_w j**-w, D_w = sum_k F_k(p) P_(k, k-w)
 (``_laurent_table``, per (p, l)), rounding once: every value is within
 half an ulp.  Routes independent of the table are
-``faa_di_bruno_poly`` (the block-partition expansion over any
-cumulants), ``central_moment_brute`` and the exact oracles of the
-tests.
+``faa_di_bruno_poly`` (the moment-cumulant recurrence over any
+cumulants, in integers and rounded once), ``central_moment_brute`` and
+the exact oracles of the tests.
 
 Every caller asks the table for its top order first, and an order past
 ``MAX_MOMENT_ORDER`` = 65 is refused before any row is built
@@ -79,11 +79,11 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import mpmath
 from mpmath import mp, mpf
-from mpmath.libmp import from_rational
+from mpmath.libmp import from_man_exp, from_rational, to_man_exp
 
 from .dist_core import IntegerPmf, binomial_entropy_chain
 from .errors import BudgetExceededError
@@ -179,9 +179,7 @@ def central_moment_brute(pmf: IntegerPmf, k: int) -> mpf:
     _count(k, "k")
     # w_i = N_i / 2**E exactly; power sums S_j = sum_i N_i i**j count i
     # from the first point of the support, which shifts mu by `offset`.
-    parts = [w._mpf_ for w in pmf.weights]  # (sign, man, exp, bits), w >= 0
-    E = -min([exp for _, man, exp, _ in parts if man], default=0)
-    column = [man << (exp + E) for _, man, exp, _ in parts]
+    column, E = _over_common_power(pmf.weights)
     sums = [sum(column)]
     for _ in range(max(k, 1)):
         column = [n * i for i, n in enumerate(column)]
@@ -212,6 +210,13 @@ def central_moment_closed(
     return _round_ratio(acc, den, precision)
 
 
+def _over_common_power(xs: Sequence[mpf]) -> Tuple[List[int], int]:
+    """Integers N_i and E with x_i = N_i / 2**E exactly; inf and nan are refused."""
+    parts = [(x._mpf_[0], *to_man_exp(x._mpf_)) for x in xs]
+    E = -min([exp for _, man, exp in parts if man], default=0)
+    return [(-man if sign else man) << (exp + E) for sign, man, exp in parts], E
+
+
 def _round_ratio(num: int, den: int, precision: int) -> mpf:
     """num / den rounded once to nearest at the given precision."""
     return mp.make_mpf(from_rational(num, den, _bits(precision), "n"))
@@ -221,32 +226,6 @@ def _exact_p(p: RealLike, precision: int, strict: bool = True) -> Fraction:
     """p at the working precision as an exact fraction, in (0, 1) if strict."""
     a, _, e = _exact_weight(_probability(p, precision, strict))
     return Fraction(a, 1 << e)
-
-
-def _shapes(k: int, top: int) -> Iterator[Tuple[Tuple[int, int], ...]]:
-    """Partitions of k into parts 2 .. top, as ((part, multiplicity), ...)."""
-    if k == 0:
-        yield ()
-    for g in range(min(k, top), 1, -1):
-        for i in range(1, k // g + 1):
-            for rest in _shapes(k - g * i, g - 1):
-                yield ((g, i),) + rest
-
-
-@functools.lru_cache(maxsize=None)
-def _block_partitions(k: int) -> Tuple[Tuple[int, Tuple[Tuple[int, int], ...], int], ...]:
-    """Set partitions of k items into blocks of size >= 2, as (weight, shape, b).
-
-    A shape ((g, i), ...) has i blocks of size g, b blocks in all, and
-    weight = k! / prod (i! (g!)**i) set partitions.
-    """
-    out = []
-    for parts in _shapes(k, k):
-        weight = math.factorial(k)
-        for g, i in parts:
-            weight //= math.factorial(i) * math.factorial(g) ** i
-        out.append((weight, parts, sum(i for _, i in parts)))
-    return tuple(out)
 
 
 @functools.lru_cache(maxsize=None)
@@ -303,31 +282,44 @@ class MomentPolynomial:
 
 
 def faa_di_bruno_poly(k: int, cumulants: CumulantSet) -> MomentPolynomial:
-    """Block-partition expansion of the k-th central moment of an iid sum.
+    """k-th central moment of an iid sum, as a polynomial in the number of copies j.
 
-    Every set partition of k items into blocks of size >= 2 contributes
-    the product of block cumulants; blocks of size one are absent
-    because central moments are cumulants of the centred variable.  For
-    a j-fold sum each cumulant scales by j, so a partition with b blocks
-    lands in the j**b coefficient:
+    The moment-cumulant recurrence m_n = sum_{i=0}^{n-1} C(n-1, i)
+    kappa_(i+1) m_(n-1-i) (P. J. Smith, "A recursive formulation of the
+    old problem of obtaining moments from cumulants and vice versa", The
+    American Statistician 49(2), 1995, 217-218), applied to the centred
+    j-fold sum, whose kappa_1 is 0 and whose other cumulants scale by j:
 
-        mu_k(j) = sum_partitions  k! / prod_a (i_a! (g_a!)**i_a)
-                                  * prod_a kappa_{g_a}**i_a * j**(sum_a i_a).
+        mu_n(j) = j sum_{i=1}^{n-1} C(n-1, i) kappa_(i+1) mu_(n-1-i)(j),
+
+    from mu_0 = 1 and mu_1 = 0, in O(k**3) integer steps.  Every cumulant
+    is exactly K_g / 2**E over one common power of two, so the j**d
+    coefficient of mu_n is an integer over 2**(d E), and each coefficient
+    of mu_k is rounded once to nearest: within half an ulp of the exact
+    polynomial of the given cumulants.  The keys are {0} for k = 0, none
+    for k = 1 and 1 .. k // 2 otherwise, zero coefficients included.
     """
     _count(k, "k")
     if k >= 2 and cumulants.order < k:
         raise ValueError(
             f"need cumulants up to order {k}, got only {cumulants.order}"
         )
-    precision = cumulants.precision
-    coeffs: Dict[int, mpf] = {}
-    with working_precision(precision):
-        for weight, parts, b in _block_partitions(k):
-            term = mpf(weight)
-            for g, i in parts:
-                term *= cumulants.kappa(g) ** i
-            coeffs[b] = coeffs.get(b, mpf(0)) + term
-    return MomentPolynomial(k=k, coeffs=coeffs, precision=precision)
+    K, E = _over_common_power(cumulants.kappas[1:k])  # kappa_g = K[g - 2] / 2**E
+    # mus[n][d] is the j**d coefficient of mu_n times 2**(d E)
+    mus = [[1], [0]]
+    for n in range(2, k + 1):
+        row = [0] * (n // 2 + 1)
+        for i in range(1, n):
+            c = math.comb(n - 1, i) * K[i - 1]
+            for d, m in enumerate(mus[n - 1 - i]):
+                row[d + 1] += c * m
+        mus.append(row)
+    bits = _bits(cumulants.precision)
+    coeffs = {
+        d: mp.make_mpf(from_man_exp(mus[k][d], -d * E, bits, "n"))
+        for d in ([0] if k == 0 else range(1, k // 2 + 1))
+    }
+    return MomentPolynomial(k=k, coeffs=coeffs, precision=cumulants.precision)
 
 
 def taylor_coeff(k: int, x: RealLike, precision: int = DEFAULT_PRECISION) -> mpf:
@@ -431,10 +423,9 @@ def _coeff_from(table: Tuple[Tuple[int, ...], int], w: int, precision: int) -> m
 def c_coeff(w: int, p: RealLike, precision: int = DEFAULT_PRECISION) -> mpf:
     """Coefficient c(w) of the generalised harmonic number H_n^(w).
 
-    Collects, across Taylor orders k = 2 .. 2w, every block partition
-    whose excess sum_a i_a (g_a - 1) equals w; each contributes its
-    partition weight times the product of Bernoulli cumulants times
-    F_k(p).  That is D_w of the Laurent table at depth w, rounded once.
+    The j**-w coefficient D_w of Gamma_l: across Taylor orders k = 2 ..
+    2w, F_k(p) times the n**(k-w) row of the moment table at the exact
+    p.  That is D_w of the Laurent table at depth w, rounded once.
     c(1) = 1/2 for every p; c(2) = (1 - p(1-p))/(12 p(1-p)).
     """
     _count(w, "w", 1)

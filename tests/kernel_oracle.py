@@ -14,19 +14,21 @@ the raw kernels give the same bits.
 ``moment_poly`` is the binomial moment table as the package once built
 it: a sum over every set partition of products of Bernoulli-cumulant
 polynomials.  The tests assert that Romanovsky's recurrence gives the
-same exact rows.
+same exact rows.  ``partition_poly`` is the same set-partition sum over
+any exact cumulants: the moment polynomial of an iid sum that
+``faa_di_bruno_poly`` rounds once.
 """
 
 import functools
+import math
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import mpmath
 from mpmath import mpf
 
 from discrete_epi.dist_core import IntegerPmf, _runs
 from discrete_epi.errors import MassConservationError
-from discrete_epi.moments_bounds import _block_partitions
 from discrete_epi.precision import eps_for, working_precision
 
 
@@ -233,6 +235,32 @@ def _rmul(a: Sequence[Fraction], b: Sequence[Fraction]) -> Tuple[Fraction, ...]:
     return tuple(out)
 
 
+def _shapes(k: int, top: int) -> Iterator[Tuple[Tuple[int, int], ...]]:
+    """Partitions of k into parts 2 .. top, as ((part, multiplicity), ...)."""
+    if k == 0:
+        yield ()
+    for g in range(min(k, top), 1, -1):
+        for i in range(1, k // g + 1):
+            for rest in _shapes(k - g * i, g - 1):
+                yield ((g, i),) + rest
+
+
+@functools.lru_cache(maxsize=None)
+def _block_partitions(k: int) -> Tuple[Tuple[int, Tuple[Tuple[int, int], ...], int], ...]:
+    """Set partitions of k items into blocks of size >= 2, as (weight, shape, b).
+
+    A shape ((g, i), ...) has i blocks of size g, b blocks in all, and
+    weight = k! / prod (i! (g!)**i) set partitions.
+    """
+    out = []
+    for parts in _shapes(k, k):
+        weight = math.factorial(k)
+        for g, i in parts:
+            weight //= math.factorial(i) * math.factorial(g) ** i
+        out.append((weight, parts, sum(i for _, i in parts)))
+    return tuple(out)
+
+
 @functools.lru_cache(maxsize=None)
 def kappa_poly(g: int) -> Tuple[Fraction, ...]:
     """Cumulant kappa_g of Bernoulli(1/2 + r), as coefficients in r.
@@ -262,3 +290,18 @@ def moment_poly(k: int) -> Tuple[Tuple[Fraction, ...], ...]:
         for j, c in enumerate(term):
             rows[b][j] += c
     return tuple(tuple(row) for row in rows)
+
+
+def partition_poly(k: int, kappas: Sequence[Fraction]) -> dict:
+    """mu_k of a j-fold iid sum = sum_b j**b c_b, exactly, as {b: c_b}.
+
+    kappas[g - 1] is kappa_g; a set partition into b blocks of sizes
+    g_a >= 2 adds the product of its kappa_(g_a) to c_b.
+    """
+    out = {}
+    for weight, parts, b in _block_partitions(k):
+        term = Fraction(weight)
+        for g, i in parts:
+            term *= kappas[g - 1] ** i
+        out[b] = out.get(b, 0) + term
+    return out

@@ -191,7 +191,7 @@ def test_criterion_06_moment_closed_forms():
     elapsed = time.monotonic() - started
     ok = worst_closed <= mpf("1e-35") and worst_fdb <= mpf("1e-35") and elapsed < 60
     report(6, ok, f"closed vs brute {float(worst_closed):.1e}, "
-                  f"partition polynomials {float(worst_fdb):.1e}, "
+                  f"moment polynomials {float(worst_fdb):.1e}, "
                   f"{elapsed:.1f}s (budget 60s)")
 
 

@@ -253,6 +253,10 @@ class TestOutputPins:
         "tulino --p 0.3 --sigma 1e-3 --n-min 16380 --n-max 16384 --precision 20": (
             3, "computation budget exceeded: n=16384: B(n) is past the 16384-weight budget\n",
         ),
+        # 16,385 3-row chains would take about 3 s, but the p grid is past its budget
+        "sweep --m 1 --n 1 --steps 16385": (
+            3, "computation budget exceeded: steps=16385 puts the sweep past the 16384-step budget\n",
+        ),
         # 197 chains of 16,001 rows, about 2.7 h
         "sweep --m 8000 --n 8000": (
             3,
@@ -418,6 +422,26 @@ class TestWorkBudgets:
         assert err == (
             "computation budget exceeded: 16385 chains of 128 rows cost more than one "
             "16384-row chain\n"
+        )
+        argv[-1] = "16384"
+        code, out, _ = run(capsys, argv)
+        assert (code, len(calls), out.count("\n")) == (0, 16384, 16385)
+
+    def test_sweep_steps_are_held_to_the_budget(self, capsys, monkeypatch):
+        # 3-row chains: 16,385 steps fit the chain cost but not the step budget.
+        calls = []
+
+        def gap(m, n, p, precision):
+            calls.append(p)
+            return epi_engine.EpiReport(m, n, p, mpf(0), True, precision)
+
+        monkeypatch.setattr(epi_engine, "epi_gap", gap)
+        argv = ["sweep", "--m", "1", "--n", "1", "--steps", "16385"]
+        code, out, err = run(capsys, argv)
+        assert (code, out, calls) == (3, "", [])
+        assert err == (
+            "computation budget exceeded: steps=16385 puts the sweep past the "
+            "16384-step budget\n"
         )
         argv[-1] = "16384"
         code, out, _ = run(capsys, argv)

@@ -1,6 +1,7 @@
 """Moment, cumulant, and entropy-lower-bound tests with exact oracles."""
 
 import argparse
+import time
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -250,6 +251,47 @@ class TestFaaDiBruno:
                     assert_close(
                         poly.evaluate(j), central_moment_brute(pmf, k), "1e-38"
                     )
+
+
+class TestMomentCumulantRecurrence:
+    # raw moments (1 + 2**r) / 3 of the uniform law on {0, 1, 2}: kappa_4 < 0
+    UNIFORM_RAW = [Fraction(1 + 2**r, 3) for r in range(1, 17)]
+
+    @pytest.mark.parametrize("precision", [20, 50])
+    @pytest.mark.parametrize("source", ["0.3", "0.5", "0.01", "0.9", "uniform"])
+    def test_equals_partition_sum_rounded_once(self, precision, source):
+        if source == "uniform":
+            cums = cumulants_from_raw_moments(self.UNIFORM_RAW, precision)
+            assert cums.kappa(4) < 0
+        else:
+            cums = bernoulli_cumulants(source, 16, precision)
+        kappas = [exact_value(c) for c in cums.kappas]
+        for k in range(17):
+            got = faa_di_bruno_poly(k, cums).coeffs
+            want = kernel_oracle.partition_poly(k, kappas)
+            assert set(got) == set(want), k
+            for d, c in want.items():
+                assert got[d]._mpf_ == rounded(c, precision), (k, d)
+
+    def test_key_sets(self):
+        cums = bernoulli_cumulants("0.3", 9)
+        assert set(faa_di_bruno_poly(0, cums).coeffs) == {0}
+        assert set(faa_di_bruno_poly(1, cums).coeffs) == set()
+        for k in range(2, 10):
+            assert set(faa_di_bruno_poly(k, cums).coeffs) == set(range(1, k // 2 + 1))
+        # p = 1/2: odd cumulants vanish, so odd-order coefficients are kept as zeros
+        assert faa_di_bruno_poly(3, bernoulli_cumulants("0.5", 3)).coeffs == {1: 0}
+
+    def test_order_64_is_fast(self):
+        cums = bernoulli_cumulants("0.3", 64)
+        started = time.perf_counter()
+        poly = faa_di_bruno_poly(64, cums)
+        assert time.perf_counter() - started < 0.5
+        assert set(poly.coeffs) == set(range(1, 33))
+
+    def test_short_cumulant_set_is_refused(self):
+        with pytest.raises(ValueError, match="^need cumulants up to order 5, got only 4$"):
+            faa_di_bruno_poly(5, bernoulli_cumulants("0.3", 4))
 
 
 class TestTaylorCoefficients:

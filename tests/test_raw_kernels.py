@@ -242,6 +242,16 @@ def test_binomial_pmf_falls_back_to_the_exact_weight_at_a_midpoint(monkeypatch):
     assert raw(weights) == raw(oracle.binomial_pmf(n, Fraction(1, 2), precision))
 
 
+@pytest.mark.parametrize("precision", [20, 50])
+@pytest.mark.parametrize("p", ["1e-30000", Fraction(3, 10**30001)], ids=["1e-30000", "3e-30001"])
+def test_binomial_pmf_at_a_tiny_p_matches_the_exact_oracle(p, precision):
+    # q = b / 2**e has about 100,000 bits, so every operand of the walk is
+    # cut to W bits; the oracle still forms each exact numerator
+    for n in (0, 1, 2, 3):
+        got = binomial_pmf(n, p, precision).weights
+        assert raw(got) == raw(oracle.binomial_pmf(n, p, precision))
+
+
 def test_binomial_pmf_4000_weights_are_the_exact_weights_rounded():
     n, precision = 4000, 50
     a, b, e = _exact_weight(as_mpf("0.3", precision))
