@@ -154,12 +154,22 @@ sample is taken.  The parts:
     roundings, with q's relative error at most 5 ulps times its exponent
     plus 2, taken t**2 times: at most 5 + 5 z + 3 reach**2 ulps, with
     z = reach**2 times the exponent of q.  The recurrence runs with
-    20 guard bits more than the bit length of twice that count, so every
-    entry is within 2**-(prec+20) before it is rounded once to prec bits.
-  - The samples at offset r/M from the lattice are the weights
-    convolved with the table entries M s + r, one exact ``_convolve_runs``
-    per r on weights cut into runs once (dist_core), so each is rounded
-    once to within u/2 (1 + 2**-16) of the exact sum of its terms.
+    20 guard bits more than the bit length of twice that count, each
+    product rounded to nearest on integers as an mpf product at that
+    precision would be, so every entry is within 2**-(prec+20) before it
+    is rounded once to prec bits.
+  - Sample j, at lo + j/M, is the sum of w_k G_|j - M k| over the peaks
+    with |j - M k| <= reach.  The weights and the symmetric table
+    G_-reach .. G_reach are each cut into runs of exact integers once
+    (``_runs`` of dist_core, exponents spanning at most 2 prec bits), and
+    for each pair of a weight run and a table run the pair's terms at
+    every sample are summed exactly, as one slot of packed shift-and-add
+    products (``_samples``).  A sample has at most one such sum per pair
+    of runs.  Those more than prec + g bits below the sample's largest,
+    g = 17 plus the bit length of the number of pairs, are dropped; they
+    weigh less than 2**-(prec+16) of the largest, so each sample's sum
+    is within 2**-(prec+16) of the exact sum of its terms, relative,
+    and the sample, rounded once, within u/2 (1 + 2**-16) of it.
     When rho < 1 the table covers the whole run and no peak is left
     out.  When rho = 1, peaks farther than R = reach/M from the sample
     are left out.  The support point k0 nearest the sample is at most
@@ -230,22 +240,34 @@ and 0.001 above that the trapezoid needs M = 369, 435, 507, 547 and 589.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import repeat
+from operator import mul
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import mpmath
-from mpmath import mpf
-from mpmath.libmp import from_man_exp
+from mpmath import mp, mpf
+from mpmath.libmp import (
+    mpf_abs,
+    mpf_add,
+    mpf_log,
+    mpf_mul,
+    mpf_shift,
+    mpf_sqrt,
+    mpf_sum,
+    normalize,
+)
 
 from .dist_core import (  # MAX_SUM_SUPPORT is re-exported
     MAX_CHAIN_ROWS,
     MAX_SUM_SUPPORT,
     IntegerPmf,
-    _convolve_runs,
     _exact_sum,
     _iid_ladder,
     _log_sum,
+    _pack,
     _rounded,
     _runs,
     binomial_pmf,
@@ -439,49 +461,104 @@ def _mixture_peaks(pmf: IntegerPmf) -> Tuple[List[int], List[mpf]]:
     return positions, weights
 
 
-def _truncation_bound(weights: Sequence[mpf], sig: mpf) -> mpf:
+class _Constants(NamedTuple):
+    """Constants of the smoothed-entropy routes at one working precision."""
+
+    pi: mpf
+    e: mpf
+    ln2: mpf
+    root2pi: mpf  # sqrt(2 pi)
+    root2_pi: mpf  # sqrt(2 / pi)
+    ln4_up: mpf  # 1.38629436112, above ln 4 (see ``_strip``)
+    decay: mpf  # exp(-a**2/2) at the region's edge, a = 8
+    q_a: mpf  # Q(a)
+    z2_tail: mpf  # integral of z**2 phi(z) beyond a
+
+
+@functools.lru_cache(maxsize=None)
+def _constants(prec: int) -> _Constants:
+    """The constants at prec bits, taken on first use at each precision."""
+    with mpmath.workprec(prec):
+        pi, a = +mpmath.pi, mpf(REGION_PAD_SIGMAS)
+        root2pi = mpmath.sqrt(2 * pi)
+        decay = mpmath.exp(-a * a / 2)
+        q_a = mpmath.erfc(a / mpmath.sqrt(2)) / 2
+        return _Constants(
+            pi=pi, e=+mpmath.e, ln2=mpmath.ln(2), root2pi=root2pi,
+            root2_pi=mpmath.sqrt(2 / pi), ln4_up=mpf("1.38629436112"), decay=decay,
+            q_a=q_a, z2_tail=q_a + a * (decay / root2pi),
+        )
+
+
+class _PeakLogs(NamedTuple):
+    """The nonzero weights' mass, ln w and w ln w, taken once per call.
+
+    ``logs`` and ``terms`` are raw tuples, each rounded once at the
+    working precision; ``mass`` is ``fsum`` of the weights.
+    """
+
+    mass: mpf
+    logs: List[tuple]
+    terms: List[tuple]
+
+
+def _peak_logs(weights: Sequence[mpf]) -> _PeakLogs:
+    prec = mpmath.mp.prec
+    raw = [w._mpf_ for w in weights]
+    logs = [mpf_log(x, prec, "n") for x in raw]
+    terms = [mpf_mul(x, y, prec, "n") for x, y in zip(raw, logs)]
+    return _PeakLogs(mp.make_mpf(mpf_sum(raw, prec, "n")), logs, terms)
+
+
+def _truncation_bound(
+    weights: Sequence[mpf], sig: mpf, logs: Optional[Sequence[tuple]] = None
+) -> mpf:
     """Upper bound on the -f ln f mass lost outside the 8-sigma region.
 
     Each peak loses at most its own two Gaussian tails beyond 8 standard
     deviations; with z = (x - k)/sigma, -ln(w phi) = -ln w
     + ln(sigma sqrt(2 pi)) + z**2/2, and the z-integrals reduce to the
     Gaussian tail Q(8) and density phi(8).  Absolute values make this an
-    upper bound regardless of the signs of the log terms.
+    upper bound regardless of the signs of the log terms.  ``logs`` are
+    the weights' ln w as raw tuples, when the caller has them.
     """
-    a = mpf(REGION_PAD_SIGMAS)
-    phi_a = mpmath.exp(-a * a / 2) / mpmath.sqrt(2 * mpmath.pi)
-    q_a = mpmath.erfc(a / mpmath.sqrt(2)) / 2
-    z2_tail = q_a + a * phi_a  # integral of z**2 phi(z) beyond a
-    log_norm = abs(mpmath.ln(sig * mpmath.sqrt(2 * mpmath.pi)))
-    total = mpmath.fsum(
-        w * (z2_tail / 2 + q_a * (abs(mpmath.ln(w)) + log_norm)) for w in weights
-    )
-    return 2 * total
+    prec = mpmath.mp.prec
+    constants = _constants(prec)
+    log_norm = abs(mpmath.ln(sig * constants.root2pi))._mpf_
+    raw = [w._mpf_ for w in weights]
+    if logs is None:
+        logs = [mpf_log(x, prec, "n") for x in raw]
+    q, half = constants.q_a._mpf_, mpf_shift(constants.z2_tail._mpf_, -1)
+    terms = []
+    for x, y in zip(raw, logs):
+        # w (z2_tail / 2 + Q(8) (|ln w| + log_norm)), every step rounded
+        inner = mpf_mul(q, mpf_add(mpf_abs(y), log_norm, prec, "n"), prec, "n")
+        terms.append(mpf_mul(x, mpf_add(half, inner, prec, "n"), prec, "n"))
+    return 2 * mp.make_mpf(mpf_sum(terms, prec, "n"))
 
 
 def _disjoint_peaks(
-    weights: Sequence[mpf], sig: mpf, spacing: int
+    weights: Sequence[mpf], sig: mpf, spacing: int, peaks: _PeakLogs
 ) -> Optional[Tuple[mpf, mpf]]:
     """Closed form H(P) + (1/2) ln(2 pi e sigma**2) and a bound on its error.
 
-    ``spacing`` is the smallest gap between the nonzero weights.  None
-    when the Bhattacharyya bound beta exceeds 1/2.  The error model is in
-    the module docstring.
+    ``spacing`` is the smallest gap between the nonzero weights and
+    ``peaks`` their ``_peak_logs``.  None when the Bhattacharyya bound
+    beta exceeds 1/2.  The error model is in the module docstring.
     """
-    mass = mpmath.fsum(weights)
+    prec, mass = mpmath.mp.prec, peaks.mass
     fano = mpf(0)
     if len(weights) > 1:
         sig2_up = mpmath.fmul(sig, sig, rounding="u")
         exponent = mpmath.fdiv(
             spacing * spacing, mpmath.fmul(8, sig2_up, rounding="u"), rounding="d"
         )
-        root_sum = mpmath.fsum(mpmath.sqrt(w) for w in weights)
+        root_sum = mp.make_mpf(mpf_sum([mpf_sqrt(w._mpf_, prec, "n") for w in weights], prec, "n"))
         beta = root_sum * root_sum / (2 * mass) * mpmath.exp(-exponent)
         if beta > mpf(1) / 2:
             return None
         fano = beta * (1 - mpmath.ln(beta) + mpmath.ln(len(weights) - 1))
-    prec = mpmath.mp.prec
-    man, exp = _log_sum(((x, x, None) for x in (w._mpf_ for w in weights)), prec)
+    man, exp = _exact_sum([(-m if s else m, e) for s, m, e, _ in peaks.terms])
     h_p = _rounded((-man, exp), prec)
     log_term = mpmath.ln(2 * mpmath.pi * mpmath.e * sig * sig) / 2
     rounding = 8 * mpmath.eps * (h_p + abs(log_term) + 1)
@@ -524,17 +601,17 @@ def _strip(sig: mpf, span: int, rho: mpf) -> Tuple[mpf, mpf, mpf]:
     below r = exp(-(D + 1) / sigma**2), so the sum is at most its first
     term over 1 - r.
     """
-    sig2 = sig * sig
+    sig2, constants = sig * sig, _constants(mpmath.mp.prec)
     # 1.38629436112 rounds to above ln 4 = 1.38629436111989... at the
     # package's 20-digit minimum precision and above.
-    log_up = mpf("1.38629436112")
+    log_up = constants.ln4_up
     if 0 < rho < 1:
         # ln(1/rho), widened by 2**8 ulps for the error of ln.
         widen = 1 + mpmath.ldexp(1, 8 - mpmath.mp.prec)
         log_up = mpmath.fadd(log_up, mpmath.fmul(-mpmath.ln(rho), widen, rounding="u"), rounding="u")
     if rho > 0 and mpmath.fmul(mpmath.fmul(sig, sig, rounding="u"), log_up, rounding="u") < 1:
-        theta = 2 * mpmath.pi / 3
-        return theta * sig2, span * mpmath.ln(2), span * theta
+        theta = 2 * constants.pi / 3
+        return theta * sig2, span * constants.ln2, span * theta
     inv = 1 / (2 * sig2)
     lag = 1 if rho >= 1 else max(span, 1)
     while lag < span:
@@ -542,7 +619,7 @@ def _strip(sig: mpf, span: int, rho: mpf) -> Tuple[mpf, mpf, mpf]:
         if 2 * first <= -mpmath.expm1(-2 * (lag + 1) * inv) / 4:
             break
         lag += 1
-    return mpmath.pi * sig2 / (3 * lag), mpmath.ln(mpf(4) / 3), mpmath.pi / 2
+    return constants.pi * sig2 / (3 * lag), mpmath.ln(mpf(4) / 3), constants.pi / 2
 
 
 def _reach(weights: Sequence[mpf], sig: mpf, near: mpf, prec: int) -> mpf:
@@ -556,24 +633,155 @@ def _reach(weights: Sequence[mpf], sig: mpf, near: mpf, prec: int) -> mpf:
     if len(weights) > 1:
         ends = (weights[1] / weights[0], weights[-1] / weights[-2])
         slope = max(abs(mpmath.ln(t)) for t in ends) + 1
-    drift, bits = sig * sig * slope, (prec + 18) * mpmath.ln(2)
+    ln2 = _constants(prec).ln2
+    drift, bits = sig * sig * slope, (prec + 18) * ln2
     root = drift + mpmath.sqrt((near + drift) ** 2 + 2 * sig * sig * bits)
-    return max(root, drift + sig * sig * mpmath.ln(2))
+    return max(root, drift + sig * sig * ln2)
 
 
-def _trapezoid(weights: Sequence[mpf], sig: mpf, tol: mpf) -> Tuple[mpf, mpf]:
-    """Trapezoidal h(S) on the grid x = j/M and its proven error bound.
+def _gaussian_table(sig: mpf, steps: int, reach: int, prec: int) -> List[tuple]:
+    """phi_sigma(t/M) for 0 <= t <= reach, raw tuples rounded once to prec bits.
+
+    The recurrence and its guard bits are in the module docstring.  Each
+    product is rounded to nearest, ties to even, at the guard precision,
+    as ``mpf_mul`` rounds it, on the integers of the raw tuples.
+    """
+    z2 = int(mpmath.ceil(mpf(reach) ** 2 / (2 * (sig * steps) ** 2)))
+    guard = (10 + 10 * z2 + 6 * reach * reach).bit_length() + 20
+    with mpmath.workprec(prec + guard):
+        ratio_step = mpmath.exp(-1 / (2 * (sig * steps) ** 2))
+        _, value, e_value, _ = (1 / (sig * mpmath.sqrt(2 * mpmath.pi)))._mpf_
+        _, ratio, e_ratio, _ = ratio_step._mpf_
+        _, square, e_square, _ = (ratio_step * ratio_step)._mpf_
+    wp = prec + guard
+    table = []
+    for _ in range(reach + 1):
+        table.append(normalize(0, value, e_value, value.bit_length(), prec, "n"))
+        value, e_value = _nearest(value * ratio, e_value + e_ratio, wp)
+        ratio, e_ratio = _nearest(ratio * square, e_ratio + e_square, wp)
+    return table
+
+
+def _nearest(man: int, exp: int, bits: int) -> Tuple[int, int]:
+    """man * 2**exp, man > 0, rounded to bits bits: to nearest, ties to even."""
+    cut = man.bit_length() - bits
+    if cut <= 0:
+        return man, exp
+    half = man >> (cut - 1)
+    if half & 1 and (half & 2 or man & ((1 << (cut - 1)) - 1)):
+        return (half >> 1) + 1, exp + cut
+    return half >> 1, exp + cut
+
+
+def _samples(
+    weights: Sequence[tuple], table: Sequence[tuple], steps: int, first: int, last: int, prec: int
+) -> Iterator[List[tuple]]:
+    """The samples f(lo + j/M), first <= j <= last, rounded to prec bits.
+
+    ``weights`` run from w_lo (zeros included) and ``table`` holds
+    G_t = phi_sigma(t/M) for 0 <= t <= reach, both raw tuples; sample j
+    is the sum of w_k G_|j - M k| over |j - M k| <= reach.  The weights
+    and the symmetric table G_-reach .. G_reach are each cut into runs
+    (``_runs``, span 2 prec) once, and each table run is packed once.
+    Every pair of a weight run and a table run gives, at each sample,
+    the exact sum of its terms (``_pair_sums``).  A pair's sum more than
+    prec + g bits below the largest at that sample, g = 17 plus the bit
+    length of the number of pairs, is dropped; the rest are summed
+    exactly and rounded once.  The samples come in blocks of about the
+    table's length.
+    """
+    reach = len(table) - 1
+    weight_runs = _runs(weights, 2 * prec)
+    table_runs = _runs(table[:0:-1] + table, 2 * prec)
+    drop = prec + (len(weight_runs) * len(table_runs)).bit_length() + 16 + 1
+    block = max(len(table), steps)
+    edges = [(j0, min(j0 + block, last + 1)) for j0 in range(first, last + 1, block)]
+    top = max(bits for *_, bits in weight_runs)
+    pairs = []
+    for start, ints, exp, bits in table_runs:
+        # At most ceil(len / M) terms of one table run meet at a sample.
+        width = (top + bits + (-(-len(ints) // steps)).bit_length() + 7) // 8
+        packed = _pack(ints, width)
+        for k0, xs, ek, _ in weight_runs:
+            first_j = steps * k0 + start - reach
+            pairs.append((ek + exp, _pair_sums(xs, first_j, len(ints), width, packed, steps, edges)))
+    for j0, j1 in edges:
+        columns = []
+        for exp, stream in pairs:
+            got = next(stream)
+            if got is not None:
+                lo, slots = got
+                columns.append(([0] * (lo - j0) + slots + [0] * (j1 - lo - len(slots)), exp))
+        # Each pair's sums at the block's samples, shifted to the lowest
+        # exponent; a sum whose bit length is at or below the largest one's
+        # less ``drop`` is dropped (a zero sum is a pair without terms there).
+        low = min(exp for _, exp in columns)
+        sums = [list(map((exp - low).__rlshift__, slots)) for slots, exp in columns]
+        if len(sums) > 1:
+            lengths = [list(map(int.bit_length, column)) for column in sums]
+            floors = list(map(drop.__rsub__, map(max, *lengths)))
+            sums = [list(map(mul, column, map(int.__gt__, bits, floors)))
+                    for column, bits in zip(sums, lengths)]
+        values = list(map(sum, zip(*sums)))
+        yield list(map(normalize, repeat(0), values, repeat(low), map(int.bit_length, values),
+                       repeat(prec), repeat("n")))
+
+
+def _pair_sums(
+    xs: Sequence[int], first_j: int, size: int, width: int, packed: int, steps: int,
+    edges: Sequence[Tuple[int, int]],
+) -> Iterator[Optional[Tuple[int, List[int]]]]:
+    """Sums of one weight run times one table run, block by block.
+
+    ``xs`` are the weight run's integers and ``packed`` the table run's
+    ``size`` integers in ``width``-byte slots; weight i of the run meets
+    the table run at the samples first_j + M i .. first_j + M i + size - 1.
+    For each block [j0, j1) of ``edges`` this yields (lo, sums), the
+    exact sums at the samples lo, lo + 1, ... of the block, or None when
+    no term falls in it.  One accumulator carries the slots that the next
+    block still adds to: each weight is one shift-and-add of x = m 2**s,
+    m odd, times the packed run, so the product costs m's digits alone,
+    and the accumulator never holds more than a block and a run.
+    """
+    last_j = first_j + steps * (len(xs) - 1) + size
+    parts = []
+    for x in xs:
+        s = (x & -x).bit_length() - 1 if x else 0
+        parts.append((x >> s, s))
+    acc, i, j, base = 0, 0, first_j, first_j  # acc's slot 0 is sample base
+    for j0, j1 in edges:
+        if (j >= j1 and not acc) or last_j <= j0:
+            yield None
+            continue
+        if not acc:
+            base = j
+        while i < len(parts) and j < j1:
+            m, s = parts[i]
+            if m:
+                acc += m * packed << s + 8 * width * (j - base)
+            i, j = i + 1, j + steps
+        lo, hi = max(base, j0), min(j1, last_j)
+        buf = acc.to_bytes(width * (j - steps + size - base), "little")
+        yield lo, [int.from_bytes(buf[z:z + width], "little")
+                   for z in range(width * (lo - base), width * (hi - base), width)]
+        acc, base = acc >> 8 * width * (hi - base), hi
+
+
+def _trapezoid(
+    weights: Sequence[mpf], sig: mpf, tol: mpf, peaks: _PeakLogs
+) -> Tuple[mpf, mpf, int]:
+    """Trapezoidal h(S) on the grid x = j/M, its proven error bound, and M.
 
     ``weights`` run from the first nonzero weight to the last, zeros
-    included.  M is the smallest step count whose bound fits ``tol``.
+    included, and ``peaks`` is the ``_peak_logs`` of the nonzero ones.
+    M is the smallest step count whose bound fits ``tol``.
     Raises QuadratureError, before any sample is taken, when ``tol`` is
     at or below the truncation floor, when sigma is too small for the
     grid-truncation bound (f <= 1 outside the region), or when M would
     pass ``MAX_TRAPEZOID_STEPS``.  The error model is in the module
     docstring.
     """
-    peaks = [w for w in weights if w]
-    truncation = _truncation_bound(peaks, sig)
+    truncation = _truncation_bound([w for w in weights if w], sig, peaks.logs)
     if tol <= 2 * truncation:
         raise QuadratureError(
             f"tolerance {mpmath.nstr(tol, 3)} is below the "
@@ -582,35 +790,38 @@ def _trapezoid(weights: Sequence[mpf], sig: mpf, tol: mpf) -> Tuple[mpf, mpf]:
         )
     span = len(weights) - 1
     prec, u = mpmath.mp.prec, mpmath.eps
-    pi, root2pi = mpmath.pi, mpmath.sqrt(2 * mpmath.pi)
-    mass = mpmath.fsum(peaks)
-    if mass * mpmath.exp(-32) > sig * root2pi:
+    constants = _constants(prec)
+    pi, root2pi, decay = constants.pi, constants.root2pi, constants.decay
+    mass, norm = peaks.mass, sig * root2pi
+    if mass * decay > norm:
         raise QuadratureError(
             f"sigma {mpmath.nstr(sig, 3)} is too small for the trapezoid's "
             "grid-truncation bound"
         )
-    h_w = mpmath.fsum(w * abs(mpmath.ln(w)) for w in peaks)
-    log_norm = abs(mpmath.ln(sig * root2pi))
-    log_peak = abs(mpmath.ln(mass / (sig * root2pi)))
+    h_w = mp.make_mpf(mpf_sum(peaks.terms, prec, "n", absolute=True))
+    log_norm = abs(mpmath.ln(norm))
+    log_peak = abs(mpmath.ln(mass / norm))
     rho = _concavity(weights)
     a, loss, turn = _strip(sig, span, rho)
     excess = a * a / (2 * sig * sig)
     log_part = h_w + mass * (log_norm + mpf(1) / 2 + loss + excess + log_peak)
-    phase_part = mass * (a / (sig * sig) * (sig * mpmath.sqrt(2 / pi) + span) + turn)
+    phase_part = mass * (a / (sig * sig) * (sig * constants.root2_pi + span) + turn)
     strip_mass = mpmath.exp(excess) * (log_part + phase_part)
 
     # Per unit step: the grid tail beyond the integral's, and the rounding.
     pad_sigmas = mpf(REGION_PAD_SIGMAS)
-    edge = 2 * mpmath.exp(-pad_sigmas ** 2 / 2) / (sig * root2pi) * (
+    edge = 2 * decay / norm * (
         h_w + mass * (log_norm + pad_sigmas ** 2 / 2))
     log_sum = h_w + mass * (log_peak + log_norm + 1)
-    coarse = log_sum / (sig * root2pi) + 2 * mass / (mpmath.e * sig * root2pi)
+    coarse = log_sum / norm + 2 * mass / (constants.e * sig * root2pi)
     fixed = truncation + 16 * u * (log_sum + mass / 2)
 
+    twice_mass, rate, per_unit = 2 * strip_mass, 2 * pi * a, edge + 16 * u * coarse
+    widen = 1 + mpf(2) ** -32
+
     def bound(steps: int) -> mpf:
-        discretisation = 2 * strip_mass / mpmath.expm1(2 * pi * a * steps)
-        per_step = (edge + 16 * u * coarse) / steps
-        return (discretisation + fixed + per_step) * (1 + mpf(2) ** -32)
+        discretisation = twice_mass / mpmath.expm1(rate * steps)
+        return (discretisation + fixed + per_unit / steps) * widen
 
     share = tol - fixed
     if not share > 0:
@@ -620,7 +831,7 @@ def _trapezoid(weights: Sequence[mpf], sig: mpf, tol: mpf) -> Tuple[mpf, mpf]:
         )
     # The discretisation alone fixes a lower bound on M; the per-step
     # terms can push it up by a few steps.
-    steps = max(1, int(mpmath.ceil(mpmath.log1p(2 * strip_mass / share) / (2 * pi * a))))
+    steps = max(1, int(mpmath.ceil(mpmath.log1p(twice_mass / share) / rate)))
     while True:
         if steps > MAX_TRAPEZOID_STEPS:
             raise QuadratureError(
@@ -633,43 +844,23 @@ def _trapezoid(weights: Sequence[mpf], sig: mpf, tol: mpf) -> Tuple[mpf, mpf]:
         steps += 1
     pad = int(mpmath.ceil(REGION_PAD_SIGMAS * sig * steps))
 
-    # Samples f(lo + j/M) for -pad <= j <= span M + pad.  Those at offset
-    # r/M from the lattice are the weights convolved with phi_sigma at
-    # (M s + r)/M, for |M s + r| <= reach.
+    # Samples f(lo + j/M) for -pad <= j <= span M + pad, each from the
+    # peaks within reach/M of it.
     reach = span * steps + pad
     if rho >= 1:
         near = max(mpf(pad) / steps, mpf(1) / 2)
         far = _reach(weights, sig, near, prec)
         reach = min(int(mpmath.ceil(far * steps)), reach)
-    z2 = int(mpmath.ceil(mpf(reach) ** 2 / (2 * (sig * steps) ** 2)))
-    guard = (10 + 10 * z2 + 6 * reach * reach).bit_length() + 20
-    half: List[mpf] = []
-    with mpmath.workprec(prec + guard):
-        ratio_step = mpmath.exp(-1 / (2 * (sig * steps) ** 2))
-        ratio_square = ratio_step * ratio_step
-        value, ratio = 1 / (sig * mpmath.sqrt(2 * pi)), ratio_step
-        for _ in range(reach + 1):
-            half.append(value)
-            value, ratio = value * ratio, ratio * ratio_square
-    table = [+g for g in half]
+    table = _gaussian_table(sig, steps, reach, prec)
 
-    # The terms f ln f, summed exactly (one offset at a time, so only one
-    # row of terms is held) and rounded once.  Each sample is rounded as
-    # mpf() would round it, and its f ln f taken by the entropy kernel.
-    run_span = 2 * prec
-    runs = _runs(weights, run_span)
-    partials = []
-    for r in range(steps):
-        first = -((reach + r) // steps)
-        kernel = [table[abs(steps * s + r)] for s in range(first, (reach - r) // steps + 1)]
-        sums = _convolve_runs(runs, _runs(kernel, run_span), len(weights) + len(kernel) - 1, prec)
-        samples = (
-            from_man_exp(man, exp, prec, "n")
-            for i, (man, exp) in enumerate(sums, first)
-            if -pad <= steps * i + r <= span * steps + pad
-        )
-        partials.append(_log_sum(((f, f, None) for f in samples), prec))
-    return -mpf(_exact_sum(partials)) / steps, err
+    # The terms f ln f, summed exactly (one block of samples at a time)
+    # and rounded once.
+    raw = [w._mpf_ for w in weights]
+    partials = [
+        _log_sum(((f, f, None) for f in block), prec)
+        for block in _samples(raw, table, steps, -pad, span * steps + pad, prec)
+    ]
+    return -mpf(_exact_sum(partials)) / steps, err, steps
 
 
 def gaussian_smoothed_entropy(
@@ -703,10 +894,11 @@ def gaussian_smoothed_entropy(
     with working_precision(precision):
         positions, weights = _mixture_peaks(pmf)
         spacing = min((b - a for a, b in zip(positions, positions[1:])), default=1)
-        answer = _disjoint_peaks(weights, sig, spacing)
+        peaks = _peak_logs(weights)
+        answer = _disjoint_peaks(weights, sig, spacing, peaks)
         if answer is None or answer[1] > tolerance:
             lo, hi = positions[0] - pmf.offset, positions[-1] - pmf.offset
-            answer = _trapezoid(pmf.weights[lo:hi + 1], sig, tolerance)
+            answer = _trapezoid(pmf.weights[lo:hi + 1], sig, tolerance, peaks)
     return SmoothedEntropy(n=n, sigma=sig, h_value=answer[0], quadrature_error=answer[1])
 
 

@@ -98,6 +98,7 @@ returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import List, Tuple
 
 import mpmath
@@ -257,7 +258,8 @@ def cap_via_series(
     # / (X + Y)**2, both floored to units of 2**-B.  One-sided atoms
     # (rho**2 = 1) never decay, so they are summed once into `atoms`.
     atoms = n_atoms = lost = 0
-    state = []
+    state: List[int] = []  # s per decaying point
+    ratios: List[int] = []  # its rho**2
     for (_, u, eu, _), (_, v, ev, _) in pairs:
         if not (u or v):
             continue
@@ -275,7 +277,8 @@ def cap_via_series(
             atoms += s
             n_atoms += 1
         else:
-            state.append((s, (d2 << B) // (m * m)))
+            state.append(s)
+            ratios.append((d2 << B) // (m * m))
 
     with mpmath.workprec(B + 32):
         ln2 = _floor_fixed(+mpmath.ln2, B) + 2
@@ -289,7 +292,7 @@ def cap_via_series(
     while True:
         nu += 1
         k = 2 * nu * (2 * nu - 1)
-        delta = atoms + sum(s for s, _ in state)
+        delta = atoms + sum(state)
         slack = n_atoms + 3 * nu * len(state)
         coeff_sum += one // k
         partial += delta // k
@@ -312,9 +315,11 @@ def cap_via_series(
                 f"tol after {nu} terms",
                 partial=evaluation,
             )
-        kept = [(t, r) for s, r in state if (t := s * r >> B) > floor]
-        lost += (len(state) - len(kept)) * (floor + 3 * (nu + 1))
-        state = kept
+        state = list(map(B.__rrshift__, map(mul, state, ratios)))
+        if state and min(state) <= floor:
+            kept = [i for i, s in enumerate(state) if s > floor]
+            lost += (len(state) - len(kept)) * (floor + 3 * (nu + 1))
+            state, ratios = [state[i] for i in kept], [ratios[i] for i in kept]
 
 
 def binomial_step_c(n: int, p: RealLike, precision: int = DEFAULT_PRECISION) -> mpf:

@@ -422,8 +422,8 @@ def _floor_pow(x: int, n: int, W: int) -> Tuple[int, int]:
     return m, s
 
 
-def _runs(weights: Sequence[mpf], span: int) -> List[Tuple[int, List[int], int, int]]:
-    """Cut weights into contiguous runs of exact integers.
+def _runs(weights: Sequence[tuple], span: int) -> List[Tuple[int, List[int], int, int]]:
+    """Cut weights, raw mpf tuples, into contiguous runs of exact integers.
 
     Each run is (start, ints, exp, bits): weight ``start + i`` equals
     ``ints[i] * 2**exp`` exactly, and every int has at most ``bits``
@@ -434,18 +434,21 @@ def _runs(weights: Sequence[mpf], span: int) -> List[Tuple[int, List[int], int, 
     runs = []
     items: List[Tuple[int, int]] = []
     start = lo = hi = 0
-    for i, w in enumerate(weights):
-        _, man, exp, _ = w._mpf_
+    for i, (_, man, exp, _) in enumerate(weights):
         if not man:
             if items:
                 items.append((0, 0))
             continue
-        if not items or max(hi, exp) - min(lo, exp) > span:
+        if items and (hi - exp if exp < lo else exp - lo) <= span:
+            if exp < lo:
+                lo = exp
+            elif exp > hi:
+                hi = exp
+        else:
             if items:
                 runs.append((start, items, lo))
             start, items, lo, hi = i, [], exp, exp
         items.append((int(man), exp))
-        lo, hi = min(lo, exp), max(hi, exp)
     if items:
         runs.append((start, items, lo))
     out = []
@@ -531,8 +534,8 @@ def convolve(a: IntegerPmf, b: IntegerPmf) -> IntegerPmf:
     """
     precision = _check_same_precision(a, b)
     prec = _bits(precision)
-    runs_a = _runs(a.weights, 2 * prec)
-    runs_b = runs_a if a.weights is b.weights else _runs(b.weights, 2 * prec)
+    runs_a = _runs([w._mpf_ for w in a.weights], 2 * prec)
+    runs_b = runs_a if a.weights is b.weights else _runs([w._mpf_ for w in b.weights], 2 * prec)
     sums = _convolve_runs(runs_a, runs_b, a.size + b.size - 1, prec)
     out = tuple(_rounded(c, prec) for c in sums)
     return IntegerPmf(offset=a.offset + b.offset, weights=out, precision=precision)

@@ -83,7 +83,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import mpmath
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, from_rational, to_man_exp
+from mpmath.libmp import from_man_exp, from_rational
 
 from .dist_core import IntegerPmf, binomial_entropy_chain
 from .errors import BudgetExceededError
@@ -179,7 +179,7 @@ def central_moment_brute(pmf: IntegerPmf, k: int) -> mpf:
     _count(k, "k")
     # w_i = N_i / 2**E exactly; power sums S_j = sum_i N_i i**j count i
     # from the first point of the support, which shifts mu by `offset`.
-    column, E = _over_common_power(pmf.weights)
+    column, E = _over_common_power(pmf.weights, "w", pmf.offset)
     sums = [sum(column)]
     for _ in range(max(k, 1)):
         column = [n * i for i, n in enumerate(column)]
@@ -210,9 +210,18 @@ def central_moment_closed(
     return _round_ratio(acc, den, precision)
 
 
-def _over_common_power(xs: Sequence[mpf]) -> Tuple[List[int], int]:
-    """Integers N_i and E with x_i = N_i / 2**E exactly; inf and nan are refused."""
-    parts = [(x._mpf_[0], *to_man_exp(x._mpf_)) for x in xs]
+def _over_common_power(xs: Sequence[mpf], name: str, first: int) -> Tuple[List[int], int]:
+    """Integers N_i and E with x_i = N_i / 2**E exactly.
+
+    An infinite or NaN x_i is refused (ValueError) under its name: ``name``
+    with the index first + i.
+    """
+    parts = []
+    for i, x in enumerate(xs, first):
+        sign, man, exp, _ = x._mpf_
+        if not man and exp:
+            raise ValueError(f"{name}_{i} = {x} is not finite")
+        parts.append((sign, man, exp))
     E = -min([exp for _, man, exp in parts if man], default=0)
     return [(-man if sign else man) << (exp + E) for sign, man, exp in parts], E
 
@@ -304,7 +313,7 @@ def faa_di_bruno_poly(k: int, cumulants: CumulantSet) -> MomentPolynomial:
         raise ValueError(
             f"need cumulants up to order {k}, got only {cumulants.order}"
         )
-    K, E = _over_common_power(cumulants.kappas[1:k])  # kappa_g = K[g - 2] / 2**E
+    K, E = _over_common_power(cumulants.kappas[1:k], "kappa", 2)  # kappa_g = K[g - 2] / 2**E
     # mus[n][d] is the j**d coefficient of mu_n times 2**(d E)
     mus = [[1], [0]]
     for n in range(2, k + 1):

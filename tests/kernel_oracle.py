@@ -197,8 +197,8 @@ def convolve(a: IntegerPmf, b: IntegerPmf) -> Tuple[int, Tuple[mpf, ...]]:
     keeps those within the drop floor and is rounded by ``mpf(c)``."""
     with working_precision(a.precision):
         prec = mpmath.mp.prec
-        runs_a = _runs(a.weights, 2 * prec)
-        runs_b = runs_a if a.weights is b.weights else _runs(b.weights, 2 * prec)
+        runs_a = _runs([w._mpf_ for w in a.weights], 2 * prec)
+        runs_b = runs_a if a.weights is b.weights else _runs([w._mpf_ for w in b.weights], 2 * prec)
         square = runs_a is runs_b
         drop = prec + (len(runs_a) * len(runs_b)).bit_length() + 16 + 1
         terms: List[List[Tuple[int, int]]] = [[] for _ in range(a.size + b.size - 1)]

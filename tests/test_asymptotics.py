@@ -1,5 +1,6 @@
 """Gaussian-limit corrections and smoothed-entropy quadrature tests."""
 
+import random
 from fractions import Fraction
 
 import mpmath
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
+from mpmath.libmp import from_man_exp
 
 from discrete_epi import asymptotics
 from discrete_epi.asymptotics import (
@@ -19,6 +21,7 @@ from discrete_epi.asymptotics import (
 )
 from discrete_epi.dist_core import (
     IntegerPmf,
+    _runs,
     binomial_entropy_chain,
     binomial_pmf,
     delta_pmf,
@@ -29,7 +32,7 @@ from discrete_epi.errors import BudgetExceededError, QuadratureError
 from discrete_epi.precision import eps_for, working_precision
 
 from conftest import assert_close
-from quadrature_oracle import adaptive_smoothed_entropy
+from quadrature_oracle import adaptive_smoothed_entropy, reference_smoothed_entropy
 
 LN2 = "0.69314718055994530941723212145817656807550013436026"
 
@@ -208,11 +211,12 @@ class TestSmoothedIncrements:
             tulino_verdu_compare("0.5", "1e-3", [1])
 
 
-def spy_routes(monkeypatch) -> list:
+def spy_routes(monkeypatch, steps=None) -> list:
     """Record every trapezoid call from here on.
 
     Entries are "trapezoid" (it answered) and "refused" (it raised
-    QuadratureError).
+    QuadratureError).  The grid M of each answer is appended to
+    ``steps`` when a list is given.
     """
     taken = []
     trapezoid = asymptotics._trapezoid
@@ -224,16 +228,18 @@ def spy_routes(monkeypatch) -> list:
             taken.append("refused")
             raise
         taken.append("trapezoid")
+        if steps is not None:
+            steps.append(out[2])
         return out
 
     monkeypatch.setattr(asymptotics, "_trapezoid", spy_trapezoid)
     return taken
 
 
-def route_taken(monkeypatch, pmf, sigma, tol="1e-9", precision=30):
+def route_taken(monkeypatch, pmf, sigma, tol="1e-9", precision=30, steps=None):
     """The route that answered ("closed" or "trapezoid") and its result."""
     with monkeypatch.context() as patch:
-        taken = spy_routes(patch)
+        taken = spy_routes(patch, steps)
         result = gaussian_smoothed_entropy(pmf, sigma, tol, precision)
     return (taken[-1] if taken else "closed"), result
 
@@ -284,7 +290,8 @@ class TestClosedFormRoute:
         pmf = ORACLE_PMFS[name]()
         with working_precision(30):
             weights, spacing = peaks_and_spacing(pmf)
-            closed, closed_err = asymptotics._disjoint_peaks(weights, mpf(sigma), spacing)
+            closed, closed_err = asymptotics._disjoint_peaks(
+                weights, mpf(sigma), spacing, asymptotics._peak_logs(weights))
         returned = gaussian_smoothed_entropy(pmf, sigma, ORACLE_TOL, 30)
         quad = adaptive_smoothed_entropy(pmf, sigma, ORACLE_TOL, 30)
         with working_precision(30):
@@ -323,12 +330,12 @@ class TestClosedFormRoute:
             result = gaussian_smoothed_entropy(pmf, "1e-3", tol="1e-20")
             assert 0 < result.quadrature_error <= mpf("1e-20")
         assert taken == []
-        convolutions = []
-        monkeypatch.setattr(asymptotics, "_convolve_runs", lambda *args: convolutions.append(args))
+        sampled = []
+        monkeypatch.setattr(asymptotics, "_samples", lambda *args: sampled.append(args))
         with pytest.raises(QuadratureError, match="truncation floor"):
             gaussian_smoothed_entropy(binomial_pmf(4, "0.5"), "0.5", tol="1e-20")
         assert taken == ["refused"]
-        assert convolutions == []
+        assert sampled == []
 
     def test_spacing_is_the_smallest_gap(self, monkeypatch):
         # Peaks 10 apart at sigma = 0.3 are disjoint to far below 1e-9;
@@ -339,18 +346,20 @@ class TestClosedFormRoute:
         with working_precision(30):
             weights, spacing = peaks_and_spacing(pmf)
             assert spacing == 10
-            assert asymptotics._disjoint_peaks(weights, mpf("0.3"), 1)[1] > ORACLE_TOL
+            peaks = asymptotics._peak_logs(weights)
+            assert asymptotics._disjoint_peaks(weights, mpf("0.3"), 1, peaks)[1] > ORACLE_TOL
             assert route == "closed"
             assert 0 < result.quadrature_error <= ORACLE_TOL
             assert abs(result.h_value - quad.h_value) <= result.quadrature_error + quad.quadrature_error
 
     def test_bound_shrinks_with_sigma(self, dps50):
         weights = list(binomial_pmf(8, "0.3").weights)
+        peaks = asymptotics._peak_logs(weights)
         errors = [
-            asymptotics._disjoint_peaks(weights, mpf(s), 1)[1] for s in ("0.2", "0.1", "0.05")
+            asymptotics._disjoint_peaks(weights, mpf(s), 1, peaks)[1] for s in ("0.2", "0.1", "0.05")
         ]
         assert errors[0] > errors[1] > errors[2] > 0
-        assert asymptotics._disjoint_peaks(weights, mpf("0.5"), 1) is None
+        assert asymptotics._disjoint_peaks(weights, mpf("0.5"), 1, peaks) is None
 
 
 class TestPeakedIncrementsAreStepMargins:
@@ -445,19 +454,11 @@ def smoothed_reference(pmf: IntegerPmf, sigma: str, dps: int = 40) -> mpf:
 
 
 def grid_steps(monkeypatch, pmf, sigma, tol="1e-9"):
-    """The trapezoid's step count M (one lattice convolution per offset r/M)."""
-    calls = []
-    original = asymptotics._convolve_runs
-
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(asymptotics, "_convolve_runs", counting)
-        route, result = route_taken(patch, pmf, sigma, tol)
+    """The trapezoid's step count M, as ``_trapezoid`` reports it."""
+    steps = []
+    route, result = route_taken(monkeypatch, pmf, sigma, tol, steps=steps)
     assert route == "trapezoid"
-    return len(calls), result
+    return steps[-1], result
 
 
 SIGMAS = ["0.25", "0.5", "1"]
@@ -518,12 +519,12 @@ class TestTrapezoidRoute:
         with working_precision(30):
             assert 0 < trap.quadrature_error <= mpf("1e-12")
             assert abs(trap.h_value - quad.h_value) <= trap.quadrature_error + quad.quadrature_error
-        convolutions = []
-        monkeypatch.setattr(asymptotics, "_convolve_runs", lambda *args: convolutions.append(args))
+        sampled = []
+        monkeypatch.setattr(asymptotics, "_samples", lambda *args: sampled.append(args))
         monkeypatch.setattr(asymptotics, "MAX_TRAPEZOID_STEPS", steps - 1)
         with pytest.raises(QuadratureError, match="steps per unit"):
             gaussian_smoothed_entropy(pmf, "0.065", "1e-12", 30)
-        assert convolutions == []
+        assert sampled == []
 
     def test_grid_tail_takes_its_share_of_the_tolerance(self, monkeypatch):
         pmf = binomial_pmf(6, "0.5", 30)
@@ -688,3 +689,101 @@ class TestTrapezoidRoute:
                 IntegerPmf.from_weights(["0.5", "0", "0.5"], precision=30)]
         for pmf in pmfs:
             assert route_taken(monkeypatch, pmf, "0.25", ORACLE_TOL)[0] == "trapezoid"
+
+
+BIT_PS = ["0.05", "0.3", "0.5", "43/60"]
+BIT_SIGMAS = ["0.25", "0.5", "0.8", "0.85", "1", "2"]
+
+
+def bit_mismatches(pmf, sigma, tol, digits):
+    """Rows where the package and the mpf oracle differ in a bit or a route."""
+    with pytest.MonkeyPatch.context() as patch:
+        taken = spy_routes(patch)
+        result = gaussian_smoothed_entropy(pmf, sigma, tol, digits)
+    route, reference = reference_smoothed_entropy(pmf, sigma, tol, digits)
+    ours = (taken[-1] if taken else "closed", result.h_value._mpf_, result.quadrature_error._mpf_)
+    theirs = (route, reference.h_value._mpf_, reference.quadrature_error._mpf_)
+    return [] if ours == theirs else [(sigma, tol, digits, ours, theirs)]
+
+
+class TestTrapezoidBits:
+    """``gaussian_smoothed_entropy`` against its mpf oracle, bit for bit.
+
+    The oracle (``quadrature_oracle.reference_smoothed_entropy``) builds
+    the Gaussian table with mpf products and takes one ``_convolve_runs``
+    per grid offset; the package cuts the whole table into runs once and
+    takes packed shift-and-add products.  Every ``h_value`` and
+    ``quadrature_error`` must match by ``==`` on raw tuples.
+    """
+
+    @pytest.mark.parametrize("digits", [20, 30, 50])
+    @pytest.mark.parametrize("n", [1, 3, 6, 8, 64, 200])
+    def test_binomial_grid(self, n, digits):
+        bad = []
+        for p in BIT_PS:
+            pmf = binomial_pmf(n, p, digits)
+            for sigma in BIT_SIGMAS:
+                bad += [(p, *row) for row in bit_mismatches(pmf, sigma, "1e-9", digits)]
+        assert bad == []
+
+    @pytest.mark.parametrize("digits", [20, 30, 50])
+    def test_long_rows(self, digits):
+        bad = []
+        for p in BIT_PS:
+            bad += bit_mismatches(binomial_pmf(1000, p, digits), "0.5", "1e-9", digits)
+        assert bad == []
+
+    @pytest.mark.parametrize("sigma", BIT_SIGMAS)
+    def test_weights_in_several_runs(self, sigma):
+        # At 50 digits the weights of B(1000, 0.3) span more than 2 prec
+        # bits of exponent.
+        pmf = binomial_pmf(1000, "0.3", 50)
+        with working_precision(50):
+            prec = mpmath.mp.prec
+        assert len(_runs([w._mpf_ for w in pmf.weights], 2 * prec)) > 1
+        assert bit_mismatches(pmf, sigma, "1e-9", 50) == []
+
+    @pytest.mark.parametrize("digits", [20, 30, 50])
+    def test_fine_grid(self, digits):
+        # sigma = 0.065 at tol 1e-12: M = 565 at 30 digits.
+        assert bit_mismatches(binomial_pmf(3, "0.3", digits), "0.065", "1e-12", digits) == []
+
+    @pytest.mark.parametrize("digits", [20, 30, 50])
+    @pytest.mark.parametrize("name", sorted(STRIP_PMFS))
+    def test_runs_that_are_not_log_concave(self, name, digits):
+        pmf, bad = STRIP_PMFS[name](), []
+        for sigma in ["0.25", "0.3", "0.7", "0.8", "1"]:
+            bad += bit_mismatches(pmf, sigma, "1e-12", digits)
+        assert bad == []
+
+    @pytest.mark.parametrize(
+        "sigma, steps, reach, digits",
+        [("0.25", 31, 131, 30), ("0.5", 9, 91, 30), ("0.065", 565, 1900, 20), ("2", 3, 120, 50)],
+    )
+    def test_gaussian_table(self, sigma, steps, reach, digits):
+        # The integer recurrence rounds as mpf products at the guard
+        # precision do.
+        with working_precision(digits):
+            sig, prec = mpf(sigma), mpmath.mp.prec
+            table = asymptotics._gaussian_table(sig, steps, reach, prec)
+            z2 = int(mpmath.ceil(mpf(reach) ** 2 / (2 * (sig * steps) ** 2)))
+            guard = (10 + 10 * z2 + 6 * reach * reach).bit_length() + 20
+            expected = []
+            with mpmath.workprec(prec + guard):
+                ratio_step = mpmath.exp(-1 / (2 * (sig * steps) ** 2))
+                ratio_square = ratio_step * ratio_step
+                value, ratio = 1 / (sig * mpmath.sqrt(2 * mpmath.pi)), ratio_step
+                for _ in range(reach + 1):
+                    expected.append(value)
+                    value, ratio = value * ratio, ratio * ratio_square
+            assert table == [(+g)._mpf_ for g in expected]
+
+    def test_nearest_rounds_ties_to_even(self):
+        cases = [(0b1011, 2), (0b1001, 2), (0b1101, 3), (0b1100, 3), (0b1111, 2), (7, 5)]
+        rng = random.Random(23)
+        cases += [(rng.getrandbits(rng.randrange(1, 300)) | 1, rng.randrange(1, 200)) for _ in range(500)]
+        for man, bits in cases:
+            got = asymptotics._nearest(man, -7, bits)
+            _, m, e, _ = from_man_exp(man, -7, bits, "n")
+            assert got[0] << max(got[1] - e, 0) == m << max(e - got[1], 0)
+

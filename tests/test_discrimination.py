@@ -1,5 +1,6 @@
 """Divergence and discrimination-series tests against exact oracles."""
 
+import hashlib
 import random
 from fractions import Fraction
 from math import comb
@@ -359,6 +360,21 @@ class TestFixedPointSeries:
                 after, before, Fraction(1, 2), "1e-4", check_reference=False
             )
             assert result.terms_used > 1000
+
+    def test_outputs_are_pinned(self, dps50):
+        # terms_used, partial_sum and tail_bound, raw, of the criterion-4
+        # pairs at two tolerances and of the two skewed shifted sums
+        # (whose points reach the 10**-100 floor), pinned by sha256.
+        rows = []
+        for tol in ("1e-14", "1e-30"):
+            for P, Q, w in criterion4_pairs():
+                rows.append(cap_via_series(P, Q, w, tol))
+        for raw in ([3, 7000, 9 * 10**6], [9 * 10**12, 2 * 10**9, 5 * 10**6, 1000, 1]):
+            rows.append(cap_via_series(*skewed_shifted_sum(raw), Fraction(1, 2), "1e-4"))
+        text = repr([(r.terms_used, r.partial_sum._mpf_, r.tail_bound._mpf_) for r in rows])
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "54a75edec0cd0b1ce69ffc3a78cd6e53849d470aaa46cb9a5c8ad04c1a2e4632"
+        )
 
     def test_truncated_series_matches_the_mpf_loop(self, dps50):
         before = binomial_pmf(1, "0.5")

@@ -303,7 +303,7 @@ class TestConvolve:
         ]
         for weights in vectors:
             for span in (0, 40, 340):
-                runs = dist_core._runs(weights, span)
+                runs = dist_core._runs([w._mpf_ for w in weights], span)
                 covered = set()
                 for start, ints, exp, bits in runs:
                     nonzero = [x for x in ints if x]

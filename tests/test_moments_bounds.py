@@ -17,6 +17,7 @@ from discrete_epi.dist_core import IntegerPmf, binomial_pmf, entropy, iid_sum_pm
 from discrete_epi.errors import BudgetExceededError
 from discrete_epi.moments_bounds import (
     MAX_MOMENT_ORDER,
+    CumulantSet,
     _harmonic_cursor,
     _laurent_table,
     _moment_poly,
@@ -251,6 +252,15 @@ class TestFaaDiBruno:
                     assert_close(
                         poly.evaluate(j), central_moment_brute(pmf, k), "1e-38"
                     )
+
+    @pytest.mark.parametrize("value, shown", [(mpmath.inf, "+inf"), (-mpmath.inf, "-inf"), (mpmath.nan, "nan")])
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_non_finite_cumulant_is_named(self, dps50, value, shown, order):
+        kappas = [mpf(0), mpf(1), mpf(1), mpf(1)]
+        kappas[order - 1] = value
+        with pytest.raises(ValueError) as info:
+            faa_di_bruno_poly(4, CumulantSet(tuple(kappas), 50))
+        assert str(info.value) == f"kappa_{order} = {shown} is not finite"
 
 
 class TestMomentCumulantRecurrence:
