@@ -782,6 +782,11 @@ class TestTrapezoidBits:
         cases = [(0b1011, 2), (0b1001, 2), (0b1101, 3), (0b1100, 3), (0b1111, 2), (7, 5)]
         rng = random.Random(23)
         cases += [(rng.getrandbits(rng.randrange(1, 300)) | 1, rng.randrange(1, 200)) for _ in range(500)]
+        # exact ties: the bits below the kept ones are 100...0
+        for _ in range(200):
+            bits, cut = rng.randrange(1, 120), rng.randrange(1, 60)
+            kept = rng.getrandbits(bits) | 1 << (bits - 1)
+            cases.append(((kept << cut) | 1 << (cut - 1), bits))
         for man, bits in cases:
             got = asymptotics._nearest(man, -7, bits)
             _, m, e, _ = from_man_exp(man, -7, bits, "n")
