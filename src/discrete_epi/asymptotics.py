@@ -260,9 +260,8 @@ from mpmath.libmp import (
     normalize,
 )
 
-from .dist_core import (  # MAX_SUM_SUPPORT is re-exported
+from .dist_core import (
     MAX_CHAIN_ROWS,
-    MAX_SUM_SUPPORT,
     IntegerPmf,
     _exact_sum,
     _iid_ladder,
@@ -451,16 +450,6 @@ class SmoothedEntropy:
     quadrature_error: mpf
 
 
-def _mixture_peaks(pmf: IntegerPmf) -> Tuple[List[int], List[mpf]]:
-    positions: List[int] = []
-    weights: List[mpf] = []
-    for k, w in pmf.items():
-        if w > 0:
-            positions.append(k)
-            weights.append(w)
-    return positions, weights
-
-
 class _Constants(NamedTuple):
     """Constants of the smoothed-entropy routes at one working precision."""
 
@@ -490,70 +479,75 @@ def _constants(prec: int) -> _Constants:
         )
 
 
-class _PeakLogs(NamedTuple):
-    """The nonzero weights' mass, ln w and w ln w, taken once per call.
+class _Peaks(NamedTuple):
+    """A pmf's weights as raw tuples, read once per call.
 
-    ``logs`` and ``terms`` are raw tuples, each rounded once at the
-    working precision; ``mass`` is ``fsum`` of the weights.
+    ``run`` holds the weights from the first nonzero one to the last,
+    zeros included, and ``weights`` the nonzero ones; ``spacing`` is the
+    smallest gap between those (1 for a single one) and ``mass`` their
+    ``fsum``.  ``logs`` and ``terms`` are each nonzero weight's ln w and
+    w ln w, rounded once at the working precision.
     """
 
+    run: List[tuple]
+    weights: List[tuple]
+    spacing: int
     mass: mpf
     logs: List[tuple]
     terms: List[tuple]
 
 
-def _peak_logs(weights: Sequence[mpf]) -> _PeakLogs:
+def _peaks(pmf: IntegerPmf) -> _Peaks:
     prec = mpmath.mp.prec
-    raw = [w._mpf_ for w in weights]
-    logs = [mpf_log(x, prec, "n") for x in raw]
-    terms = [mpf_mul(x, y, prec, "n") for x, y in zip(raw, logs)]
-    return _PeakLogs(mp.make_mpf(mpf_sum(raw, prec, "n")), logs, terms)
+    raw = [w._mpf_ for w in pmf.weights]
+    where = [i for i, x in enumerate(raw) if x[1]]
+    weights = [raw[i] for i in where]
+    logs = [mpf_log(x, prec, "n") for x in weights]
+    return _Peaks(
+        run=raw[where[0]:where[-1] + 1],
+        weights=weights,
+        spacing=min((b - a for a, b in zip(where, where[1:])), default=1),
+        mass=mp.make_mpf(mpf_sum(weights, prec, "n")),
+        logs=logs,
+        terms=[mpf_mul(x, y, prec, "n") for x, y in zip(weights, logs)],
+    )
 
 
-def _truncation_bound(
-    weights: Sequence[mpf], sig: mpf, logs: Optional[Sequence[tuple]] = None
-) -> mpf:
+def _truncation_bound(peaks: _Peaks, sig: mpf) -> mpf:
     """Upper bound on the -f ln f mass lost outside the 8-sigma region.
 
     Each peak loses at most its own two Gaussian tails beyond 8 standard
     deviations; with z = (x - k)/sigma, -ln(w phi) = -ln w
     + ln(sigma sqrt(2 pi)) + z**2/2, and the z-integrals reduce to the
     Gaussian tail Q(8) and density phi(8).  Absolute values make this an
-    upper bound regardless of the signs of the log terms.  ``logs`` are
-    the weights' ln w as raw tuples, when the caller has them.
+    upper bound regardless of the signs of the log terms.
     """
     prec = mpmath.mp.prec
     constants = _constants(prec)
     log_norm = abs(mpmath.ln(sig * constants.root2pi))._mpf_
-    raw = [w._mpf_ for w in weights]
-    if logs is None:
-        logs = [mpf_log(x, prec, "n") for x in raw]
     q, half = constants.q_a._mpf_, mpf_shift(constants.z2_tail._mpf_, -1)
     terms = []
-    for x, y in zip(raw, logs):
+    for x, y in zip(peaks.weights, peaks.logs):
         # w (z2_tail / 2 + Q(8) (|ln w| + log_norm)), every step rounded
         inner = mpf_mul(q, mpf_add(mpf_abs(y), log_norm, prec, "n"), prec, "n")
         terms.append(mpf_mul(x, mpf_add(half, inner, prec, "n"), prec, "n"))
     return 2 * mp.make_mpf(mpf_sum(terms, prec, "n"))
 
 
-def _disjoint_peaks(
-    weights: Sequence[mpf], sig: mpf, spacing: int, peaks: _PeakLogs
-) -> Optional[Tuple[mpf, mpf]]:
+def _disjoint_peaks(peaks: _Peaks, sig: mpf) -> Optional[Tuple[mpf, mpf]]:
     """Closed form H(P) + (1/2) ln(2 pi e sigma**2) and a bound on its error.
 
-    ``spacing`` is the smallest gap between the nonzero weights and
-    ``peaks`` their ``_peak_logs``.  None when the Bhattacharyya bound
-    beta exceeds 1/2.  The error model is in the module docstring.
+    None when the Bhattacharyya bound beta exceeds 1/2.  The error model
+    is in the module docstring.
     """
-    prec, mass = mpmath.mp.prec, peaks.mass
+    prec, mass, weights, spacing = mpmath.mp.prec, peaks.mass, peaks.weights, peaks.spacing
     fano = mpf(0)
     if len(weights) > 1:
         sig2_up = mpmath.fmul(sig, sig, rounding="u")
         exponent = mpmath.fdiv(
             spacing * spacing, mpmath.fmul(8, sig2_up, rounding="u"), rounding="d"
         )
-        root_sum = mp.make_mpf(mpf_sum([mpf_sqrt(w._mpf_, prec, "n") for w in weights], prec, "n"))
+        root_sum = mp.make_mpf(mpf_sum([mpf_sqrt(x, prec, "n") for x in weights], prec, "n"))
         beta = root_sum * root_sum / (2 * mass) * mpmath.exp(-exponent)
         if beta > mpf(1) / 2:
             return None
@@ -566,16 +560,17 @@ def _disjoint_peaks(
     return h_p + log_term, error
 
 
-def _concavity(weights: Sequence[mpf]) -> mpf:
+def _concavity(run: Sequence[tuple]) -> mpf:
     """rho = min(1, w_k**2 / (w_(k-1) w_(k+1)) over the run), rounded down.
 
-    Exactly 1 when the weights are log-concave, decided exactly on the
-    rounded weights, each read as man * 2**exp; 0 when a weight is zero.
+    ``run`` holds raw tuples.  rho is exactly 1 when the weights are
+    log-concave, decided exactly on the rounded weights, each read as
+    man * 2**exp; 0 when a weight is zero.
     """
-    if not all(weights):
+    exact = [x[1:3] for x in run]
+    if not all(m for m, _ in exact):
         return mpf(0)
     rho = mpf(1)
-    exact = [w._mpf_[1:3] for w in weights]
     for (m0, e0), (m1, e1), (m2, e2) in zip(exact, exact[1:], exact[2:]):
         shift = 2 * e1 - e0 - e2
         square, outer = m1 * m1 << max(shift, 0), m0 * m2 << max(-shift, 0)
@@ -622,17 +617,17 @@ def _strip(sig: mpf, span: int, rho: mpf) -> Tuple[mpf, mpf, mpf]:
     return constants.pi * sig2 / (3 * lag), mpmath.ln(mpf(4) / 3), constants.pi / 2
 
 
-def _reach(weights: Sequence[mpf], sig: mpf, near: mpf, prec: int) -> mpf:
+def _reach(run: Sequence[tuple], sig: mpf, near: mpf, prec: int) -> mpf:
     """Distance R past which the peaks of a log-concave run are left out.
 
-    For a sample whose nearest support point is at most ``near`` away,
-    the peaks farther than R weigh at most 2**-(prec+16) of that one
-    (module docstring, rounding of the samples).
+    ``run`` holds raw tuples.  For a sample whose nearest support point
+    is at most ``near`` away, the peaks farther than R weigh at most
+    2**-(prec+16) of that one (module docstring, rounding of the samples).
     """
     slope = mpf(0)
-    if len(weights) > 1:
-        ends = (weights[1] / weights[0], weights[-1] / weights[-2])
-        slope = max(abs(mpmath.ln(t)) for t in ends) + 1
+    if len(run) > 1:
+        w = [mp.make_mpf(x) for x in (run[0], run[1], run[-2], run[-1])]
+        slope = max(abs(mpmath.ln(w[1] / w[0])), abs(mpmath.ln(w[3] / w[2]))) + 1
     ln2 = _constants(prec).ln2
     drift, bits = sig * sig * slope, (prec + 18) * ln2
     root = drift + mpmath.sqrt((near + drift) ** 2 + 2 * sig * sig * bits)
@@ -767,13 +762,9 @@ def _pair_sums(
         acc, base = acc >> 8 * width * (hi - base), hi
 
 
-def _trapezoid(
-    weights: Sequence[mpf], sig: mpf, tol: mpf, peaks: _PeakLogs
-) -> Tuple[mpf, mpf, int]:
+def _trapezoid(peaks: _Peaks, sig: mpf, tol: mpf) -> Tuple[mpf, mpf, int]:
     """Trapezoidal h(S) on the grid x = j/M, its proven error bound, and M.
 
-    ``weights`` run from the first nonzero weight to the last, zeros
-    included, and ``peaks`` is the ``_peak_logs`` of the nonzero ones.
     M is the smallest step count whose bound fits ``tol``.
     Raises QuadratureError, before any sample is taken, when ``tol`` is
     at or below the truncation floor, when sigma is too small for the
@@ -781,14 +772,14 @@ def _trapezoid(
     pass ``MAX_TRAPEZOID_STEPS``.  The error model is in the module
     docstring.
     """
-    truncation = _truncation_bound([w for w in weights if w], sig, peaks.logs)
+    truncation = _truncation_bound(peaks, sig)
     if tol <= 2 * truncation:
         raise QuadratureError(
             f"tolerance {mpmath.nstr(tol, 3)} is below the "
             f"{REGION_PAD_SIGMAS}-sigma truncation floor "
             f"{mpmath.nstr(2 * truncation, 3)} of the integration region"
         )
-    span = len(weights) - 1
+    span = len(peaks.run) - 1
     prec, u = mpmath.mp.prec, mpmath.eps
     constants = _constants(prec)
     pi, root2pi, decay = constants.pi, constants.root2pi, constants.decay
@@ -801,7 +792,7 @@ def _trapezoid(
     h_w = mp.make_mpf(mpf_sum(peaks.terms, prec, "n", absolute=True))
     log_norm = abs(mpmath.ln(norm))
     log_peak = abs(mpmath.ln(mass / norm))
-    rho = _concavity(weights)
+    rho = _concavity(peaks.run)
     a, loss, turn = _strip(sig, span, rho)
     excess = a * a / (2 * sig * sig)
     log_part = h_w + mass * (log_norm + mpf(1) / 2 + loss + excess + log_peak)
@@ -849,16 +840,15 @@ def _trapezoid(
     reach = span * steps + pad
     if rho >= 1:
         near = max(mpf(pad) / steps, mpf(1) / 2)
-        far = _reach(weights, sig, near, prec)
+        far = _reach(peaks.run, sig, near, prec)
         reach = min(int(mpmath.ceil(far * steps)), reach)
     table = _gaussian_table(sig, steps, reach, prec)
 
     # The terms f ln f, summed exactly (one block of samples at a time)
     # and rounded once.
-    raw = [w._mpf_ for w in weights]
     partials = [
         _log_sum(((f, f, None) for f in block), prec)
-        for block in _samples(raw, table, steps, -pad, span * steps + pad, prec)
+        for block in _samples(peaks.run, table, steps, -pad, span * steps + pad, prec)
     ]
     return -mpf(_exact_sum(partials)) / steps, err, steps
 
@@ -892,13 +882,10 @@ def gaussian_smoothed_entropy(
     sig = _positive(sigma, "sigma", precision)
     tolerance = _positive(tol, "tolerance", precision)
     with working_precision(precision):
-        positions, weights = _mixture_peaks(pmf)
-        spacing = min((b - a for a, b in zip(positions, positions[1:])), default=1)
-        peaks = _peak_logs(weights)
-        answer = _disjoint_peaks(weights, sig, spacing, peaks)
+        peaks = _peaks(pmf)
+        answer = _disjoint_peaks(peaks, sig)
         if answer is None or answer[1] > tolerance:
-            lo, hi = positions[0] - pmf.offset, positions[-1] - pmf.offset
-            answer = _trapezoid(pmf.weights[lo:hi + 1], sig, tolerance, peaks)
+            answer = _trapezoid(peaks, sig, tolerance)
     return SmoothedEntropy(n=n, sigma=sig, h_value=answer[0], quadrature_error=answer[1])
 
 

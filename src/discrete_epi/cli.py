@@ -203,15 +203,16 @@ def _cmd_grid(args: argparse.Namespace) -> Payload:
 
 def _cmd_bound(args: argparse.Namespace) -> Payload:
     precision = args.precision
+    # The telescoped bound's count checks come first, before B(n) is built.
+    _count(args.n, "n", 1)
+    _count(args.l, "l", 1)
     with working_precision(precision):
         pmf = dist_core.binomial_pmf(args.n, args.p, precision)
         exact = dist_core.entropy(pmf)
         # Taylor depth l feeds harmonic orders up to w = 2l (Taylor order
-        # k = 2l+1 reaches j**-(k-1) through the n**1 row of mu_k).
-        # The telescoped bound's count checks come first, then the depth-2l
-        # table, so a depth past the moment budget is refused early.
-        _count(args.n, "n", 1)
-        _count(args.l, "l", 1)
+        # k = 2l+1 reaches j**-(k-1) through the n**1 row of mu_k).  The
+        # depth-2l table comes before the cumulative bound, so a depth
+        # past the moment budget is refused early.
         harmonic = moments_bounds.harmonic_lower_bound(
             args.n, args.p, 2 * args.l, precision
         )

@@ -228,12 +228,11 @@ def cap_via_series(
     Q: IntegerPmf,
     p: RealLike,
     tol: RealLike,
-    nu_max: int = SERIES_TERM_CAP,
 ) -> SeriesEvaluation:
     """Capacitory discrimination through its triangular series.
 
     Terms are added until the rigorous tail bound drops to ``tol``.
-    Hitting ``nu_max`` first raises :class:`SeriesTruncationError` with
+    Hitting the term cap ``SERIES_TERM_CAP`` first raises :class:`SeriesTruncationError` with
     the partial evaluation attached; the series converges slowly exactly
     when some point carries one-sided mass (pointwise ratio 1), e.g. the
     endpoint atoms of a shifted binomial pair.
@@ -245,7 +244,6 @@ def cap_via_series(
     """
     precision = P.precision
     _, pairs = _aligned(P, Q)
-    _count(nu_max, "nu_max", 1)
     pv = _probability(p, precision, strict=True)
     tolv = _positive(tol, "tol", precision)
     prec = _bits(precision)
@@ -300,7 +298,7 @@ def cap_via_series(
         x = partial - offset
         err = partial_err + 2 + lost + (1 << max(abs(x).bit_length() - prec, 0))
         tail = (delta + slack) * (ln2 - coeff_sum) + (err << B)
-        if tail <= tol_units or nu >= nu_max:
+        if tail <= tol_units or nu >= SERIES_TERM_CAP:
             with working_precision(precision):
                 evaluation = SeriesEvaluation(
                     partial_sum=mpf((x, -B)),

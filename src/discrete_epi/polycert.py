@@ -190,25 +190,22 @@ class BivarPoly:
                 base = base * base
         return result
 
-    def compose_first(
-        self, replacement: "BivarPoly", new_vars: Tuple[str, str]
-    ) -> "BivarPoly":
+    def compose_first(self, replacement: "BivarPoly") -> "BivarPoly":
         """Substitute the first variable by a polynomial in new variables.
 
-        The second variable is carried over unchanged, so the
-        replacement's second variable must mean the same quantity.
-        Evaluation is Horner over descending first-variable degree.
+        The result is in the replacement's variables.  The second variable
+        is carried over unchanged, so the replacement's second variable
+        must mean the same quantity.  Evaluation is Horner over descending
+        first-variable degree.
         """
-        if replacement.vars != new_vars:
-            raise ValueError("replacement must be expressed in the new variables")
         slices: Dict[int, Dict[Exponents, Fraction]] = {}
         for (i, j), c in self.coeffs.items():
             slices.setdefault(i, {})[(0, j)] = c
-        result = BivarPoly.zero(new_vars)
+        result = BivarPoly.zero(replacement.vars)
         for d in range(self.degree(0), -1, -1):
             result = result * replacement
             if d in slices:
-                result = result + BivarPoly(new_vars, slices[d])
+                result = result + BivarPoly(replacement.vars, slices[d])
         return result
 
     def __str__(self) -> str:
@@ -270,12 +267,12 @@ def build_g() -> BivarPoly:
     if any(j % 2 for j, _ in h.coeffs):
         raise ConsistencyError("h(n, r) has an odd power of r")
     in_u = _relabel(h, ("s", "N"), lambda j, i: (j // 2, i)).compose_first(
-        _affine(("u", "N"), -1, Fraction(1, 4)), ("u", "N"))
+        _affine(("u", "N"), -1, Fraction(1, 4)))
     if in_u.degree(0) > 6:
         raise ConsistencyError(f"h has degree {in_u.degree(0)} > 6 in u = 1/(t+4)")
     in_t = _relabel(in_u, ("v", "N"), lambda j, i: (6 - j, i)).compose_first(
-        _affine(("t", "N"), 1, 4), ("t", "N"))
-    return _relabel(in_t, ("N", "t"), lambda j, i: (i, j)).compose_first(_affine(_NT, 1, 1), _NT)
+        _affine(("t", "N"), 1, 4))
+    return _relabel(in_t, ("N", "t"), lambda j, i: (i, j)).compose_first(_affine(_NT, 1, 1))
 
 
 def shift_expand(
@@ -295,19 +292,19 @@ def quadratic_shift_expand(
     repl = BivarPoly.from_terms(
         ("m", "t"), {(1, 0): 1, (0, 2): quad, (0, 1): slope, (0, 0): intercept}
     )
-    return g.compose_first(repl, ("m", "t"))
+    return g.compose_first(repl)
 
 
-def rational_substitute_t(n_shift: int = 7) -> BivarPoly:
-    """Reparametrise the skew: n = n_shift + m, then t -> t/(4(1+t)).
+def rational_substitute_t() -> BivarPoly:
+    """Reparametrise the skew: n = 7 + m, then t -> t/(4(1+t)).
 
     The image of t >= 0 under t/(4(1+t)) is the skew interval [0, 1/4),
     so nonnegative coefficients of the cleared polynomial certify the
-    threshold n_shift for every skew below 1/4.  The (1+t) and 4 powers
+    threshold 7 for every skew below 1/4.  The (1+t) and 4 powers
     introduced by the substitution are cleared against the maximal
     t-degree, leaving a polynomial in (m, t).
     """
-    shifted = shift_expand(build_g(), 0, n_shift)
+    shifted = shift_expand(build_g(), 0, 7)
     top = shifted.degree(1)
     mt = ("m", "t")
     one_plus_t = BivarPoly.from_terms(mt, {(0, 1): 1, (0, 0): 1})
@@ -351,11 +348,13 @@ class CertificateReport:
 
 
 # Each shipped substitution, as the polynomial in (m, t) it certifies.
+# Every entry looks its function up by module name at call time, so a
+# wrapper set on the module (perfbench's layer spans) sees the call.
 CERT_SUBSTITUTIONS = {
     "A": lambda: shift_expand(build_g(), THRESHOLD_SLOPE, 7),
     "Aprime": lambda: shift_expand(build_g(), THRESHOLD_SLOPE_REFINED, 7),
     "B": lambda: quadratic_shift_expand(build_g(), 1, QUAD_LINEAR_COEFF, 7),
-    "C": lambda: rational_substitute_t(7),
+    "C": lambda: rational_substitute_t(),
     "control": lambda: shift_expand(build_g(), 1, 1),
 }
 

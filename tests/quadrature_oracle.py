@@ -35,6 +35,7 @@ from discrete_epi.asymptotics import (
     MAX_TRAPEZOID_STEPS,
     REGION_PAD_SIGMAS,
     SmoothedEntropy,
+    _peaks,
     _truncation_bound,
 )
 from discrete_epi.dist_core import (
@@ -149,7 +150,7 @@ def adaptive_smoothed_entropy(
     with working_precision(precision):
         positions = [k for k, w in pmf.items() if w > 0]
         weights = [w for w in pmf.weights if w > 0]
-        truncation = _truncation_bound(weights, sig)
+        truncation = _truncation_bound(_peaks(pmf), sig)
         window = DENSITY_WINDOW_SIGMAS * sig
         norm = 1 / (sig * mpmath.sqrt(2 * mpmath.pi))
         inv_two_s2 = 1 / (2 * sig * sig)

@@ -12,7 +12,6 @@ from mpmath.libmp import from_man_exp
 
 from discrete_epi import asymptotics
 from discrete_epi.asymptotics import (
-    MAX_SUM_SUPPORT,
     gaussian_smoothed_entropy,
     iid_power_pmfs,
     knessl_profile,
@@ -20,6 +19,7 @@ from discrete_epi.asymptotics import (
     tulino_verdu_compare,
 )
 from discrete_epi.dist_core import (
+    MAX_SUM_SUPPORT,
     IntegerPmf,
     _runs,
     binomial_entropy_chain,
@@ -244,17 +244,15 @@ def route_taken(monkeypatch, pmf, sigma, tol="1e-9", precision=30, steps=None):
     return (taken[-1] if taken else "closed"), result
 
 
-def peaks_and_spacing(pmf):
-    """Nonzero weights and the smallest gap between them."""
-    positions = [k for k, w in pmf.items() if w > 0]
-    spacing = min((b - a for a, b in zip(positions, positions[1:])), default=1)
-    return [w for w in pmf.weights if w > 0], spacing
-
-
 def run_weights(pmf):
     """Weights from the first nonzero one to the last, zeros included."""
     positions = [i for i, w in enumerate(pmf.weights) if w > 0]
     return list(pmf.weights[positions[0]:positions[-1] + 1])
+
+
+def raw(weights):
+    """The weights as raw tuples, as ``_concavity`` and ``_reach`` take them."""
+    return [w._mpf_ for w in weights]
 
 
 ORACLE_PMFS = {
@@ -289,9 +287,7 @@ class TestClosedFormRoute:
     def test_agrees_with_quadrature(self, name, sigma):
         pmf = ORACLE_PMFS[name]()
         with working_precision(30):
-            weights, spacing = peaks_and_spacing(pmf)
-            closed, closed_err = asymptotics._disjoint_peaks(
-                weights, mpf(sigma), spacing, asymptotics._peak_logs(weights))
+            closed, closed_err = asymptotics._disjoint_peaks(asymptotics._peaks(pmf), mpf(sigma))
         returned = gaussian_smoothed_entropy(pmf, sigma, ORACLE_TOL, 30)
         quad = adaptive_smoothed_entropy(pmf, sigma, ORACLE_TOL, 30)
         with working_precision(30):
@@ -344,22 +340,18 @@ class TestClosedFormRoute:
         route, result = route_taken(monkeypatch, pmf, "0.3", ORACLE_TOL)
         quad = adaptive_smoothed_entropy(pmf, "0.3", ORACLE_TOL, 30)
         with working_precision(30):
-            weights, spacing = peaks_and_spacing(pmf)
-            assert spacing == 10
-            peaks = asymptotics._peak_logs(weights)
-            assert asymptotics._disjoint_peaks(weights, mpf("0.3"), 1, peaks)[1] > ORACLE_TOL
+            peaks = asymptotics._peaks(pmf)
+            assert peaks.spacing == 10
+            assert asymptotics._disjoint_peaks(peaks._replace(spacing=1), mpf("0.3"))[1] > ORACLE_TOL
             assert route == "closed"
             assert 0 < result.quadrature_error <= ORACLE_TOL
             assert abs(result.h_value - quad.h_value) <= result.quadrature_error + quad.quadrature_error
 
     def test_bound_shrinks_with_sigma(self, dps50):
-        weights = list(binomial_pmf(8, "0.3").weights)
-        peaks = asymptotics._peak_logs(weights)
-        errors = [
-            asymptotics._disjoint_peaks(weights, mpf(s), 1, peaks)[1] for s in ("0.2", "0.1", "0.05")
-        ]
+        peaks = asymptotics._peaks(binomial_pmf(8, "0.3"))
+        errors = [asymptotics._disjoint_peaks(peaks, mpf(s))[1] for s in ("0.2", "0.1", "0.05")]
         assert errors[0] > errors[1] > errors[2] > 0
-        assert asymptotics._disjoint_peaks(weights, mpf("0.5"), 1, peaks) is None
+        assert asymptotics._disjoint_peaks(peaks, mpf("0.5")) is None
 
 
 class TestPeakedIncrementsAreStepMargins:
@@ -526,6 +518,16 @@ class TestTrapezoidRoute:
             gaussian_smoothed_entropy(pmf, "0.065", "1e-12", 30)
         assert sampled == []
 
+    def test_sigma_too_small_for_the_grid_tail_is_refused(self):
+        # No public call reaches this guard: at such a sigma the closed
+        # form's bound fits every tolerance above the truncation floor,
+        # and the floor refuses the rest first.
+        with working_precision(30):
+            peaks = asymptotics._peaks(binomial_pmf(4, "0.3", 30))
+            with pytest.raises(QuadratureError) as info:
+                asymptotics._trapezoid(peaks, mpf("1e-16"), mpf(1))
+        assert str(info.value) == "sigma 1.0e-16 is too small for the trapezoid's grid-truncation bound"
+
     def test_grid_tail_takes_its_share_of_the_tolerance(self, monkeypatch):
         pmf = binomial_pmf(6, "0.5", 30)
         base_steps, _ = grid_steps(monkeypatch, pmf, "0.25")
@@ -574,7 +576,7 @@ class TestTrapezoidRoute:
         lo = next(k for k, w in pmf.items() if w > 0)
         with working_precision(30):
             sig = mpf(sigma)
-            a, loss, turn = asymptotics._strip(sig, span, asymptotics._concavity(weights))
+            a, loss, turn = asymptotics._strip(sig, span, asymptotics._concavity(raw(weights)))
             width = 2 * mpmath.pi / 3 if real_rooted else mpmath.pi / (3 * span)
             assert mpmath.almosteq(a, width * sig * sig, 1e-25)
             lift = mpmath.exp(a * a / (2 * sig * sig) - loss)
@@ -614,7 +616,7 @@ class TestTrapezoidRoute:
         span = len(weights) - 1
         with working_precision(30):
             sig = mpf(sigma)
-            a, loss, turn = asymptotics._strip(sig, span, asymptotics._concavity(weights))
+            a, loss, turn = asymptotics._strip(sig, span, asymptotics._concavity(raw(weights)))
             assert (loss, turn) == (mpmath.ln(mpf(4) / 3), mpmath.pi / 2)
             near = mpmath.pi / 3 * (1 + mpf("1e-20"))
             for i in range(-40, 20 * span + 41):
@@ -640,7 +642,7 @@ class TestTrapezoidRoute:
         with working_precision(30):
             prec, sig = mpmath.mp.prec, mpf(sigma)
             near = max(8 * sig + mpf(1) / 8, mpf(1) / 2)
-            far = asymptotics._reach(list(pmf.weights), sig, near, prec)
+            far = asymptotics._reach(raw(pmf.weights), sig, near, prec)
         with mpmath.workdps(60):
             for i in range(int(-4 * near), 4 * (n + int(near)) + 1):
                 x = mpf(i) / 4
@@ -678,13 +680,13 @@ class TestTrapezoidRoute:
     def test_log_concavity_gate_is_exact(self, monkeypatch):
         with working_precision(30):
             flat = [mpf(1) / 4] * 4
-            assert asymptotics._concavity(flat) == 1
-            assert 0 < asymptotics._concavity(nudged_flat()) < 1
-            assert asymptotics._concavity(binomial_pmf(64, "0.3", 30).weights) == 1
-            assert asymptotics._concavity(binomial_pmf(200, "0.01", 30).weights) == 1
-            skewed = asymptotics._concavity(run_weights(STRIP_PMFS["skewed"]()))
+            assert asymptotics._concavity(raw(flat)) == 1
+            assert 0 < asymptotics._concavity(raw(nudged_flat())) < 1
+            assert asymptotics._concavity(raw(binomial_pmf(64, "0.3", 30).weights)) == 1
+            assert asymptotics._concavity(raw(binomial_pmf(200, "0.01", 30).weights)) == 1
+            skewed = asymptotics._concavity(raw(run_weights(STRIP_PMFS["skewed"]())))
             assert mpmath.almosteq(skewed, mpf(2) / 3, 1e-25)
-            assert asymptotics._concavity(run_weights(STRIP_PMFS["gapped"]())) == 0
+            assert asymptotics._concavity(raw(run_weights(STRIP_PMFS["gapped"]()))) == 0
         pmfs = [IntegerPmf(0, tuple(flat), 30), *(make() for make in STRIP_PMFS.values()),
                 IntegerPmf.from_weights(["0.5", "0", "0.5"], precision=30)]
         for pmf in pmfs:

@@ -191,6 +191,9 @@ class TestOutputPins:
             "bf6e8e092ff74e9a67291ab4898463dc4240e6522c3fb99a3fe4af4e89679664",
         "sweep --m 1 --n 2 --steps 5 --format svg":
             "9ff7e61a7c7c9eb3973e6bc137b5436d129e40a9dd95177867ddcbb87b9a361c",
+        # one point: the x and y ranges of the plot are both degenerate
+        "sweep --m 1 --n 2 --p 0.3 --format svg":
+            "bc3a39c0eeddb9682073a9cdb7caf1f824fcc85b293fc914ddea5beecfd0e11b",
         "threshold --p 0.3 --cap 60":
             "1fba1d741470a13a5c17d895056985882b3d0148a35e4c8653865e4773293f42",
         "grid --m 3 --n 2 --p 0.3":
@@ -201,6 +204,9 @@ class TestOutputPins:
             "609bf5a698998845a4d1fd127c4bae5cbbceb9984a4ec2a376613915a016e71e",
         "knessl --p 0.3 --n 64":
             "00a1a4d8a8f9184d9f808119d3cdd3ab8255ba3aade5050e60356a326a9b2d96",
+        # kappa_3 = 0: the predicted exponent is 2
+        "knessl --p 0.5 --n 8":
+            "134c54def5979563d5c4c4f4d19acad45ff5674c39d4952657b1b15a09a91e89",
         "smooth --p 0.3 --n 8 --sigma 1e-3":
             "10edf76b0e0248c5b89b4a66317806d997ca4c11c8837b88ea54456eafe303a7",
         "smooth --p 0.3 --n 8 --sigma 0.5":
@@ -228,6 +234,9 @@ class TestOutputPins:
             "tail_bound=0.0000031249218750000976562495117187551879881866455107826\n",
         ),
         "bound --p 0 --n 4": (2, "error: p must lie strictly in (0, 1), got 0.0\n"),
+        # n and l are checked before B(n) is built or its weight budget read
+        "bound --p 0.3 --n -1": (2, "error: n must be a positive integer, got -1\n"),
+        "bound --p 0.3 --n 20000 --l 0": (2, "error: l must be a positive integer, got 0\n"),
         # harmonic order 2l = 34 needs moments to order 4l + 1 = 69
         "bound --p 0.3 --n 4 --l 17": (
             3, "computation budget exceeded: moment order 69 is past the 65-order budget\n",
@@ -235,6 +244,11 @@ class TestOutputPins:
         "threshold --p 0": (2, "error: p must lie strictly in (0, 1), got 0.0\n"),
         "discrimination --n 3 --p 0": (2, "error: p must lie strictly in (0, 1), got 0.0\n"),
         "sweep --m 1 --n 1 --p 0": (2, "error: p must lie strictly in (0, 1), got 0.0\n"),
+        "sweep --m 1 --n 2 --p-min 0.6 --p-max 0.4": (
+            2, "error: p-min must not exceed p-max, got 0.6 > 0.4\n",
+        ),
+        "knessl --p 0.3 --n 4": (2, "error: the decay scan needs --n >= 8\n"),
+        "tulino --p 0.3 --sigma 0.001 --n-min 5 --n-max 4": (2, "error: need 2 <= n-min <= n-max\n"),
         "smooth --p 0.5 --n 8 --sigma 0.3 --tol inf": (
             2, "error: tolerance must be finite, got +inf\n",
         ),

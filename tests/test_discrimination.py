@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
 
+from discrete_epi import discrimination
 from discrete_epi.discrimination import (
-    SERIES_TERM_CAP,
     binomial_step_c,
     cap_discrimination,
     cap_via_series,
@@ -109,11 +109,12 @@ class TestTriangularSeries:
             assert result.tail_bound <= mpf("1e-30")
             assert abs(result.partial_sum - direct) <= result.tail_bound + mpf("1e-35")
 
-    def test_truncation_signal_carries_partial(self, dps50):
+    def test_truncation_signal_carries_partial(self, dps50, monkeypatch):
         before = binomial_pmf(1, "0.5")
         after = shift(before, 1)
+        monkeypatch.setattr(discrimination, "SERIES_TERM_CAP", 50)
         with pytest.raises(SeriesTruncationError) as exc:
-            cap_via_series(after, before, "0.5", tol="1e-12", nu_max=50)
+            cap_via_series(after, before, "0.5", tol="1e-12")
         partial = exc.value.partial
         assert partial.terms_used == 50
         direct = cap_discrimination(after, before, "0.5")
@@ -223,7 +224,7 @@ def test_cap_discrimination_bounded_on_small_pmfs(a, b, w):
     assert_between_zero_and_binary_entropy(pmf(*a), pmf(*b), w)
 
 
-def mpf_series(P: IntegerPmf, Q: IntegerPmf, p, tol, nu_max: int = SERIES_TERM_CAP):
+def mpf_series(P: IntegerPmf, Q: IntegerPmf, p, tol, nu_max: int):
     """The former mpf loop of ``cap_via_series``, kept as its oracle.
 
     Returns (terms_used, partial_sum, tail, truncated); the tail is the
@@ -316,11 +317,11 @@ def criterion4_pairs():
         yield P, Q, Fraction(5 + 6 * i, 100)
 
 
-def assert_matches_oracle_and_bounds(P, Q, p, tol, nu_max=SERIES_TERM_CAP, check_reference=True):
+def assert_matches_oracle_and_bounds(P, Q, p, tol, check_reference=True):
     """Same terms and partial sum as the mpf loop; rigorous tail bound."""
-    terms, partial, _, truncated = mpf_series(P, Q, p, tol, nu_max)
+    terms, partial, _, truncated = mpf_series(P, Q, p, tol, discrimination.SERIES_TERM_CAP)
     try:
-        result = cap_via_series(P, Q, p, tol, nu_max)
+        result = cap_via_series(P, Q, p, tol)
         assert not truncated
     except SeriesTruncationError as exc:
         assert truncated
@@ -376,9 +377,10 @@ class TestFixedPointSeries:
             "54a75edec0cd0b1ce69ffc3a78cd6e53849d470aaa46cb9a5c8ad04c1a2e4632"
         )
 
-    def test_truncated_series_matches_the_mpf_loop(self, dps50):
+    def test_truncated_series_matches_the_mpf_loop(self, dps50, monkeypatch):
         before = binomial_pmf(1, "0.5")
-        result = assert_matches_oracle_and_bounds(shift(before, 1), before, "0.5", "1e-12", nu_max=50)
+        monkeypatch.setattr(discrimination, "SERIES_TERM_CAP", 50)
+        result = assert_matches_oracle_and_bounds(shift(before, 1), before, "0.5", "1e-12")
         assert result.terms_used == 50
 
     def test_tail_bound_is_rounded_upward(self, dps50):

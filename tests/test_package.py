@@ -201,7 +201,6 @@ COUNT_READERS = {
     "binomial_pmf": {"n": (0, lambda n: binomial_pmf(n, "0.3"))},
     "binomial_step_c": {"n": (0, lambda n: binomial_step_c(n, "0.3"))},
     "c_coeff": {"w": (1, lambda w: c_coeff(w, "0.3"))},
-    "cap_via_series": {"nu_max": (1, lambda nu: cap_via_series(*PAIR, "0.5", "10", nu))},
     "central_moment_brute": {"k": (0, lambda k: central_moment_brute(BASE, k))},
     "central_moment_closed": {
         "n": (0, lambda n: central_moment_closed(n, "0.3", 3)),
@@ -256,8 +255,8 @@ COUNT_READERS = {
 }
 
 # Integer parameters that place or move a support accept any integer
-# (IntegerPmf's offset, shift's k, the certificate's n_shift).
-NOT_COUNTS = {("delta_pmf", "k"), ("shift", "k"), ("rational_substitute_t", "n_shift")}
+# (IntegerPmf's offset, shift's k).
+NOT_COUNTS = {("delta_pmf", "k"), ("shift", "k")}
 
 
 def test_the_count_table_lists_every_public_function_taking_a_count():
