@@ -232,10 +232,11 @@ def cap_via_series(
     """Capacitory discrimination through its triangular series.
 
     Terms are added until the rigorous tail bound drops to ``tol``.
-    Hitting the term cap ``SERIES_TERM_CAP`` first raises :class:`SeriesTruncationError` with
-    the partial evaluation attached; the series converges slowly exactly
-    when some point carries one-sided mass (pointwise ratio 1), e.g. the
-    endpoint atoms of a shifted binomial pair.
+    Hitting the term cap ``SERIES_TERM_CAP`` first raises
+    :class:`SeriesTruncationError` with the partial evaluation attached;
+    the series converges slowly exactly when some point carries one-sided
+    mass (pointwise ratio 1), e.g. the endpoint atoms of a shifted
+    binomial pair.
 
     Per-point contributions that fall below 10**(-2 precision) are
     dropped from the iteration.  The sums run in fixed point, and
