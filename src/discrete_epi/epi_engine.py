@@ -17,8 +17,9 @@ super-additivity over sizes into the inequality itself.
 Each check is written once, over an entropy table: anything indexed by
 size n that gives H_n.  ``_gaps`` turns a table into gaps
 exp(2 H_(m+n)) - exp(2 H_m) - exp(2 H_n), taking each exp once, and
-``_step_signs`` into half-log step margins and their signs.  The public
-functions differ only in the table they build:
+``_step_signs`` into half-log step margins and their signs, reading each
+ln((n+1)/n) / 2 from one table per precision (``_half_logs``).  The
+public functions differ only in the table they build:
 
     epi_gap                 binomial chain to m + n
     epi_grid_check          binomial chain to m_max + n_max
@@ -41,6 +42,7 @@ are both in the skew parameter t = omega(p); the exact rationals live in
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
@@ -181,12 +183,30 @@ def iid_epi_gap(base: IntegerPmf, m: int, n: int) -> EpiReport:
     return _gaps(h, [(m, n)], None, base.precision)[(m, n)]
 
 
+@functools.lru_cache(maxsize=None)
+def _half_logs(prec: int) -> List[tuple]:
+    """ln((n + 1) / n) / 2 at prec bits as raw tuples, at index n >= 1.
+
+    One table per precision, extended on demand by ``_step_margin``;
+    index 0 holds no value.
+    """
+    return [None]
+
+
 def _step_margin(h_next: mpf, h_cur: mpf, n: int, precision: int) -> mpf:
-    """h_next - h_cur - ln((n + 1) / n) / 2, rounded as that mpf expression."""
+    """h_next - h_cur - ln((n + 1) / n) / 2, rounded as that mpf expression.
+
+    The half-log is read from the table of the precision, and each new
+    entry is the halved log of the rounded ratio (n + 1) / n.
+    """
     prec = _bits(precision)
-    ratio = mpf_div(from_int(n + 1), from_int(n), prec, "n")
-    half_log = mpf_shift(mpf_log(ratio, prec, "n"), -1)
-    return mp.make_mpf(mpf_sub(mpf_sub(h_next._mpf_, h_cur._mpf_, prec, "n"), half_log, prec, "n"))
+    half_logs = _half_logs(prec)
+    for m in range(len(half_logs), n + 1):
+        ratio = mpf_div(from_int(m + 1), from_int(m), prec, "n")
+        half_logs.append(mpf_shift(mpf_log(ratio, prec, "n"), -1))
+    return mp.make_mpf(
+        mpf_sub(mpf_sub(h_next._mpf_, h_cur._mpf_, prec, "n"), half_logs[n], prec, "n")
+    )
 
 
 def _step_signs(h, ns: Iterable[int], precision: int) -> List[Tuple[int, mpf, int]]:

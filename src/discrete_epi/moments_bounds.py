@@ -41,17 +41,19 @@ exact binary fraction, so ``central_moment_closed`` and
 nearest, and ``gamma_l`` and ``c_coeff`` read the exact Laurent table
 Gamma_l(j) = sum_{w=1}^{2l} D_w j**-w, D_w = sum_k F_k(p) P_(k, k-w)
 (``_laurent_table``, per (p, l)), rounding once: every value is within
-half an ulp.  Routes independent of the table are
-``faa_di_bruno_poly`` (the moment-cumulant recurrence over any
-cumulants, in integers and rounded once), ``central_moment_brute`` and
-the exact oracles of the tests.
+half an ulp.  With p = a/d, the rows at p (``_moment_coeffs``) and the
+Laurent table are each summed on integers over one common denominator
+and reduced once, so no gcd is paid per term.  Routes independent of
+the table are ``faa_di_bruno_poly`` (the moment-cumulant recurrence
+over any cumulants, in integers and rounded once),
+``central_moment_brute`` and the exact oracles of the tests.
 
 Every caller asks the table for its top order first, and an order past
 ``MAX_MOMENT_ORDER`` = 65 is refused before any row is built
 (BudgetExceededError).  On a 2-core Xeon (Python 3.11.7, pure-Python
-mpmath 1.3.0) the table to order 65 took 0.7 s, the Laurent table at
-depth 32 (p = 0.3, 50 digits) 5.2 s, and ``bound --p 0.3 --n 4 --l 16``,
-which asks for order 65, 6.8 s end to end.
+mpmath 1.3.0) the table to order 65 took 0.3 s, the Laurent table at
+depth 32 (p = 0.3, 50 digits) 0.26 s more, and ``bound --p 0.3 --n 4
+--l 16``, which asks for order 65, 0.8 s end to end.
 
 Error model of ``central_moment_brute``.  Every weight is exactly
 N_i / 2**E over one common power of two, so the power sums
@@ -266,11 +268,24 @@ def _moment_poly(k: int) -> Tuple[Tuple[Fraction, ...], ...]:
 
 @functools.lru_cache(maxsize=256)
 def _moment_coeffs(p: Fraction, k: int) -> Tuple[Tuple[int, ...], int]:
-    """(N, L) with mu_k of Binomial(n, p) = sum_i (N[i] / L) n**i, exact."""
-    r = p - Fraction(1, 2)
-    c = [sum(a * r**j for j, a in enumerate(row)) for row in _moment_poly(k)]
-    den = math.lcm(*(x.denominator for x in c))
-    return tuple(x.numerator * (den // x.denominator) for x in c), den
+    """(N, L) with mu_k of Binomial(n, p) = sum_i (N[i] / L) n**i, exact.
+
+    With p = a / d, r = p - 1/2 = s / (2d) for s = 2a - d, so every row
+    of the moment table sums on integers over the one denominator
+    Q (2d)**k, Q the least common denominator of the table's entries;
+    the sums and that denominator are then divided by their gcd.
+    """
+    rows = _moment_poly(k)
+    common = math.lcm(*(c.denominator for row in rows for c in row))
+    s, two_d = 2 * p.numerator - p.denominator, 2 * p.denominator
+    powers = [s**j * two_d ** (k - j) for j in range(k + 1)]  # (2d)**k r**j
+    nums = [
+        sum(c.numerator * (common // c.denominator) * x for c, x in zip(row, powers))
+        for row in rows
+    ]
+    den = common * two_d**k
+    g = math.gcd(den, *nums)
+    return tuple(x // g for x in nums), den // g
 
 
 @dataclass(frozen=True)
@@ -384,18 +399,27 @@ def _laurent_table(p: Fraction, l: int) -> Tuple[Tuple[int, ...], int]:
 
     Returns (N, L) with Gamma_l(j) = sum_{w=1}^{2l} (N[w-1] / L) j**-w:
     for every Taylor order k = 2 .. 2l+1, F_k(p) times the n**i
-    coefficient of mu_k lands in D_(k-i).
+    coefficient of mu_k lands in D_(k-i).  With p = a / d and b = d - a,
+    F_k(p) = d**(k-1) (a**(k-1) + (-1)**k b**(k-1)) / ((ab)**(k-1) k (k-1)),
+    so the terms sum on integers over one common denominator, the lcm
+    of (ab)**(k-1) k (k-1) L_k over k, and are divided by their gcd once.
     """
     _moment_poly(2 * l + 1)
-    q = 1 - p
-    table = [Fraction(0)] * (2 * l + 1)
+    a, d = p.numerator, p.denominator
+    b = d - a
+    terms = []
     for k in range(2, 2 * l + 2):
-        fk = (q ** (1 - k) + (-1) ** k * p ** (1 - k)) / (k * (k - 1))
         nums, den = _moment_coeffs(p, k)
+        fk = d ** (k - 1) * (a ** (k - 1) + (-1) ** k * b ** (k - 1))
+        terms.append((k, fk, (a * b) ** (k - 1) * k * (k - 1) * den, nums))
+    common = math.lcm(*(den for _, _, den, _ in terms))
+    table = [0] * (2 * l + 1)
+    for k, fk, den, nums in terms:
+        fk *= common // den
         for i in range(1, len(nums)):  # mu_k(0) = 0
-            table[k - i] += fk * Fraction(nums[i], den)
-    den = math.lcm(*(d.denominator for d in table[1:]))
-    return tuple(d.numerator * (den // d.denominator) for d in table[1:]), den
+            table[k - i] += fk * nums[i]
+    g = math.gcd(common, *table[1:])
+    return tuple(x // g for x in table[1:]), common // g
 
 
 def gamma_l(j: int, p: RealLike, l: int, precision: int = DEFAULT_PRECISION) -> mpf:

@@ -1,6 +1,9 @@
 """Exact rational certificates for the half-log step condition.
 
-Everything here is Fraction arithmetic; no floats enter at any point.
+Everything here is exact; no floats enter at any point.  Coefficients
+are Fractions, but each substitution runs on integer numerators over
+one common denominator and builds one Fraction per output coefficient
+at the end, so no gcd is paid inside its products and sums.
 
 The object being certified is the step-condition slack
 
@@ -52,6 +55,7 @@ raises ConsistencyError.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -59,6 +63,7 @@ from typing import Dict, List, Tuple, Union
 
 from .errors import ConsistencyError
 from .moments_bounds import _moment_poly
+from .precision import _count
 
 __all__ = [
     "BivarPoly",
@@ -100,13 +105,10 @@ class BivarPoly:
 
     def __post_init__(self):
         cleaned = {
-            (int(i), int(j)): _frac(c)
+            (_count(i, "exponent"), _count(j, "exponent")): _frac(c)
             for (i, j), c in self.coeffs.items()
             if c != 0
         }
-        for (i, j) in cleaned:
-            if i < 0 or j < 0:
-                raise ValueError(f"negative exponent in {(i, j)}")
         object.__setattr__(self, "coeffs", cleaned)
 
     # -- constructors -------------------------------------------------
@@ -177,8 +179,7 @@ class BivarPoly:
         return BivarPoly(self.vars, {e: cv * v for e, v in self.coeffs.items()})
 
     def power(self, k: int) -> "BivarPoly":
-        if k < 0:
-            raise ValueError("negative power")
+        _count(k, "k")
         result = BivarPoly.constant(self.vars, 1)
         base = self
         e = k
@@ -196,17 +197,28 @@ class BivarPoly:
         The result is in the replacement's variables.  The second variable
         is carried over unchanged, so the replacement's second variable
         must mean the same quantity.  Evaluation is Horner over descending
-        first-variable degree.
+        first-variable degree, on integers: with self = sum_d S_d x**d / E
+        and replacement = R / D for integer S_d and R, the steps
+        acc <- acc R + S_d D**(deg - d) leave acc = E D**deg self(R / D),
+        and each coefficient of acc becomes one Fraction at the end.
         """
-        slices: Dict[int, Dict[Exponents, Fraction]] = {}
-        for (i, j), c in self.coeffs.items():
-            slices.setdefault(i, {})[(0, j)] = c
-        result = BivarPoly.zero(replacement.vars)
-        for d in range(self.degree(0), -1, -1):
-            result = result * replacement
-            if d in slices:
-                result = result + BivarPoly(replacement.vars, slices[d])
-        return result
+        if self.is_zero():
+            return BivarPoly.zero(replacement.vars)
+        ints, den = _cleared(self.coeffs)
+        repl, step = _cleared(replacement.coeffs)
+        slices: Dict[int, List[Tuple[int, int]]] = {}
+        for (i, j), c in ints.items():
+            slices.setdefault(i, []).append((j, c))
+        deg = self.degree(0)
+        acc: Dict[Exponents, int] = {}
+        scale = 1  # D**(deg - d)
+        for d in range(deg, -1, -1):
+            acc = _int_product(acc, repl)
+            for j, c in slices.get(d, ()):
+                acc[(0, j)] = acc.get((0, j), 0) + c * scale
+            scale *= step
+        den *= step**deg
+        return BivarPoly(replacement.vars, {e: Fraction(c, den) for e, c in acc.items() if c})
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -220,6 +232,22 @@ class BivarPoly:
                 factors.append(f"{self.vars[1]}^{j}" if j > 1 else self.vars[1])
             parts.append("*".join(factors))
         return " + ".join(parts)
+
+
+def _cleared(coeffs: Dict[Exponents, Fraction]) -> Tuple[Dict[Exponents, int], int]:
+    """Integer numerators over one common denominator: (N, D) with coeffs[e] = N[e] / D."""
+    den = math.lcm(*(c.denominator for c in coeffs.values()))
+    return {e: c.numerator * (den // c.denominator) for e, c in coeffs.items()}, den
+
+
+def _int_product(a: Dict[Exponents, int], b: Dict[Exponents, int]) -> Dict[Exponents, int]:
+    """Product of two polynomials held as integer coefficient maps."""
+    out: Dict[Exponents, int] = {}
+    for (i1, j1), c1 in a.items():
+        for (i2, j2), c2 in b.items():
+            e = (i1 + i2, j1 + j2)
+            out[e] = out.get(e, 0) + c1 * c2
+    return out
 
 
 _NT = ("n", "t")
@@ -302,17 +330,21 @@ def rational_substitute_t() -> BivarPoly:
     so nonnegative coefficients of the cleared polynomial certify the
     threshold 7 for every skew below 1/4.  The (1+t) and 4 powers
     introduced by the substitution are cleared against the maximal
-    t-degree, leaving a polynomial in (m, t).
+    t-degree, leaving a polynomial in (m, t): each term c m**i t**j
+    becomes c 4**k t**j (1+t)**k with k = top - j, expanded by binomial
+    coefficients on the integer numerators of the shifted polynomial.
     """
     shifted = shift_expand(build_g(), 0, 7)
     top = shifted.degree(1)
-    mt = ("m", "t")
-    one_plus_t = BivarPoly.from_terms(mt, {(0, 1): 1, (0, 0): 1})
-    out = BivarPoly.zero(mt)
-    for (i, j), c in shifted.coeffs.items():
-        piece = BivarPoly.from_terms(mt, {(i, j): c * Fraction(4) ** (top - j)})
-        out = out + piece * one_plus_t.power(top - j)
-    return out
+    ints, den = _cleared(shifted.coeffs)
+    out: Dict[Exponents, int] = {}
+    for (i, j), c in ints.items():
+        k = top - j
+        c *= 4**k
+        for l in range(k + 1):
+            e = (i, j + l)
+            out[e] = out.get(e, 0) + c * math.comb(k, l)
+    return BivarPoly(("m", "t"), {e: Fraction(c, den) for e, c in out.items() if c})
 
 
 @dataclass(frozen=True)

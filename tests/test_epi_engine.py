@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
+from mpmath.libmp import from_int, mpf_div, mpf_log, mpf_shift
 
 from discrete_epi import dist_core, epi_engine
 from discrete_epi.dist_core import IntegerPmf, binomial_pmf, delta_pmf
@@ -23,7 +24,7 @@ from discrete_epi.epi_engine import (
     zero_crossing_scan,
 )
 from discrete_epi.errors import BudgetExceededError
-from discrete_epi.precision import eps_for, working_precision
+from discrete_epi.precision import _bits, eps_for, working_precision
 
 from conftest import assert_close
 
@@ -122,6 +123,27 @@ class TestStepCondition:
         assert n0 is not None and n0 > 1
         assert not sufficient_step_check(n0 - 1, "0.05").holds
         assert sufficient_step_check(n0, "0.05").holds
+
+
+class TestHalfLogs:
+    def test_table_is_the_halved_log_of_the_rounded_ratio(self):
+        # through the 4,434-row chain of the CLI's threshold pin
+        prec = _bits(50)
+        epi_engine._step_margin(mpf(0), mpf(0), 4434, 50)
+        table = epi_engine._half_logs(prec)
+        for n in range(1, 4435):
+            ratio = mpf_div(from_int(n + 1), from_int(n), prec, "n")
+            assert table[n] == mpf_shift(mpf_log(ratio, prec, "n"), -1), n
+
+    def test_second_scan_takes_no_new_half_log(self, monkeypatch):
+        calls = []
+        log = epi_engine.mpf_log
+        monkeypatch.setattr(epi_engine, "mpf_log", lambda *a: calls.append(a[0]) or log(*a))
+        epi_engine._half_logs.cache_clear()
+        first = empirical_threshold("0.3", 40, 30)
+        assert len(calls) == 40
+        assert empirical_threshold("0.3", 40, 30) == first
+        assert len(calls) == 40
 
 
 class TestThresholds:

@@ -11,6 +11,7 @@ import pytest
 from mpmath import mpf
 from mpmath.libmp import from_rational
 
+import fraction_oracle
 import kernel_oracle
 from discrete_epi import cli, moments_bounds
 from discrete_epi.dist_core import IntegerPmf, binomial_pmf, entropy, iid_sum_pmf, shift
@@ -20,6 +21,7 @@ from discrete_epi.moments_bounds import (
     CumulantSet,
     _harmonic_cursor,
     _laurent_table,
+    _moment_coeffs,
     _moment_poly,
     bernoulli_cumulants,
     c_coeff,
@@ -50,6 +52,9 @@ ORACLE_PS = ("0.2", Fraction(1, 3), Fraction(1, 2), "0.77")
 ROUNDING_PS = (Fraction(3, 10), Fraction(1, 3), Fraction(1, 2), "0.77", "1e-300", 0, 1)
 # the least depth l whose Laurent table, to order 2l + 1, is past the budget
 DEPTH_PAST_BUDGET = MAX_MOMENT_ORDER // 2 + 1
+# p for the integer tables against their Fraction oracle: the middle, a
+# non-dyadic value and the two sides of the interval near its ends
+INTEGER_TABLE_PS = (Fraction(1, 2), Fraction(3, 10), Fraction(1, 2**30), 1 - Fraction(1, 2**30))
 
 
 def exact_p(p, precision: int = 50) -> Fraction:
@@ -450,6 +455,16 @@ class TestLaurentTable:
                 c_coeff(2, p)
             with pytest.raises(ValueError):
                 c_coeff(1, p)
+
+    @pytest.mark.parametrize("p", INTEGER_TABLE_PS + (Fraction(0), Fraction(1)))
+    def test_integer_moment_coefficients_match_fraction_oracle(self, p):
+        for k in range(MAX_MOMENT_ORDER + 1):
+            assert _moment_coeffs(p, k) == fraction_oracle.moment_coeffs(p, k), k
+
+    @pytest.mark.parametrize("p", INTEGER_TABLE_PS)
+    def test_integer_laurent_tables_match_fraction_oracle(self, p):
+        for l in range(1, DEPTH_PAST_BUDGET):
+            assert _laurent_table(p, l) == fraction_oracle.laurent_table(p, l), l
 
 
 def exact_moment_of(pmf: IntegerPmf, k: int) -> Fraction:

@@ -1,10 +1,12 @@
 """Exact-rational polynomial engine and positivity-certificate tests."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from mpmath import mpf
 
+import fraction_oracle
 from discrete_epi import cli, polycert
 from discrete_epi.dist_core import binomial_pmf
 from discrete_epi.errors import ConsistencyError
@@ -64,6 +66,17 @@ class TestBivarPoly:
             by_products = by_products * base
         assert base.power(5) == by_products
         with pytest.raises(ValueError):
+            base.power(-1)
+
+    def test_exponents_and_powers_are_counts(self):
+        with pytest.raises(ValueError, match="exponent must be a nonnegative integer, got 1.5"):
+            BivarPoly(NT, {(1.5, 0): 1})
+        with pytest.raises(ValueError, match="exponent must be a nonnegative integer, got -1"):
+            BivarPoly(NT, {(0, -1): 1})
+        base = BivarPoly.from_terms(NT, {(1, 0): 1})
+        with pytest.raises(ValueError, match="k must be a nonnegative integer, got 2.5"):
+            base.power(2.5)
+        with pytest.raises(ValueError, match="k must be a nonnegative integer, got -1"):
             base.power(-1)
 
     def test_evaluate(self):
@@ -230,6 +243,64 @@ class TestSubstitutions:
             image = Fraction(t) / (4 * (1 + Fraction(t)))
             expected = g.evaluate(7 + Fraction(m), image) * 4**top * (1 + Fraction(t)) ** top
             assert cleared.evaluate(m, t) == expected
+
+
+def shift(quad, slope, intercept) -> BivarPoly:
+    """m + quad t**2 + slope t + intercept."""
+    return BivarPoly.from_terms(
+        ("m", "t"), {(1, 0): 1, (0, 2): quad, (0, 1): slope, (0, 0): intercept}
+    )
+
+
+class TestIntegerHorner:
+    """The integer substitutions against their Fraction oracle, by ==."""
+
+    @staticmethod
+    def assert_same(got: BivarPoly, expected: BivarPoly):
+        assert got == expected
+        assert all(type(c) is Fraction for c in got.coeffs.values())
+
+    def test_shipped_substitutions(self):
+        g = build_g()
+        expected = {
+            "A": fraction_oracle.compose_first(g, shift(0, polycert.THRESHOLD_SLOPE, 7)),
+            "Aprime": fraction_oracle.compose_first(g, shift(0, polycert.THRESHOLD_SLOPE_REFINED, 7)),
+            "B": fraction_oracle.compose_first(g, shift(1, polycert.QUAD_LINEAR_COEFF, 7)),
+            "C": fraction_oracle.rational_substitute_t(g),
+            "control": fraction_oracle.compose_first(g, shift(0, 1, 1)),
+        }
+        for sub_id, poly in expected.items():
+            self.assert_same(CERT_SUBSTITUTIONS[sub_id](), poly)
+
+    def test_seeded_rational_shifts(self):
+        rng = random.Random(2026)
+
+        def rational():
+            kind = rng.randrange(4)
+            if kind == 0:
+                return Fraction(0)
+            if kind == 1:  # a bisection midpoint
+                return Fraction(rng.randrange(-4000, 4000), 25 * 2 ** rng.randrange(16))
+            return Fraction(rng.randrange(-10**6, 10**6), rng.randrange(1, 10**4))
+
+        g = build_g()
+        for _ in range(200):
+            quad, slope, intercept = rational(), rational(), rational()
+            self.assert_same(
+                quadratic_shift_expand(g, quad, slope, intercept),
+                fraction_oracle.compose_first(g, shift(quad, slope, intercept)),
+            )
+
+    def test_missing_degrees_and_zero(self):
+        gappy = BivarPoly.from_terms(
+            NT, {(5, 0): Fraction(-3, 7), (5, 2): 4, (2, 1): Fraction(5, 6), (0, 3): -1}
+        )
+        zero = BivarPoly.zero(NT)
+        for repl in (shift(Fraction(1, 3), -2, Fraction(7, 4)), shift(0, 0, 0),
+                     BivarPoly.zero(("m", "t"))):
+            for poly in (gappy, zero):
+                self.assert_same(poly.compose_first(repl), fraction_oracle.compose_first(poly, repl))
+        assert zero.compose_first(shift(1, 1, 1)) == BivarPoly.zero(("m", "t"))
 
 
 class TestCertificates:
