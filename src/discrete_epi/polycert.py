@@ -1,9 +1,10 @@
 """Exact rational certificates for the half-log step condition.
 
-Everything here is exact; no floats enter at any point.  Coefficients
-are Fractions, but each substitution runs on integer numerators over
-one common denominator and builds one Fraction per output coefficient
-at the end, so no gcd is paid inside its products and sums.
+Everything here is exact; no floats enter at any point.  A polynomial
+is integer numerators over one common denominator, so products, sums
+and substitutions run on integers alone; Fractions are only the way
+coefficients come in (``BivarPoly.from_terms``) and go out
+(``BivarPoly.coeffs``).
 
 The object being certified is the step-condition slack
 
@@ -32,11 +33,12 @@ Substitutions shipped:
     control  n = t + 1 + m             must FAIL: keeps the engine
              falsifiable
 
-Construction of g.  Polynomials are ``BivarPoly``: dicts from exponent
-pairs to Fractions.  Write N = n + 1, p = 1/2 + r, q = 1/2 - r and
-u = pq = 1/4 - r**2 = 1/(t+4).  Since F_k(p) k (k-1) (pq)**(k-1) =
-p**(k-1) + (-1)**k q**(k-1), and the moment table gives
-mu_k(N) = sum_{b>=1} N**b P_kb(r) (``moments_bounds._moment_poly``),
+Construction of g.  Polynomials are ``BivarPoly``: maps from exponent
+pairs to integer numerators over one denominator.  Write N = n + 1,
+p = 1/2 + r, q = 1/2 - r and u = pq = 1/4 - r**2 = 1/(t+4).  Since
+F_k(p) k (k-1) (pq)**(k-1) = p**(k-1) + (-1)**k q**(k-1), and the
+moment table gives mu_k(N) = sum_{b>=1} N**b P_kb(r)
+(``moments_bounds._moment_poly``),
 
     h(n, r) = u**6 g
             = sum_{k=2}^{7} 420/(k(k-1)) n**3 [p**(k-1) + (-1)**k q**(k-1)]
@@ -56,10 +58,11 @@ raises ConsistencyError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Dict, List, Tuple, Union
+from functools import cached_property, lru_cache
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Tuple, Union
 
 from .errors import ConsistencyError
 from .moments_bounds import _moment_poly
@@ -93,23 +96,31 @@ def _frac(x: FractionLike) -> Fraction:
 
 @dataclass(frozen=True, eq=True)
 class BivarPoly:
-    """Polynomial in two named variables with Fraction coefficients.
+    """Polynomial in two named variables: integer numerators over one denominator.
 
-    ``coeffs`` maps (deg_first, deg_second) to a nonzero Fraction; the
-    zero polynomial has an empty map.  Instances are immutable; all
-    arithmetic returns new objects and requires matching variable names.
+    ``nums`` maps (deg_first, deg_second) to a nonzero integer and ``den``
+    is one positive integer; the polynomial is sum nums[e] x**i y**j / den.
+    Both are reduced by their gcd, so equal polynomials compare equal, and
+    the zero polynomial is an empty map over 1.  ``coeffs`` is the same
+    polynomial as a map to Fractions.  Instances are immutable (both maps
+    are read-only); all arithmetic returns new objects and requires
+    matching variable names.
     """
 
     vars: Tuple[str, str]
-    coeffs: Dict[Exponents, Fraction] = field(default_factory=dict)
+    nums: Mapping[Exponents, int]
+    den: int = 1
 
     def __post_init__(self):
-        cleaned = {
-            (_count(i, "exponent"), _count(j, "exponent")): _frac(c)
-            for (i, j), c in self.coeffs.items()
-            if c != 0
+        den = _count(self.den, "den", 1)
+        nums = {
+            (_count(i, "exponent"), _count(j, "exponent")): c
+            for (i, j), c in self.nums.items()
+            if c
         }
-        object.__setattr__(self, "coeffs", cleaned)
+        g = math.gcd(den, *nums.values())
+        object.__setattr__(self, "nums", MappingProxyType({e: c // g for e, c in nums.items()}))
+        object.__setattr__(self, "den", den // g)
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -118,34 +129,47 @@ class BivarPoly:
 
     @classmethod
     def constant(cls, vars: Tuple[str, str], c: FractionLike) -> "BivarPoly":
-        return cls(vars, {(0, 0): _frac(c)})
+        return cls.from_terms(vars, {(0, 0): c})
 
     @classmethod
     def from_terms(
         cls, vars: Tuple[str, str], terms: Dict[Exponents, FractionLike]
     ) -> "BivarPoly":
-        return cls(vars, {e: _frac(c) for e, c in terms.items()})
+        """The polynomial with the given Fraction-like coefficients."""
+        fracs = {e: _frac(c) for e, c in terms.items()}
+        den = math.lcm(*(c.denominator for c in fracs.values()))
+        return cls(vars, {e: c.numerator * (den // c.denominator) for e, c in fracs.items()}, den)
 
     # -- queries -------------------------------------------------------
+    @cached_property
+    def coeffs(self) -> Mapping[Exponents, Fraction]:
+        """Read-only map from exponent pairs to nonzero Fractions."""
+        return MappingProxyType({e: Fraction(c, self.den) for e, c in self.nums.items()})
+
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def degree(self, axis: int) -> int:
         """Largest exponent along axis (zero polynomial reports -1)."""
-        if not self.coeffs:
+        if not self.nums:
             return -1
-        return max(e[axis] for e in self.coeffs)
+        return max(e[axis] for e in self.nums)
 
     def sorted_terms(self) -> List[Tuple[int, int, Fraction]]:
         """Terms ordered by first-variable degree descending, then second ascending."""
         return [
             (i, j, self.coeffs[(i, j)])
-            for (i, j) in sorted(self.coeffs, key=lambda e: (-e[0], e[1]))
+            for (i, j) in sorted(self.nums, key=lambda e: (-e[0], e[1]))
         ]
 
     def evaluate(self, x: FractionLike, y: FractionLike) -> Fraction:
-        xv, yv = _frac(x), _frac(y)
-        return sum((c * xv**i * yv**j for (i, j), c in self.coeffs.items()), Fraction(0))
+        """Exact value at (x, y), summed on integers over one denominator."""
+        (a, b), (c, d) = _frac(x).as_integer_ratio(), _frac(y).as_integer_ratio()
+        di, dj = max(self.degree(0), 0), max(self.degree(1), 0)
+        total = sum(
+            v * a**i * b ** (di - i) * c**j * d ** (dj - j) for (i, j), v in self.nums.items()
+        )
+        return Fraction(total, self.den * b**di * d**dj)
 
     # -- arithmetic ----------------------------------------------------
     def _check_vars(self, other: "BivarPoly") -> None:
@@ -154,42 +178,32 @@ class BivarPoly:
 
     def __add__(self, other: "BivarPoly") -> "BivarPoly":
         self._check_vars(other)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return BivarPoly(self.vars, out)
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        out = {e: c * a for e, c in self.nums.items()}
+        for e, c in other.nums.items():
+            out[e] = out.get(e, 0) + c * b
+        return BivarPoly(self.vars, out, den)
 
     def __neg__(self) -> "BivarPoly":
-        return BivarPoly(self.vars, {e: -c for e, c in self.coeffs.items()})
+        return BivarPoly(self.vars, {e: -c for e, c in self.nums.items()}, self.den)
 
     def __sub__(self, other: "BivarPoly") -> "BivarPoly":
         return self + (-other)
 
     def __mul__(self, other: "BivarPoly") -> "BivarPoly":
         self._check_vars(other)
-        out: Dict[Exponents, Fraction] = {}
-        for (i1, j1), c1 in self.coeffs.items():
-            for (i2, j2), c2 in other.coeffs.items():
-                e = (i1 + i2, j1 + j2)
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return BivarPoly(self.vars, out)
+        return BivarPoly(self.vars, _product(self.nums, other.nums), self.den * other.den)
 
     def scale(self, c: FractionLike) -> "BivarPoly":
-        cv = _frac(c)
-        return BivarPoly(self.vars, {e: cv * v for e, v in self.coeffs.items()})
+        a, b = _frac(c).as_integer_ratio()
+        return BivarPoly(self.vars, {e: v * a for e, v in self.nums.items()}, self.den * b)
 
     def power(self, k: int) -> "BivarPoly":
-        _count(k, "k")
-        result = BivarPoly.constant(self.vars, 1)
-        base = self
-        e = k
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        nums: Dict[Exponents, int] = {(0, 0): 1}
+        for _ in range(_count(k, "k")):
+            nums = _product(nums, self.nums)
+        return BivarPoly(self.vars, nums, self.den**k)
 
     def compose_first(self, replacement: "BivarPoly") -> "BivarPoly":
         """Substitute the first variable by a polynomial in new variables.
@@ -197,31 +211,27 @@ class BivarPoly:
         The result is in the replacement's variables.  The second variable
         is carried over unchanged, so the replacement's second variable
         must mean the same quantity.  Evaluation is Horner over descending
-        first-variable degree, on integers: with self = sum_d S_d x**d / E
-        and replacement = R / D for integer S_d and R, the steps
-        acc <- acc R + S_d D**(deg - d) leave acc = E D**deg self(R / D),
-        and each coefficient of acc becomes one Fraction at the end.
+        first-variable degree on the numerators: with self = sum_d S_d x**d / E
+        and replacement = R / D, the steps acc <- acc R + S_d D**(deg - d)
+        leave acc = E D**deg self(R / D), which is reduced once at the end.
         """
         if self.is_zero():
             return BivarPoly.zero(replacement.vars)
-        ints, den = _cleared(self.coeffs)
-        repl, step = _cleared(replacement.coeffs)
         slices: Dict[int, List[Tuple[int, int]]] = {}
-        for (i, j), c in ints.items():
+        for (i, j), c in self.nums.items():
             slices.setdefault(i, []).append((j, c))
         deg = self.degree(0)
         acc: Dict[Exponents, int] = {}
         scale = 1  # D**(deg - d)
         for d in range(deg, -1, -1):
-            acc = _int_product(acc, repl)
+            acc = _product(acc, replacement.nums)
             for j, c in slices.get(d, ()):
                 acc[(0, j)] = acc.get((0, j), 0) + c * scale
-            scale *= step
-        den *= step**deg
-        return BivarPoly(replacement.vars, {e: Fraction(c, den) for e, c in acc.items() if c})
+            scale *= replacement.den
+        return BivarPoly(replacement.vars, acc, self.den * replacement.den**deg)
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        if not self.nums:
             return "0"
         parts = []
         for i, j, c in self.sorted_terms():
@@ -234,17 +244,12 @@ class BivarPoly:
         return " + ".join(parts)
 
 
-def _cleared(coeffs: Dict[Exponents, Fraction]) -> Tuple[Dict[Exponents, int], int]:
-    """Integer numerators over one common denominator: (N, D) with coeffs[e] = N[e] / D."""
-    den = math.lcm(*(c.denominator for c in coeffs.values()))
-    return {e: c.numerator * (den // c.denominator) for e, c in coeffs.items()}, den
-
-
-def _int_product(a: Dict[Exponents, int], b: Dict[Exponents, int]) -> Dict[Exponents, int]:
+def _product(a: Mapping[Exponents, int], b: Mapping[Exponents, int]) -> Dict[Exponents, int]:
     """Product of two polynomials held as integer coefficient maps."""
     out: Dict[Exponents, int] = {}
+    b_terms = b.items()  # one view, not one per term of a
     for (i1, j1), c1 in a.items():
-        for (i2, j2), c2 in b.items():
+        for (i2, j2), c2 in b_terms:
             e = (i1 + i2, j1 + j2)
             out[e] = out.get(e, 0) + c1 * c2
     return out
@@ -260,7 +265,7 @@ def _affine(vars: Tuple[str, str], slope: FractionLike, const: FractionLike) -> 
 
 def _relabel(poly: BivarPoly, vars: Tuple[str, str], key) -> BivarPoly:
     """The same coefficients under new variables, exponent pairs mapped by key."""
-    return BivarPoly(vars, {key(i, j): c for (i, j), c in poly.coeffs.items()})
+    return BivarPoly(vars, {key(i, j): c for (i, j), c in poly.nums.items()}, poly.den)
 
 
 @lru_cache(maxsize=None)
@@ -282,7 +287,7 @@ def build_g() -> BivarPoly:
         rows = _moment_poly(k)
         if any(rows[0]):
             raise ConsistencyError(f"mu_{k} has a nonzero n**0 term")
-        mu = BivarPoly(rn, {
+        mu = BivarPoly.from_terms(rn, {
             (j, b + 6 - k): c for b, row in enumerate(rows[1:], 1) for j, c in enumerate(row)
         })
         taylor = p.power(k - 1) + q.power(k - 1).scale((-1) ** k)
@@ -292,7 +297,7 @@ def build_g() -> BivarPoly:
         + BivarPoly.constant(rn, Fraction(1, 6))
     )
     h = n.power(3) * h - tail * u.power(6) * BivarPoly.from_terms(rn, {(0, 6): 420})
-    if any(j % 2 for j, _ in h.coeffs):
+    if any(j % 2 for j, _ in h.nums):
         raise ConsistencyError("h(n, r) has an odd power of r")
     in_u = _relabel(h, ("s", "N"), lambda j, i: (j // 2, i)).compose_first(
         _affine(("u", "N"), -1, Fraction(1, 4)))
@@ -336,15 +341,14 @@ def rational_substitute_t() -> BivarPoly:
     """
     shifted = shift_expand(build_g(), 0, 7)
     top = shifted.degree(1)
-    ints, den = _cleared(shifted.coeffs)
     out: Dict[Exponents, int] = {}
-    for (i, j), c in ints.items():
+    for (i, j), c in shifted.nums.items():
         k = top - j
         c *= 4**k
         for l in range(k + 1):
             e = (i, j + l)
             out[e] = out.get(e, 0) + c * math.comb(k, l)
-    return BivarPoly(("m", "t"), {e: Fraction(c, den) for e, c in out.items() if c})
+    return BivarPoly(("m", "t"), out, shifted.den)
 
 
 @dataclass(frozen=True)
@@ -405,7 +409,7 @@ def certify(sub_id: str) -> CertificateReport:
     poly = CERT_SUBSTITUTIONS[sub_id]()
     if poly.is_zero():
         raise ConsistencyError("certificate polynomial collapsed to zero")
-    min_c = min(poly.coeffs.values())
+    min_c = Fraction(min(poly.nums.values()), poly.den)
     return CertificateReport(
         substitution=sub_id,
         polynomial=poly,

@@ -1,13 +1,15 @@
 """The exact kernels written in Fraction arithmetic: oracles for the integer ones.
 
-``polycert`` runs its substitutions, and ``moments_bounds`` its moment
-coefficients and Laurent tables, on integer numerators over one common
+``polycert`` keeps its polynomials, and ``moments_bounds`` its moment
+coefficients and Laurent tables, as integer numerators over one common
 denominator.  The functions here are the same computations spelled with
 Fractions, term by term as the package once ran them: Horner over
-``BivarPoly`` products and sums for ``compose_first``, one ``BivarPoly``
-product by a power of (1 + t) per term for the skew reparametrisation,
-and the moment rows and F_k(p) summed as Fractions.  The tests assert
-that the integer kernels give equal values.
+products and sums of Fraction coefficient maps for ``compose_first``,
+one product by a power of (1 + t) per term for the skew
+reparametrisation, and the moment rows and F_k(p) summed as Fractions.
+The product and sum are this module's own, so no ``BivarPoly``
+arithmetic enters an oracle.  The tests assert that the integer kernels
+give equal values.
 """
 
 import functools
@@ -18,31 +20,52 @@ from typing import Dict, Tuple
 from discrete_epi.moments_bounds import _moment_poly
 from discrete_epi.polycert import BivarPoly
 
+Coeffs = Dict[Tuple[int, int], Fraction]
+
+
+def _add(a: Coeffs, b: Coeffs) -> Coeffs:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return out
+
+
+def _mul(a: Coeffs, b: Coeffs) -> Coeffs:
+    out: Coeffs = {}
+    for (i1, j1), c1 in a.items():
+        for (i2, j2), c2 in b.items():
+            e = (i1 + i2, j1 + j2)
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return out
+
+
+def _compose_first(coeffs: Coeffs, replacement: Coeffs) -> Coeffs:
+    slices: Dict[int, Coeffs] = {}
+    for (i, j), c in coeffs.items():
+        slices.setdefault(i, {})[(0, j)] = c
+    result: Coeffs = {}
+    for d in range(max((i for i, _ in coeffs), default=-1), -1, -1):
+        result = _add(_mul(result, replacement), slices.get(d, {}))
+    return result
+
 
 def compose_first(poly: BivarPoly, replacement: BivarPoly) -> BivarPoly:
     """poly with its first variable replaced, by Horner over Fraction products."""
-    slices: Dict[int, Dict[Tuple[int, int], Fraction]] = {}
-    for (i, j), c in poly.coeffs.items():
-        slices.setdefault(i, {})[(0, j)] = c
-    result = BivarPoly.zero(replacement.vars)
-    for d in range(poly.degree(0), -1, -1):
-        result = result * replacement
-        if d in slices:
-            result = result + BivarPoly(replacement.vars, slices[d])
-    return result
+    coeffs = _compose_first(dict(poly.coeffs), dict(replacement.coeffs))
+    return BivarPoly.from_terms(replacement.vars, coeffs)
 
 
 def rational_substitute_t(g: BivarPoly) -> BivarPoly:
     """g at n = 7 + m and t -> t/(4(1+t)), cleared by (4(1+t))**top."""
-    mt = ("m", "t")
-    shifted = compose_first(g, BivarPoly.from_terms(mt, {(1, 0): 1, (0, 0): 7}))
-    top = shifted.degree(1)
-    one_plus_t = BivarPoly.from_terms(mt, {(0, 1): 1, (0, 0): 1})
-    out = BivarPoly.zero(mt)
-    for (i, j), c in shifted.coeffs.items():
-        piece = BivarPoly.from_terms(mt, {(i, j): c * Fraction(4) ** (top - j)})
-        out = out + piece * one_plus_t.power(top - j)
-    return out
+    shifted = _compose_first(dict(g.coeffs), {(1, 0): Fraction(1), (0, 0): Fraction(7)})
+    top = max(j for _, j in shifted)
+    out: Coeffs = {}
+    for (i, j), c in shifted.items():
+        piece = {(i, j): c * Fraction(4) ** (top - j)}
+        for _ in range(top - j):
+            piece = _mul(piece, {(0, 1): Fraction(1), (0, 0): Fraction(1)})
+        out = _add(out, piece)
+    return BivarPoly.from_terms(("m", "t"), out)
 
 
 @functools.lru_cache(maxsize=None)

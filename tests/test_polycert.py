@@ -108,6 +108,23 @@ class TestBivarPoly:
         assert built.is_zero()
         assert str(z) == "0"
 
+    def test_canonical_form(self):
+        # the same polynomial built two ways compares equal
+        half = BivarPoly.from_terms(NT, {(1, 0): Fraction(1, 2), (0, 1): 1})
+        assert BivarPoly.from_terms(NT, {(1, 0): Fraction(2, 4), (0, 1): 1}) == half
+        assert BivarPoly(NT, {(1, 0): 2, (0, 1): 4}, 4) == half
+        assert (half.nums, half.den) == ({(1, 0): 1, (0, 1): 2}, 2)
+        diff = half - half
+        assert diff == BivarPoly.zero(NT)
+        assert (diff.nums, diff.den) == ({}, 1)
+        neg = half.scale(Fraction(-1, 3))
+        assert neg.den > 0
+        assert neg == BivarPoly.from_terms(
+            NT, {(1, 0): Fraction(-1, 6), (0, 1): Fraction(-1, 3)}
+        )
+        with pytest.raises(ValueError, match="den must be a positive integer, got -2"):
+            BivarPoly(NT, {(1, 0): 1}, -2)
+
     def test_sorted_terms_ordering(self):
         poly = BivarPoly.from_terms(NT, {(0, 2): 1, (2, 0): 1, (2, 3): 1, (1, 0): 1})
         order = [(i, j) for i, j, _ in poly.sorted_terms()]
@@ -138,6 +155,9 @@ class TestSlackExpression:
 class TestBuildG:
     def test_matches_frozen_coefficients(self):
         assert build_g().coeffs == G_EXPECTED
+
+    def test_integer_coefficients(self):
+        assert build_g().den == 1
 
     def test_sign_change_between_six_and_seven(self):
         g = build_g()
@@ -350,7 +370,50 @@ class TestCertificates:
         keys = [(i, j) for i, j, _ in payload["coefficients"]]
         assert keys == sorted(keys, key=lambda e: (-e[0], e[1]))
 
+    def test_min_coefficient_is_the_least_coefficient(self):
+        for sub_id in CERT_SUBSTITUTIONS:
+            report = certify(sub_id)
+            assert report.min_coefficient == min(report.polynomial.coeffs.values()), sub_id
+
+    def test_cached_g_is_read_only(self):
+        g = build_g()
+        with pytest.raises(TypeError):
+            g.coeffs[(7, 1)] = -1
+        with pytest.raises(TypeError):
+            g.nums[(7, 1)] = -1
+        report = certify("A")
+        assert report.all_nonneg
+        assert report.min_coefficient == 35
+
     def test_unknown_substitution_rejected(self):
         with pytest.raises(ValueError):
             certify("Z")
         assert set(CERT_SUBSTITUTIONS) == {"A", "Aprime", "B", "C", "control"}
+
+
+class TestOneArithmetic:
+    """Past the moment table, g and every certificate are integer arithmetic."""
+
+    OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__",
+                 "__mul__", "__rmul__", "__truediv__", "__rtruediv__")
+
+    def test_no_fraction_arithmetic(self, monkeypatch):
+        for k in range(2, 8):
+            polycert._moment_poly(k)
+        calls = []
+        for name in self.OPERATORS:
+            def spy(a, b, _real=getattr(Fraction, name), _name=name):
+                calls.append(_name)
+                return _real(a, b)
+
+            monkeypatch.setattr(Fraction, name, spy)
+        build_g.cache_clear()
+        try:
+            build_g()
+            assert calls == [], "build_g"
+            for sub_id in CERT_SUBSTITUTIONS:
+                certify(sub_id)
+                assert calls == [], sub_id
+        finally:
+            monkeypatch.undo()
+            build_g.cache_clear()
